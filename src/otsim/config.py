@@ -25,8 +25,6 @@ class RunConfig:
     # solver
     dt_device: float = 10e-9   # device-physics runs (I-V, oscillator)
     dt_logic: float = 50e-9    # logic and pipeline runs
-    max_newton: int = 8
-    residual_tol: float = 1e-9
     # logic encoding
     v_high: float = 5.0
     bit_width: float = 50e-6
@@ -43,11 +41,10 @@ class RunConfig:
 
     _FLOAT_KEYS = {
         "v_th", "v_hold", "r_on", "g_off", "i_hold", "tau_on", "tau_off",
-        "dt_device", "dt_logic", "residual_tol", "v_high", "bit_width",
+        "dt_device", "dt_logic", "v_high", "bit_width",
         "settle", "gradient_window", "exponent",
     }
-    _INT_KEYS = {"max_newton", "binarize_threshold", "count_threshold",
-                 "segment_clocks", "n_jobs"}
+    _INT_KEYS = {"binarize_threshold", "count_threshold", "segment_clocks", "n_jobs"}
     _BOOL_KEYS = {"otsu"}
 
     def device_params(self) -> OtsParams:

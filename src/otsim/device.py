@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+
+from .waveforms import require_finite
 
 
 class Phase(enum.Enum):
@@ -42,6 +44,7 @@ class OtsParams:
     tau_off: float = 50e-9   # turn-off delay
 
     def __post_init__(self) -> None:
+        require_finite("OtsParams", **{f.name: getattr(self, f.name) for f in fields(self)})
         if not (self.v_th > self.v_hold > 0.0):
             raise ValueError(f"require v_th > v_hold > 0, got v_th={self.v_th}, v_hold={self.v_hold}")
         if self.r_on <= 0.0 or self.g_off < 0.0:

@@ -8,9 +8,19 @@ All nonlinear elements are piecewise linear, which makes the Newton
 iteration a segment-pinning loop: pick a conduction segment per element,
 solve the resulting linear system exactly, re-derive the segments from the
 solution, and repeat until the choice is stable (at most a fixed number of
-re-selections per step).  The system matrix depends only on the segment
+re-selections per step, after which a tie at a knee, where rounding flips an
+element back and forth, is accepted).  The system matrix depends only on the segment
 choice, so LU factorizations are cached and most steps reduce to a single
-back-substitution.
+LAPACK back-substitution (``dgetrs``).
+
+Each run has two phases.  A compile phase (``_Compiled``) turns the
+netlist into index arrays and plain tuples once: terminal indices into an
+extended solution vector whose entry 0 is ground, per-kind parameters,
+capacitor stamps, OTS slots and the column of every element in the current
+record.  The step loop then works on those tuples and on floats from
+``x.tolist()`` only.  Currents of sources, resistors and capacitors follow
+from the recorded solution and are computed for all samples at once after
+the loop; diodes, OTSs and comparators are recorded step by step.
 
 OTS phases are device *state*, not a solver segment: they advance once per
 accepted step from the converged device voltage.
@@ -19,13 +29,15 @@ accepted step from the converged device voltage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor
+from scipy.linalg.lapack import dgetrs
 
 from .device import OtsState, Phase, ots_current, ots_step
-from .netlist import Capacitor, Comparator, Diode, Element, Netlist, NetlistError, Ots, Resistor, VoltageSource
+from .netlist import Capacitor, Comparator, Diode, Netlist, NetlistError, Ots, Resistor, VoltageSource
 from .waveforms import SourceSpec, Triangle
 
 
@@ -57,10 +69,19 @@ _SEG_DEAD = 3       # OTS on-phase dead zone |v| < v_hold
 _CMP_LOW = 0
 _CMP_HIGH = 1
 
+# Kinds of segment-switched elements in the compiled tables.
+_DIODE = 0
+_OTS = 1
+_CMP = 2
+
 
 @dataclass
 class Trace:
-    """Sampled node voltages and element currents of one transient run."""
+    """Sampled node voltages and element currents of one transient run.
+
+    `voltages` and the arrays in `currents` and `ots_on` are views into
+    per-run record arrays, not separate copies.
+    """
 
     dt: float
     times: np.ndarray                      # (n_samples,)
@@ -145,302 +166,350 @@ def extract_spikes(tr: Trace, node: str | int, threshold: float, refractory: flo
     return SpikeTrain(tuple(spikes), threshold, window)
 
 
-class _System:
-    """Pre-indexed MNA structures for one netlist."""
+_PIN = 1e6         # stiffness of the step-0 capacitor companions
+_KNEE_TOL = 1e-12  # V, knee ties accepted once the reselection budget is spent
 
-    def __init__(self, net: Netlist, dt: float, ots_states: dict[str, OtsState]):
+
+def _stamp(mat: np.ndarray, a: int, b: int, g: float) -> None:
+    """Conductance g between extended indices a and b (row/column 0 is
+    ground and is discarded)."""
+    mat[a, a] += g
+    mat[b, b] += g
+    mat[a, b] -= g
+    mat[b, a] -= g
+
+
+class _Compiled:
+    """One netlist at one dt, reduced to index arrays and plain tuples.
+
+    Terminal indices address the extended solution vector ``xe``: entry 0
+    is ground (always 0.0), entries 1..nv the node voltages and entries
+    nv+1.. the source branch currents, so node k is ``xe[k]`` and source j
+    is ``xe[node_count + j]``.  Matrices and right-hand sides are assembled
+    in the same extended form and the ground row and column dropped, which
+    leaves every other entry with exactly the additions, in the same order,
+    that a ground-aware stamp would make.
+    """
+
+    def __init__(self, net: Netlist, dt: float, sources: Mapping[str, SourceSpec] | None):
         net.validate()
         self.net = net
-        self.dt = dt
-        nv = net.node_count - 1  # non-ground voltages
-        self.sources = [el for el in net.elements if isinstance(el.kind, VoltageSource)]
-        self.n = nv + len(self.sources)
-        self.nv = nv
+        nn = net.node_count
+        self.nv = nv = nn - 1
+        els = net.elements
+        src = [el for el in els if isinstance(el.kind, VoltageSource)]
+        self.n = n = nv + len(src)
+        overrides = dict(sources) if sources else {}
+        known = {el.name for el in src}
+        for name in overrides:
+            if name not in known:
+                raise NetlistError(f"no voltage source named {name!r}")
+        self.source_names = [el.name for el in src]
+        # (xe row, waveform) of every source
+        self.drives = [(nn + j, overrides.get(el.name, el.kind.spec)) for j, el in enumerate(src)]
 
-        self.g_static = np.zeros((self.n, self.n))
-        self.caps: list[tuple[Element, float, int, int]] = []       # (el, g, a, b) 0-based rows, -1 = ground
-        self.dynamic: list[Element] = []
-        self.ots_states = ots_states
+        # Where each current is recorded: (0, column) of the solution record
+        # for source branch currents, else (1, column) of the current record,
+        # whose first columns hold the segment-switched elements in order so
+        # that one step writes one slice.
+        dyn = [i for i, el in enumerate(els) if isinstance(el.kind, (Diode, Ots, Comparator))]
+        self.where = [(1, 0)] * len(els)
+        for col, i in enumerate(dyn):
+            self.where[i] = (1, col)
+        self.n_recorded = len(dyn)
 
-        for el in net.elements:
+        g_ext = np.zeros((n + 1, n + 1))
+        self.res: list[tuple[int, int, float, int]] = []     # (a, b, ohms, column)
+        self.caps: list[tuple[int, int]] = []                # (a, b)
+        self.cap_g: list[float] = []                         # farads / dt
+        self.cap_ic: list[float] = []
+        self.cap_cols: list[int] = []
+        r = nn  # xe row of the next source
+        for i, el in enumerate(els):
             k = el.kind
+            a, b = el.terminals[0], el.terminals[1]
+            if isinstance(k, VoltageSource):
+                g_ext[a, r] += 1.0
+                g_ext[r, a] += 1.0
+                g_ext[b, r] -= 1.0
+                g_ext[r, b] -= 1.0
+                self.where[i] = (0, r)
+                r += 1
+                continue
             if isinstance(k, Resistor):
-                self._stamp_g(self.g_static, el.terminals[0] - 1, el.terminals[1] - 1, 1.0 / k.ohms)
+                _stamp(g_ext, a, b, 1.0 / k.ohms)
+                self.res.append((a, b, k.ohms, self.n_recorded))
             elif isinstance(k, Capacitor):
                 g = k.farads / dt
-                a, b = el.terminals[0] - 1, el.terminals[1] - 1
-                self._stamp_g(self.g_static, a, b, g)
-                self.caps.append((el, g, a, b))
-            elif isinstance(k, (Diode, Ots, Comparator)):
-                self.dynamic.append(el)
-
-        for j, el in enumerate(self.sources):
-            r = nv + j
-            a, b = el.terminals[0] - 1, el.terminals[1] - 1
-            if a >= 0:
-                self.g_static[a, r] += 1.0
-                self.g_static[r, a] += 1.0
-            if b >= 0:
-                self.g_static[b, r] -= 1.0
-                self.g_static[r, b] -= 1.0
-
-        self._lu_cache: dict[tuple, tuple] = {}
-
-    @staticmethod
-    def _stamp_g(mat: np.ndarray, a: int, b: int, g: float) -> None:
-        if a >= 0:
-            mat[a, a] += g
-        if b >= 0:
-            mat[b, b] += g
-        if a >= 0 and b >= 0:
-            mat[a, b] -= g
-            mat[b, a] -= g
-
-    # -- per-step assembly --------------------------------------------------
-
-    def initial_segments(self, volts: np.ndarray) -> tuple[int, ...]:
-        return tuple(self._desired_segment(el, volts) for el in self.dynamic)
-
-    def _branch_v(self, volts: np.ndarray, el: Element) -> float:
-        a, b = el.terminals[0], el.terminals[1]
-        va = volts[a - 1] if a > 0 else 0.0
-        vb = volts[b - 1] if b > 0 else 0.0
-        return float(va - vb)
-
-    def _desired_segment(self, el: Element, volts: np.ndarray) -> int:
-        k = el.kind
-        if isinstance(k, Diode):
-            v = self._branch_v(volts, el)
-            if v > k.v_f:
-                return _SEG_FWD
-            if v < -k.v_z:
-                return _SEG_REV
-            return _SEG_OFF
-        if isinstance(k, Ots):
-            st = self.ots_states[el.name]
-            if st.phase is Phase.OFF:
-                return _SEG_OFF
-            v = self._branch_v(volts, el)
-            if v > k.params.v_hold:
-                return _SEG_FWD
-            if v < -k.params.v_hold:
-                return _SEG_REV
-            return _SEG_DEAD
-        # comparator
-        p, q = el.terminals[0], el.terminals[1]
-        vp = volts[p - 1] if p > 0 else 0.0
-        vq = volts[q - 1] if q > 0 else 0.0
-        return _CMP_HIGH if vp > vq else _CMP_LOW
-
-    def _stamp_dynamic(self, mat: np.ndarray, z: np.ndarray, el: Element, seg: int) -> None:
-        k = el.kind
-        if isinstance(k, Comparator):
-            out = el.terminals[2] - 1
-            g = 1.0 / k.r_out
-            e = k.v_out_high if seg == _CMP_HIGH else k.v_out_low
-            if out >= 0:
-                mat[out, out] += g
-                z[out] += g * e
-            return
-        a, b = el.terminals[0] - 1, el.terminals[1] - 1
-        if isinstance(k, Diode):
-            if seg == _SEG_OFF:
-                return
-            g = 1.0 / k.r_series
-            offset = -k.v_f if seg == _SEG_FWD else k.v_z
-        else:  # Ots
-            p = k.params
-            if seg == _SEG_OFF:
-                g, offset = p.g_off, 0.0
-            elif seg == _SEG_DEAD:
-                return
+                _stamp(g_ext, a, b, g)
+                self.caps.append((a, b))
+                self.cap_g.append(g)
+                self.cap_ic.append(k.ic)
+                self.cap_cols.append(self.n_recorded)
             else:
+                continue
+            self.where[i] = (1, self.n_recorded)
+            self.n_recorded += 1
+        self.g_ext = g_ext
+
+        # Step 0 pins every capacitor branch to its initial voltage with a
+        # companion stiffened by _PIN (the extra (_PIN - 1) * g conductance
+        # is stamped on a zero matrix first, as its own sum).
+        g_extra = np.zeros((n + 1, n + 1))
+        for (a, b), g in zip(self.caps, self.cap_g):
+            _stamp(g_extra, a, b, (_PIN - 1.0) * g)
+        self.g_pin_ext = g_ext + g_extra
+        self.cap_g_pin = [_PIN * g for g in self.cap_g]
+
+        # Segment selection: (a, b, upper knee, lower knee, segment between
+        # the knees); v = xe[a] - xe[b] above the upper knee selects _SEG_FWD
+        # (_CMP_HIGH for a comparator), below the lower one _SEG_REV.  An OTS
+        # has one entry per phase, the off one with knees at +-inf.  Current
+        # law: (kind, a, b, p, q, r) as diode (anode, cathode, v_f, v_z,
+        # r_series), OTS (n+, n-, slot, params, -), comparator (out, -,
+        # v_out_high, v_out_low, r_out).  Stamps: segment -> (a, b, g,
+        # g * offset), or None for no stamp.
+        self.dyn_names = [els[i].name for i in dyn]
+        self.select: list[tuple] = []
+        self.laws: list[tuple] = []
+        self.stamps: list[dict[int, tuple | None]] = []
+        # per OTS slot: (n+, n-, params, position, off and on selection entries)
+        self.ots: list[tuple] = []
+        self.ots_names: list[str] = []
+        for i in dyn:
+            el = els[i]
+            k = el.kind
+            t = el.terminals
+            if isinstance(k, Diode):
+                g = 1.0 / k.r_series
+                self.select.append((t[0], t[1], k.v_f, -k.v_z, _SEG_OFF))
+                self.laws.append((_DIODE, t[0], t[1], k.v_f, k.v_z, k.r_series))
+                self.stamps.append({_SEG_OFF: None,
+                                    _SEG_FWD: (t[0], t[1], g, g * -k.v_f),
+                                    _SEG_REV: (t[0], t[1], g, g * k.v_z)})
+            elif isinstance(k, Ots):
+                p = k.params
+                slot = len(self.ots)
                 g = 1.0 / p.r_on
-                offset = -p.v_hold if seg == _SEG_FWD else p.v_hold
-        self._stamp_g(mat, a, b, g)
-        # element current i = g*(v + offset); the constant part moves to the RHS
-        c = g * offset
-        if a >= 0:
-            z[a] -= c
-        if b >= 0:
-            z[b] += c
+                off = (t[0], t[1], math.inf, -math.inf, _SEG_OFF)
+                self.select.append(off)
+                self.laws.append((_OTS, t[0], t[1], slot, p, None))
+                self.stamps.append({_SEG_OFF: (t[0], t[1], p.g_off, p.g_off * 0.0),
+                                    _SEG_DEAD: None,
+                                    _SEG_FWD: (t[0], t[1], g, g * -p.v_hold),
+                                    _SEG_REV: (t[0], t[1], g, g * p.v_hold)})
+                self.ots.append((t[0], t[1], p, len(self.laws) - 1, off,
+                                 (t[0], t[1], p.v_hold, -p.v_hold, _SEG_DEAD)))
+                self.ots_names.append(el.name)
+            else:
+                # the output drive is a conductance to ground carrying g*e
+                g = 1.0 / k.r_out
+                self.select.append((t[0], t[1], 0.0, -math.inf, _CMP_LOW))
+                self.laws.append((_CMP, t[2], 0, k.v_out_high, k.v_out_low, k.r_out))
+                self.stamps.append({_CMP_HIGH: (t[2], 0, g, g * -k.v_out_high),
+                                    _CMP_LOW: (t[2], 0, g, g * -k.v_out_low)})
+
+        self.lu_cache: dict[tuple[int, ...], tuple] = {}
+
+    def assemble(self, base_ext: np.ndarray, segments: tuple[int, ...]):
+        """System matrix (n x n) and extended dynamic RHS for a segment set."""
+        mat = base_ext.copy()
+        z = np.zeros(self.n + 1)
+        for table, seg in zip(self.stamps, segments):
+            st = table[seg]
+            if st is not None:
+                a, b, g, c = st
+                _stamp(mat, a, b, g)
+                # element current i = g*(v + offset); the constant part moves to the RHS
+                z[a] -= c
+                z[b] += c
+        return np.ascontiguousarray(mat[1:, 1:]), z
+
+    def solve(self, segments: tuple[int, ...], zl: list[float], pinned: bool):
+        """Solution, matrix and RHS for a segment set and the extended
+        source/history RHS `zl`; `pinned` selects the step-0 system."""
+        if pinned:
+            mat, z_dyn = self.assemble(self.g_pin_ext, segments)
+            z = np.add(zl, z_dyn)[1:]
+            try:
+                return np.linalg.solve(mat, z), mat, z
+            except np.linalg.LinAlgError:
+                self.raise_singular(mat)
+        lu, piv, mat, z_dyn = self.lu_cache.get(segments) or self.factorized(segments)
+        z = np.add(zl, z_dyn)[1:]
+        return dgetrs(lu, piv, z)[0], mat, z
 
     def factorized(self, segments: tuple[int, ...]):
-        """LU factorization (cached) plus the matrix for residual checks and
-        the constant dynamic RHS contribution for this segment set."""
-        hit = self._lu_cache.get(segments)
-        if hit is not None:
-            return hit
-        mat = self.g_static.copy()
-        z_dyn = np.zeros(self.n)
-        for el, seg in zip(self.dynamic, segments):
-            self._stamp_dynamic(mat, z_dyn, el, seg)
+        """(lu, piv, matrix, extended dynamic RHS) for a segment set, cached."""
+        mat, z = self.assemble(self.g_ext, segments)
         try:
-            lu = lu_factor(mat)
+            lu, piv = lu_factor(mat)
         except Exception:
-            self._raise_singular(mat)
-        if not np.all(np.isfinite(lu[0])):
-            self._raise_singular(mat)
-        diag = np.abs(lu[0].diagonal())
+            self.raise_singular(mat)
+        if not np.all(np.isfinite(lu)):
+            self.raise_singular(mat)
+        diag = np.abs(lu.diagonal())
         if diag.min() <= diag.max() * 1e-14:
-            self._raise_singular(mat)
-        entry = (lu, mat, z_dyn)
-        self._lu_cache[segments] = entry
+            self.raise_singular(mat)
+        entry = (lu, piv, mat, z)
+        self.lu_cache[segments] = entry
         return entry
 
-    def _raise_singular(self, mat: np.ndarray):
+    def raise_singular(self, mat: np.ndarray):
         rows = np.flatnonzero(~(np.abs(mat).sum(axis=1) > 0.0))
         bad = rows[0] if rows.size else int(np.argmin(np.abs(mat).sum(axis=1)))
         if bad < self.nv:
             raise SingularSystemError(self.net.node_names[bad + 1])
-        raise SingularSystemError(self.sources[bad - self.nv].name)
+        raise SingularSystemError(self.source_names[bad - self.nv])
 
-    def element_current(self, el: Element, seg: int, volts: np.ndarray, x: np.ndarray,
-                        vcap_prev: dict[str, float]) -> float:
-        k = el.kind
-        if isinstance(k, VoltageSource):
-            return float(x[self.nv + self.sources.index(el)])
-        if isinstance(k, Comparator):
-            out = el.terminals[2]
-            vout = volts[out - 1] if out > 0 else 0.0
-            e = k.v_out_high if seg == _CMP_HIGH else k.v_out_low
-            return (e - vout) / k.r_out
-        v = self._branch_v(volts, el)
-        if isinstance(k, Resistor):
-            return v / k.ohms
-        if isinstance(k, Capacitor):
-            return (k.farads / self.dt) * (v - vcap_prev[el.name])
-        if isinstance(k, Diode):
-            if seg == _SEG_FWD:
-                return (v - k.v_f) / k.r_series
-            if seg == _SEG_REV:
-                return (v + k.v_z) / k.r_series
-            return 0.0
-        # Ots
-        return ots_current(k.params, self.ots_states[el.name], v)
+
+def _select(table, xe: list[float]) -> tuple[int, ...]:
+    """Conduction segment of every segment-switched element at solution xe."""
+    return tuple([_SEG_FWD if (v := xe[a] - xe[b]) > hi else _SEG_REV if v < lo else mid
+                  for a, b, hi, lo, mid in table])
+
+
+def _knee_gap(table, segments: tuple[int, ...], desired: tuple[int, ...], xe: list[float]) -> float:
+    """Largest distance in volts by which solution xe lies on the wrong side
+    of a knee of the segment it was solved with."""
+    gap = 0.0
+    for (a, b, hi, lo, _), seg, want in zip(table, segments, desired):
+        if seg != want:
+            v = xe[a] - xe[b]
+            gap = max(gap, hi - v if seg == _SEG_FWD else v - lo if seg == _SEG_REV else max(v - hi, lo - v))
+    return gap
+
+
+def _dynamic_currents(laws, segments: tuple[int, ...], xe: list[float],
+                      states: list[OtsState]) -> list[float]:
+    """Currents of the segment-switched elements, in their element order."""
+    out = []
+    for (kind, a, b, p, q, r), seg in zip(laws, segments):
+        if kind == _DIODE:
+            v = xe[a] - xe[b]
+            out.append((v - p) / r if seg == _SEG_FWD else (v + q) / r if seg == _SEG_REV else 0.0)
+        elif kind == _OTS:
+            out.append(ots_current(q, states[p], xe[a] - xe[b]))
+        else:
+            out.append(((p if seg == _CMP_HIGH else q) - xe[a]) / r)
+    return out
 
 
 def transient(net: Netlist, t_stop: float, dt: float, *,
+              sources: Mapping[str, SourceSpec] | None = None,
               ots_states: dict[str, OtsState] | None = None,
               max_reselections: int = 8,
               residual_tol: float = 1e-9) -> Trace:
     """Integrate the netlist from its initial conditions to t_stop.
 
     Capacitors start at their declared initial voltages and OTS devices in
-    the given (default off) states.  Raises ConvergenceError if the segment
-    iteration does not settle, SingularSystemError for defective topologies,
-    and SimulationError if any accepted step violates the nodal-current
-    residual tolerance.
+    the given (default off) states.  `sources` replaces the waveforms of
+    the named voltage sources for this run.
+
+    Raises NetlistError for an unknown source name, ConvergenceError if the
+    segment iteration does not settle (after `max_reselections`
+    re-selections, a second round accepts an element that rounding keeps
+    flipping across a knee), SingularSystemError for defective topologies,
+    and SimulationError if any accepted step violates (or cannot evaluate)
+    the nodal-current residual tolerance.
     """
     if dt <= 0.0 or t_stop < dt:
         raise ValueError("require 0 < dt <= t_stop")
-    states = dict(ots_states) if ots_states else {}
-    for el in net.ots_elements():
-        states.setdefault(el.name, OtsState())
-    sys = _System(net, dt, states)
+    c = _Compiled(net, dt, sources)
+    given = dict(ots_states) if ots_states else {}
+    states = [given.get(name, OtsState()) for name in c.ots_names]
+    on = [st.phase is Phase.ON for st in states]
 
     n_steps = int(round(t_stop / dt))
     times = np.arange(n_steps + 1) * dt
-    volts_hist = np.zeros((n_steps + 1, net.node_count))
-    currents = {el.name: np.zeros(n_steps + 1) for el in net.elements}
-    ots_on = {el.name: np.zeros(n_steps + 1, dtype=bool) for el in net.ots_elements()}
+    nv, n, nd = c.nv, c.n, len(c.select)
+    sol = np.zeros((n_steps + 1, n + 1))     # extended solution per sample, column 0 is ground
+    cur = np.empty((n_steps + 1, c.n_recorded))
+    on_hist = np.zeros((n_steps + 1, len(states)), dtype=bool)
 
-    vcap_prev = {el.name: el.kind.ic for el, _, _, _ in sys.caps}
-
-    volts = np.zeros(net.node_count - 1)
-    segments = sys.initial_segments(volts)
+    drives, cap_terms, laws, ots = c.drives, c.caps, c.laws, c.ots
+    select = list(c.select)                  # per run: OTS entries follow the phase
+    for (_, _, _, pos, _, on_entry), is_on in zip(ots, on):
+        if is_on:
+            select[pos] = on_entry
+    solve = c.solve
+    vcap = list(c.cap_ic)
+    xe = [0.0] * (n + 1)
+    segments = _select(select, xe)
     max_residual = 0.0
+    held, held_from = tuple(on), 0           # OTS phases recorded from sample held_from on
 
     # step 0 initializes node voltages consistently with the capacitor ICs by
     # pinning each capacitor branch with a stiff companion (g scaled 1e6 up).
     for step in range(n_steps + 1):
-        t = float(times[step])
-        pin = 1e6 if step == 0 else 1.0
+        t = step * dt  # the same product as times[step]
+        zl = [0.0] * (n + 1)
+        for row, spec in drives:
+            zl[row] = spec(t)
+        for (a, b), g, v in zip(cap_terms, c.cap_g if step else c.cap_g_pin, vcap):
+            hist = g * v
+            zl[a] += hist
+            zl[b] -= hist
 
-        z_base = np.zeros(sys.n)
-        for j, el in enumerate(sys.sources):
-            z_base[sys.nv + j] = el.kind.spec(t)
-        for el, g, a, b in sys.caps:
-            hist = pin * g * vcap_prev[el.name]
-            if a >= 0:
-                z_base[a] += hist
-            if b >= 0:
-                z_base[b] -= hist
-
-        if step == 0:
-            g_extra = np.zeros((sys.n, sys.n))
-            for el, g, a, b in sys.caps:
-                sys._stamp_g(g_extra, a, b, (pin - 1.0) * g)
-        else:
-            g_extra = None
-
-        last_flip = ""
-        for attempt in range(max_reselections + 1):
-            if g_extra is None:
-                lu, mat, z_dyn = sys.factorized(segments)
-                z = z_base + z_dyn
-                x = lu_solve(lu, z)
-            else:
-                mat0 = sys.g_static + g_extra
-                z_dyn = np.zeros(sys.n)
-                for el, seg in zip(sys.dynamic, segments):
-                    sys._stamp_dynamic(mat0, z_dyn, el, seg)
-                z = z_base + z_dyn
-                try:
-                    x = np.linalg.solve(mat0, z)
-                except np.linalg.LinAlgError:
-                    sys._raise_singular(mat0)
-                mat = mat0
-            volts = x[: sys.nv]
-            desired = tuple(sys._desired_segment(el, volts) for el in sys.dynamic)
-            if desired == segments:
+        # A segment set that rounding keeps flipping across a knee has no
+        # stable assignment; once the budget is spent, a second one accepts a
+        # set whose own solution contradicts it by at most _KNEE_TOL.
+        before = segments
+        for attempt in range(2 * (max_reselections + 1)):
+            x, mat, z = solve(segments, zl, step == 0)
+            xe = [0.0, *x.tolist()]
+            desired = _select(select, xe)
+            if desired == segments or (attempt > max_reselections
+                                       and _knee_gap(select, segments, desired, xe) <= _KNEE_TOL):
                 break
-            flips = [el.name for el, a, b in zip(sys.dynamic, segments, desired) if a != b]
-            last_flip = flips[-1] if flips else ""
-            segments = desired
+            before, segments = segments, desired
         else:
-            raise ConvergenceError(step, t, last_flip)
+            flips = [name for name, a, b in zip(c.dyn_names, before, segments) if a != b]
+            raise ConvergenceError(step, t, flips[-1] if flips else "")
 
-        residual = float(np.max(np.abs(mat @ x - z)[: sys.nv])) if sys.nv else 0.0
+        residual = float(np.maximum.reduce(abs((mat.dot(x) - z)[:nv]))) if nv else 0.0
         max_residual = max(max_residual, residual)
-        if residual > residual_tol:
+        if not residual <= residual_tol:
             raise SimulationError(f"nodal residual {residual:.3g} A exceeds {residual_tol:g} A at step {step}")
 
-        volts_hist[step, 1:] = volts
-        for el, seg in zip(net.elements, _full_segments(sys, segments)):
-            currents[el.name][step] = sys.element_current(el, seg, volts, x, vcap_prev)
+        sol[step, 1:] = x
+        if nd:
+            cur[step, :nd] = _dynamic_currents(laws, segments, xe, states)
 
         # advance integrator history and device states using converged values
-        for el, g, a, b in sys.caps:
-            vcap_prev[el.name] = sys._branch_v(volts, el)
-        new_segments = list(segments)
-        for el in net.ots_elements():
-            v_dev = sys._branch_v(volts, el)
-            if step > 0:  # step 0 only establishes the initial operating point
-                st = ots_step(el.kind.params, states[el.name], v_dev, dt)
-                if st.phase is not states[el.name].phase:
-                    states[el.name] = st
-                    new_segments[sys.dynamic.index(el)] = sys._desired_segment(el, volts)
-                else:
-                    states[el.name] = st
-            ots_on[el.name][step] = states[el.name].phase is Phase.ON
-        segments = tuple(new_segments)
+        vcap = [xe[a] - xe[b] for a, b in cap_terms]
+        if step and ots:  # step 0 only establishes the initial operating point
+            flipped = False
+            for slot, (a, b, p, pos, off_entry, on_entry) in enumerate(ots):
+                st = ots_step(p, states[slot], xe[a] - xe[b], dt)
+                if st.phase is not states[slot].phase:
+                    on[slot] = st.phase is Phase.ON
+                    select[pos] = on_entry if on[slot] else off_entry
+                    flipped = True
+                states[slot] = st
+            if flipped:
+                segments = _select(select, xe)
+                on_hist[held_from:step] = held
+                held, held_from = tuple(on), step
 
+    on_hist[held_from:] = held
+
+    # resistors and capacitors: all samples at once from the recorded solution
+    for a, b, ohms, col in c.res:
+        cur[:, col] = (sol[:, a] - sol[:, b]) / ohms
+    for (a, b), g, ic, col in zip(c.caps, c.cap_g, c.cap_ic, c.cap_cols):
+        cur[:, col] = g * np.diff(sol[:, a] - sol[:, b], prepend=ic)
+
+    record = (sol, cur)
     return Trace(
         dt=dt,
         times=times,
         node_names=net.node_names,
-        voltages=volts_hist,
-        currents=currents,
-        ots_on=ots_on,
+        voltages=sol[:, : net.node_count],
+        currents={el.name: record[k][:, col] for el, (k, col) in zip(net.elements, c.where)},
+        ots_on={name: on_hist[:, slot] for slot, name in enumerate(c.ots_names)},
         kcl_residual=max_residual,
     )
-
-
-def _full_segments(sys: _System, segments: tuple[int, ...]):
-    """Per-element segment list aligned with net.elements (0 for linear ones)."""
-    seg_map = dict(zip((id(el) for el in sys.dynamic), segments))
-    return [seg_map.get(id(el), 0) for el in sys.net.elements]
 
 
 def dynamic_iv(net: Netlist, ramp: SourceSpec, ots_name: str, *,
@@ -458,36 +527,8 @@ def dynamic_iv(net: Netlist, ramp: SourceSpec, ots_name: str, *,
     if len(sources) != 1:
         raise NetlistError("dynamic_iv needs exactly one input source")
 
-    driven = _with_source_spec(net, sources[0].name, ramp)
-    tr = transient(driven, ramp.duration, dt)
-    el = driven.element(ots_name)
-    a, b = el.terminals
+    tr = transient(net, ramp.duration, dt, sources={sources[0].name: ramp})
+    a, b = net.element(ots_name).terminals
     v = tr.voltages[:, a] - tr.voltages[:, b]
     i = tr.currents[ots_name]
     return list(zip(v.tolist(), i.tolist()))
-
-
-def _with_source_spec(net: Netlist, source_name: str, spec: SourceSpec) -> Netlist:
-    """Copy of the netlist with one source's waveform replaced."""
-    out = Netlist()
-    for name in net.node_names[1:]:
-        out.node(name)
-    for el in net.elements:
-        k = el.kind
-        terms = [net.node_names[t] for t in el.terminals]
-        if isinstance(k, VoltageSource) and k.name == source_name:
-            out.add_source(k.name, terms[0], terms[1], spec)
-        elif isinstance(k, VoltageSource):
-            out.add_source(k.name, terms[0], terms[1], k.spec)
-        elif isinstance(k, Resistor):
-            out.add_resistor(k.name, terms[0], terms[1], k.ohms)
-        elif isinstance(k, Capacitor):
-            out.add_capacitor(k.name, terms[0], terms[1], k.farads, k.ic)
-        elif isinstance(k, Diode):
-            out.add_diode(k.name, terms[0], terms[1], v_f=k.v_f, v_z=k.v_z, r_series=k.r_series)
-        elif isinstance(k, Ots):
-            out.add_ots(k.name, terms[0], terms[1], k.params)
-        elif isinstance(k, Comparator):
-            out.add_comparator(k.name, terms[0], terms[1], terms[2],
-                               v_out_high=k.v_out_high, v_out_low=k.v_out_low, r_out=k.r_out)
-    return out

@@ -8,10 +8,10 @@ otherwise the nodal matrix would be singular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .device import OtsParams
-from .waveforms import SourceSpec
+from .waveforms import SourceSpec, require_finite
 
 
 class NetlistError(ValueError):
@@ -24,6 +24,7 @@ class Resistor:
     ohms: float
 
     def __post_init__(self) -> None:
+        require_finite(self.name, NetlistError, ohms=self.ohms)
         if self.ohms <= 0.0:
             raise NetlistError(f"{self.name}: resistance must be positive")
 
@@ -35,6 +36,7 @@ class Capacitor:
     ic: float = 0.0  # initial branch voltage
 
     def __post_init__(self) -> None:
+        require_finite(self.name, NetlistError, farads=self.farads, ic=self.ic)
         if self.farads <= 0.0:
             raise NetlistError(f"{self.name}: capacitance must be positive")
 
@@ -60,6 +62,7 @@ class Diode:
     r_series: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite(self.name, NetlistError, v_f=self.v_f, v_z=self.v_z, r_series=self.r_series)
         if self.v_f <= 0.0 or self.v_z <= 0.0 or self.r_series <= 0.0:
             raise NetlistError(f"{self.name}: diode parameters must be positive")
 
@@ -81,6 +84,8 @@ class Comparator:
     r_out: float = 50.0
 
     def __post_init__(self) -> None:
+        require_finite(self.name, NetlistError, v_out_high=self.v_out_high,
+                       v_out_low=self.v_out_low, r_out=self.r_out)
         if self.v_out_high <= self.v_out_low:
             raise NetlistError(f"{self.name}: require v_out_high > v_out_low")
         if self.r_out <= 0.0:

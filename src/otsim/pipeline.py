@@ -22,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import OtsParams, default_params
-from .engine import count_crossings, transient
+from .engine import Trace, count_crossings, transient
 from .gates import GateKind, LogicEncoding, build_gate
 from .imaging import BinaryImage, ShiftDirection, reference_edges, shift
-from .netlist import Netlist
-from .waveforms import Dc
+from .waveforms import Dc, require_finite
 
 
 @dataclass(frozen=True)
@@ -41,6 +40,8 @@ class PulseTrain:
     v_low: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite("PulseTrain", width=self.width, period=self.period,
+                       v_high=self.v_high, v_low=self.v_low)
         if not (0.0 < self.width < self.period):
             raise ValueError("require 0 < width < period")
         if any(b not in (0, 1) for b in self.bits):
@@ -97,15 +98,10 @@ class StreamSettings:
             raise ValueError("count_threshold must be >= 1")
 
 
-def _xor_stream_netlist(spec_a, spec_b, p: OtsParams) -> Netlist:
-    """The XOR gate template driven by arbitrary source waveforms."""
-    circuit = build_gate(GateKind.XOR, p)
-    net = circuit.net
-    from .engine import _with_source_spec  # same element set, swapped drive
-
-    net = _with_source_spec(net, "S_S1", spec_a)
-    net = _with_source_spec(net, "S_S2", spec_b)
-    return net
+def _xor_stream(spec_a, spec_b, p: OtsParams, t_stop: float, dt: float) -> Trace:
+    """Transient of the XOR gate template driven by arbitrary waveforms."""
+    net = build_gate(GateKind.XOR, p).net
+    return transient(net, t_stop, dt, sources={"S_S1": spec_a, "S_S2": spec_b})
 
 
 def _count_bursts_per_clock(times: np.ndarray, current: np.ndarray,
@@ -127,8 +123,7 @@ def _run_segment(bits_a: tuple[int, ...], bits_b: tuple[int, ...],
                  settings: StreamSettings) -> list[int]:
     spec_a = PulseTrain(bits_a, settings.pulse_width, settings.clock_period, enc.v_high)
     spec_b = PulseTrain(bits_b, settings.pulse_width, settings.clock_period, enc.v_high)
-    net = _xor_stream_netlist(spec_a, spec_b, p)
-    tr = transient(net, spec_a.duration, settings.dt)
+    tr = _xor_stream(spec_a, spec_b, p, spec_a.duration, settings.dt)
     counts = _count_bursts_per_clock(tr.times, tr.currents["OTS1"], len(bits_a), settings)
     return [1 if c >= settings.count_threshold else 0 for c in counts]
 
@@ -221,8 +216,7 @@ def gradient_rate(c_a: float, c_b: float, window: float = 1e-3,
         raise ValueError("window must exceed the settle interval")
     enc = enc or LogicEncoding()
     p = p or default_params()
-    net = _xor_stream_netlist(Dc(enc.v_high * c_a / 255.0), Dc(enc.v_high * c_b / 255.0), p)
-    tr = transient(net, window, dt)
+    tr = _xor_stream(Dc(enc.v_high * c_a / 255.0), Dc(enc.v_high * c_b / 255.0), p, window, dt)
     mask = tr.times >= settle
     events = count_crossings(tr.times[mask], np.abs(tr.currents["OTS1"][mask]),
                              current_threshold, max(4.0 * dt, 2e-7))

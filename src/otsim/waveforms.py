@@ -4,12 +4,23 @@ a single triangular ramp.  Each spec evaluates to a voltage at time t."""
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
+
+
+def require_finite(owner: str, error: type[ValueError] = ValueError, **values: float) -> None:
+    """Raise `error` naming the owner and the first non-finite field."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise error(f"{owner}: {name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
 class Dc:
     value: float
+
+    def __post_init__(self) -> None:
+        require_finite("Dc", value=self.value)
 
     def __call__(self, t: float) -> float:
         return self.value
@@ -27,6 +38,8 @@ class PiecewiseLinear:
         pts = tuple((float(t), float(v)) for t, v in self.points)
         if len(pts) < 1:
             raise ValueError("PWL source needs at least one breakpoint")
+        for k, (t, v) in enumerate(pts):
+            require_finite(f"PWL breakpoint {k}", time=t, volts=v)
         times = tuple(t for t, _ in pts)
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("PWL breakpoint times must be strictly increasing")
@@ -57,6 +70,8 @@ class Pulse:
     repeat: int | None = None
 
     def __post_init__(self) -> None:
+        require_finite("Pulse", v_low=self.v_low, v_high=self.v_high, delay=self.delay,
+                       width=self.width, period=self.period)
         if not (0.0 < self.width < self.period):
             raise ValueError("require 0 < width < period")
 
@@ -79,6 +94,7 @@ class Triangle:
     t_fall: float
 
     def __post_init__(self) -> None:
+        require_finite("Triangle", v_peak=self.v_peak, t_rise=self.t_rise, t_fall=self.t_fall)
         if self.t_rise <= 0.0 or self.t_fall <= 0.0:
             raise ValueError("rise and fall times must be positive")
 

@@ -156,6 +156,11 @@ class TestConfigPlumbing:
         assert merged.v_high == 5.0          # flag wins
         assert merged.segment_clocks == 32   # file survives
 
+    def test_removed_key_rejected_by_set(self, capsys):
+        rc = main(["gate", "--kind", "xor", "--set", "max_newton=8"])
+        assert rc == EXIT_USAGE
+        assert "max_newton" in capsys.readouterr().err
+
     def test_seed_circuits(self, tmp_path, capsys):
         rc = main(["--seed-circuits", str(tmp_path / "circuits")])
         assert rc == EXIT_OK

@@ -143,6 +143,12 @@ class TestParams:
         with pytest.raises(ValueError):
             OtsParams(tau_on=-1e-9)
 
+    def test_non_finite_params_rejected(self):
+        with pytest.raises(ValueError, match="r_on must be finite"):
+            OtsParams(r_on=math.nan)
+        with pytest.raises(ValueError, match="tau_off must be finite"):
+            OtsParams(tau_off=math.inf)
+
     def test_state_invariants(self):
         with pytest.raises(ValueError):
             OtsState(Phase.ON, Pending.SWITCHING_ON, 0.0)

@@ -12,6 +12,7 @@ from otsim import (
     NetlistError,
     PiecewiseLinear,
     Pulse,
+    SimulationError,
     SingularSystemError,
     Triangle,
     default_params,
@@ -131,6 +132,17 @@ class TestNonlinearElements:
         i = (-20.0 + 15.0) / (1e3 + 1.0)
         assert tr.currents["D1"][-1] == pytest.approx(i, rel=1e-6)
 
+    def test_peak_detector_knee_tie_converges(self):
+        # r_series*C << dt: the capacitor reaches the knee within a few steps
+        # and rounding then flips the diode between forward and off
+        net = Netlist()
+        net.add_source("VIN", "in", "0", Pulse(0.0, 1.0, 0.0, 1e-6, 2e-6))
+        net.add_diode("D1", "in", "out", v_f=0.5, v_z=2.0, r_series=1.0)
+        net.add_capacitor("C1", "out", "0", 4.8308e-9)
+        tr = transient(net, 3e-6, 50e-9)
+        assert tr.voltage("out")[-1] == pytest.approx(0.5, abs=1e-9)
+        assert np.max(np.abs(tr.currents["D1"] - tr.currents["C1"])[1:]) <= 1e-12
+
     def test_comparator_rails_and_bounds(self):
         net = Netlist()
         net.add_source("VP", "p", "0", Dc(1.0))
@@ -193,6 +205,68 @@ class TestValidation:
         net.add_resistor("R1", "a", "0", 1.0)
         with pytest.raises(NetlistError):
             net.add_resistor("R1", "a", "0", 2.0)
+
+
+class TestNonFiniteRejected:
+    """Non-finite element and waveform values fail at construction, with an
+    error naming the element or the offending field."""
+
+    def test_resistor(self):
+        with pytest.raises(NetlistError, match="R1: ohms must be finite"):
+            Netlist().add_resistor("R1", "a", "0", math.nan)
+
+    def test_capacitor(self):
+        with pytest.raises(NetlistError, match="C1: farads must be finite"):
+            Netlist().add_capacitor("C1", "a", "0", math.inf)
+        with pytest.raises(NetlistError, match="C1: ic must be finite"):
+            Netlist().add_capacitor("C1", "a", "0", 1e-9, ic=math.nan)
+
+    def test_diode(self):
+        with pytest.raises(NetlistError, match="D1: r_series must be finite"):
+            Netlist().add_diode("D1", "a", "0", r_series=math.nan)
+
+    def test_comparator(self):
+        with pytest.raises(NetlistError, match="CMP1: v_out_low must be finite"):
+            Netlist().add_comparator("CMP1", "a", "b", "out", v_out_low=-math.inf)
+
+    def test_dc(self):
+        with pytest.raises(ValueError, match="Dc: value must be finite"):
+            Dc(math.nan)
+
+    def test_piecewise_linear(self):
+        with pytest.raises(ValueError, match="PWL breakpoint 1: volts must be finite"):
+            PiecewiseLinear(((0.0, 0.0), (1e-6, math.nan)))
+
+    def test_pulse(self):
+        with pytest.raises(ValueError, match="Pulse: v_high must be finite"):
+            Pulse(0.0, math.inf)
+
+    def test_triangle(self):
+        with pytest.raises(ValueError, match="Triangle: v_peak must be finite"):
+            Triangle(math.nan, 1e-6, 1e-6)
+
+    def test_residual_gate_catches_nan(self):
+        net = rc_lowpass()
+        with pytest.raises(SimulationError, match="nodal residual nan"):
+            transient(net, 1e-6, 10e-9, sources={"VIN": lambda t: math.nan})
+
+
+class TestSourceOverride:
+    def test_override_matches_rebuilt_netlist(self):
+        spec = Pulse(0.0, 2.0, 0.2e-6, 0.3e-6, 0.6e-6)
+        tr = transient(rc_lowpass(), 2e-6, 10e-9, sources={"VIN": spec})
+        net = Netlist()
+        net.add_source("VIN", "in", "0", spec)
+        net.add_resistor("R1", "in", "out", 1e3)
+        net.add_capacitor("C1", "out", "0", 1e-9)
+        ref = transient(net, 2e-6, 10e-9)
+        assert np.array_equal(tr.voltages, ref.voltages)
+        for name in ref.currents:
+            assert np.array_equal(tr.currents[name], ref.currents[name])
+
+    def test_unknown_source_rejected(self):
+        with pytest.raises(NetlistError, match="'R1'"):
+            transient(rc_lowpass(), 1e-6, 10e-9, sources={"R1": Dc(1.0)})
 
 
 class TestSpikes:

@@ -148,6 +148,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("voltage = 5\n")
 
+    def test_removed_solver_keys_rejected(self):
+        for key in ("max_newton = 8", "residual_tol = 1e-9"):
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config(key + "\n")
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("v_high 5\n")

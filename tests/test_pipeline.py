@@ -30,6 +30,10 @@ class TestPulseTrain:
         with pytest.raises(ValueError):
             PulseTrain((2,))
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="PulseTrain: v_high must be finite"):
+            PulseTrain((1, 0), v_high=float("nan"))
+
 
 class TestXorStream:
     def test_equal_streams_all_zero(self):
