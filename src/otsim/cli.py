@@ -18,11 +18,11 @@ from dataclasses import replace
 import numpy as np
 
 from . import circuits as circuit_files
-from .config import ConfigError, RunConfig, load_config, parse_config
+from .config import ConfigError, RunConfig, load_config, parse_setting
 from .device import default_params
 from .energy import table1_report
 from .engine import SimulationError, dynamic_iv, transient
-from .gates import GateKind, LogicEncoding, build_gate, evaluate, gate_arity, output_names, truth_table
+from .gates import GateKind, build_gate, evaluate, expected_bits, gate_arity, truth_table
 from .imaging import ColorImage, ImageError, binarize, color_to_gray, load_image, otsu_threshold, reference_edges, save_pgm
 from .netlist import NetlistError
 from .netlist_io import NetlistParseError, parse_netlist, parse_si
@@ -54,27 +54,9 @@ def _build_config(args) -> RunConfig:
         except OSError as exc:
             raise CliError(f"cannot read config: {exc}") from None
     for item in getattr(args, "set", None) or []:
-        if "=" not in item:
-            raise CliError(f"--set expects key=value, got {item!r}")
-        try:
-            cfg = replace(cfg, **_coerce_setting(cfg, item))
-        except (ConfigError, TypeError, ValueError) as exc:
-            raise CliError(str(exc)) from None
+        key, value = parse_setting(item, f"--set {item!r}")
+        cfg = replace(cfg, **{key: value})
     return cfg
-
-
-def _coerce_setting(cfg: RunConfig, item: str) -> dict:
-    text = parse_config(item)  # reuses key validation and SI parsing
-    out = {}
-    for key in RunConfig._FLOAT_KEYS | RunConfig._INT_KEYS | RunConfig._BOOL_KEYS:
-        val = getattr(text, key)
-        if val != getattr(RunConfig(), key):
-            out[key] = val
-    if not out:
-        # the assignment matched the default; apply it explicitly anyway
-        key = item.split("=", 1)[0].strip()
-        out[key] = getattr(text, key)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +122,8 @@ def cmd_gate(args) -> int:
         measured, detail, tr = evaluate(kind, bits, enc, p, dt=cfg.dt_logic, with_detail=True)
         if args.waveforms:
             tr.to_csv(args.waveforms)
-        names = output_names(kind)
+        names = [out.name for out in build_gate(kind).outputs]
         print(" ".join(f"{n}={b}" for n, b in zip(names, measured)))
-        from .gates import expected_bits
-
         return EXIT_OK if measured == expected_bits(kind, bits) else EXIT_CHECK_FAILED
 
     table = truth_table(kind, enc, p, dt=cfg.dt_logic, n_jobs=cfg.n_jobs)

@@ -39,14 +39,6 @@ class RunConfig:
     # energy scaling
     exponent: float = 1.6
 
-    _FLOAT_KEYS = {
-        "v_th", "v_hold", "r_on", "g_off", "i_hold", "tau_on", "tau_off",
-        "dt_device", "dt_logic", "v_high", "bit_width",
-        "settle", "gradient_window", "exponent",
-    }
-    _INT_KEYS = {"binarize_threshold", "count_threshold", "segment_clocks", "n_jobs"}
-    _BOOL_KEYS = {"otsu"}
-
     def device_params(self) -> OtsParams:
         overrides = {
             f.name: getattr(self, f.name)
@@ -80,33 +72,33 @@ def load_config(path: str) -> RunConfig:
         return parse_config(fh.read(), origin=path)
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_TYPE_PARSERS = {"float": parse_si, "float | None": parse_si, "int": int, "bool": lambda v: _BOOLS[v.lower()]}
+_KEY_TYPES = {f.name: f.type for f in fields(RunConfig)}  # annotations, as strings
+
+
+def parse_setting(line: str, origin: str) -> tuple[str, object]:
+    """Key and value of one ``key = value`` setting, parsed by the type of
+    the key's field; errors start with `origin`."""
+    key, eq, raw = line.partition("=")
+    key, raw = key.strip(), raw.strip()
+    if not eq:
+        raise ConfigError(f"{origin}: expected key=value, got {line!r}")
+    kind = _KEY_TYPES.get(key)
+    if kind is None:
+        raise ConfigError(f"{origin}: unknown key {key!r}")
+    parse = _TYPE_PARSERS[kind]
+    try:
+        return key, parse(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{origin}: {key} expects {kind.removesuffix(' | None')}, got {raw!r}") from None
+
+
 def parse_config(text: str, origin: str = "<config>") -> RunConfig:
     values: dict[str, object] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{origin}:{line_no}: expected key=value, got {line!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key in RunConfig._FLOAT_KEYS:
-            try:
-                values[key] = parse_si(val)
-            except ValueError as exc:
-                raise ConfigError(f"{origin}:{line_no}: {exc}") from None
-        elif key in RunConfig._INT_KEYS:
-            try:
-                values[key] = int(val)
-            except ValueError:
-                raise ConfigError(f"{origin}:{line_no}: {key} must be an integer") from None
-        elif key in RunConfig._BOOL_KEYS:
-            if val.lower() not in ("0", "1", "true", "false", "yes", "no"):
-                raise ConfigError(f"{origin}:{line_no}: {key} must be a boolean")
-            values[key] = val.lower() in ("1", "true", "yes")
-        else:
-            raise ConfigError(f"{origin}:{line_no}: unknown key {key!r}")
-    try:
-        return RunConfig(**values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{origin}: {exc}") from None
+        if line:
+            key, value = parse_setting(line, f"{origin}:{line_no}")
+            values[key] = value
+    return RunConfig(**values)

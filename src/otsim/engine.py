@@ -104,11 +104,10 @@ class Trace:
     def voltage(self, node: str | int) -> np.ndarray:
         return self.voltages[:, self.node_index(node)]
 
-    def to_csv(self, path: str, branches: list[str] | None = None) -> None:
+    def to_csv(self, path: str) -> None:
         names = [n for n in self.node_names if n != "0"]
-        branches = list(self.currents) if branches is None else branches
-        header = "t," + ",".join(names + branches)
-        cols = [self.times] + [self.voltage(n) for n in names] + [self.currents[b] for b in branches]
+        header = "t," + ",".join(names + list(self.currents))
+        cols = [self.times] + [self.voltage(n) for n in names] + list(self.currents.values())
         np.savetxt(path, np.column_stack(cols), delimiter=",", header=header, comments="", fmt="%.12g")
 
 
@@ -406,7 +405,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     the given (default off) states.  `sources` replaces the waveforms of
     the named voltage sources for this run.
 
-    Raises NetlistError for an unknown source name, ConvergenceError if the
+    Raises NetlistError for an unknown source or OTS name, ConvergenceError if the
     segment iteration does not settle (after `max_reselections`
     re-selections, a second round accepts an element that rounding keeps
     flipping across a knee), SingularSystemError for defective topologies,
@@ -417,6 +416,9 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
         raise ValueError("require 0 < dt <= t_stop")
     c = _Compiled(net, dt, sources)
     given = dict(ots_states) if ots_states else {}
+    for name in given:
+        if name not in c.ots_names:
+            raise NetlistError(f"no OTS named {name!r}")
     states = [given.get(name, OtsState()) for name in c.ots_names]
     on = [st.phase is Phase.ON for st in states]
 

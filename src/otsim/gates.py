@@ -7,33 +7,8 @@ is ambipolar, so a difference of either polarity fires it; that single
 property yields XOR in one device and, referenced against a supply rail,
 the inverting gates.
 
-Topology notes (component values from the published circuit captions):
-
-* AND   - plain resistive input divider; a lone high input divides down to
-          half the logic swing and stays below threshold, both inputs high
-          drive the full swing.  Fired bursts appear across the 5 kOhm
-          ground-side sense resistor.
-* OR    - same skeleton with a series diode per input; a low input is
-          disconnected instead of loading the divider, so a single high
-          input keeps nearly the full swing.
-* NOR   - the input divider opposes a 5 V rail through the switch; only
-          the all-low row leaves a full rail's difference across it.
-* NAND  - inputs couple through reverse-oriented (catching) diodes that
-          clamp the summing node low whenever any input is low, while the
-          switch's far side is fed from the rail; both-high floats the
-          summing node to the rail and quenches the difference.
-* XOR   - the switch bridges the two input branches; a 1 nF capacitor
-          tracks the second branch so only an instantaneous input
-          difference fires it, and a 10 kOhm restore path recycles the
-          stored charge, producing sustained relaxation spiking while the
-          inputs differ.
-* Half adder - an XOR branch (sum) and an AND branch (carry) share the
-          input sources.
-* dCaAP cascade / full adder - XOR/AND/OR cores chained through
-          comparator buffers: a comparator pair converts the bipolar
-          output kicks of a stage to rail pulses, a diode into an RC node
-          holds their envelope, and (where the next stage needs a stiff
-          drive) a second comparator regenerates clean logic levels.
+The topology of every template is described in ``otsim.circuits._NOTES``,
+which also heads the shipped ``circuits/*.cir`` files.
 """
 
 from __future__ import annotations
@@ -73,16 +48,13 @@ class GateKind(enum.Enum):
 class LogicEncoding:
     """Input drive levels and evaluation timing for one truth-table row."""
 
-    v_high: float = 5.0
-    v_low: float = 0.0        # logic 0 is ground by construction
+    v_high: float = 5.0       # logic 0 is ground
     bit_width: float = 50e-6  # decode window length
     settle: float = 50e-6     # guard time before the decode window opens
 
     def __post_init__(self) -> None:
         if self.v_high <= 0.0:
             raise ValueError("v_high must be positive")
-        if self.v_low != 0.0:
-            raise ValueError("logic low level is fixed at 0 V")
         if self.bit_width <= 0.0 or self.settle < 0.0:
             raise ValueError("bit_width must be positive and settle non-negative")
 
@@ -158,27 +130,19 @@ def gate_arity(kind: GateKind) -> int:
     return len(_GATE_INPUTS[kind])
 
 
-def output_names(kind: GateKind) -> tuple[str, ...]:
-    if kind in (GateKind.HALF_ADDER, GateKind.FULL_ADDER):
-        return ("sum", "carry")
-    if kind is GateKind.DCAAP_CASCADE:
-        return ("y_xor1", "y_xor2")
-    return ("y",)
-
-
 # ---------------------------------------------------------------------------
-# circuit cores (shared between gate templates and the composed circuits)
+# circuit cores (the AND, OR and XOR templates and the stages of the composed
+# circuits); a template's core has tag "" and names its switch OTS1
 # ---------------------------------------------------------------------------
 
 
-def _and_core(net: Netlist, tag: str, in_a: str, in_b: str, p: OtsParams,
-              r_in: float = 900.0, r_sense: float = 5e3, c: float = 100e-12) -> str:
+def _and_core(net: Netlist, tag: str, in_a: str, in_b: str, p: OtsParams) -> str:
     m, x = f"m{tag}", f"x{tag}"
-    net.add_resistor(f"R1{tag}", in_a, m, r_in)
-    net.add_resistor(f"R2{tag}", in_b, m, r_in)
-    net.add_capacitor(f"C1{tag}", m, "0", c)
-    net.add_ots(f"OTS{tag}", m, x, p)
-    net.add_resistor(f"R3{tag}", x, "0", r_sense)
+    net.add_resistor(f"R1{tag}", in_a, m, 900.0)
+    net.add_resistor(f"R2{tag}", in_b, m, 900.0)
+    net.add_capacitor(f"C1{tag}", m, "0", 100e-12)
+    net.add_ots(f"OTS{tag or 1}", m, x, p)
+    net.add_resistor(f"R3{tag}", x, "0", 5e3)
     return x
 
 
@@ -189,23 +153,22 @@ def _or_core(net: Netlist, tag: str, in_a: str, in_b: str, p: OtsParams) -> str:
     net.add_diode(f"D2{tag}", in_b, f"db{tag}")
     net.add_resistor(f"R2{tag}", f"db{tag}", m, 900.0)
     net.add_capacitor(f"C1{tag}", m, "0", 100e-12)
-    net.add_ots(f"OTS{tag}", m, x, p)
+    net.add_ots(f"OTS{tag or 1}", m, x, p)
     net.add_resistor(f"R3{tag}", x, "0", 5e3)
     return x
 
 
-def _xor_core(net: Netlist, tag: str, in_a: str, in_b: str, p: OtsParams,
-              r_in: float = 1e3) -> tuple[str, str]:
-    """Returns (kick output node, switch element name)."""
+def _xor_core(net: Netlist, tag: str, in_a: str, in_b: str, p: OtsParams) -> str:
+    """Returns the kick output node."""
     a, b, k, out = f"a{tag}", f"b{tag}", f"k{tag}", f"out{tag}"
-    net.add_resistor(f"R1{tag}", in_a, a, r_in)
-    net.add_resistor(f"R2{tag}", in_b, b, r_in)
-    net.add_ots(f"OTS{tag}", a, k, p)
+    net.add_resistor(f"R1{tag}", in_a, a, 1e3)
+    net.add_resistor(f"R2{tag}", in_b, b, 1e3)
+    net.add_ots(f"OTS{tag or 1}", a, k, p)
     net.add_capacitor(f"C1{tag}", k, b, 1e-9)
     net.add_resistor(f"R4{tag}", k, b, 10e3)
     net.add_capacitor(f"C2{tag}", k, out, 100e-12)
     net.add_resistor(f"R3{tag}", out, "0", 50e3)
-    return out, f"OTS{tag}"
+    return out
 
 
 def _hold(net: Netlist, tag: str, pulse_nodes: list[str]) -> str:
@@ -222,7 +185,7 @@ def _hold(net: Netlist, tag: str, pulse_nodes: list[str]) -> str:
 def _xor_buffered(net: Netlist, tag: str, in_a: str, in_b: str, p: OtsParams) -> str:
     """XOR core whose bipolar kicks are rectified by a comparator pair into
     a held envelope node; returns the envelope node."""
-    out, _ = _xor_core(net, tag, in_a, in_b, p)
+    out = _xor_core(net, tag, in_a, in_b, p)
     net.add_comparator(f"CMPP{tag}", out, "refp", f"pp{tag}")
     net.add_comparator(f"CMPN{tag}", "refn", out, f"pn{tag}")
     return _hold(net, tag, [f"pp{tag}", f"pn{tag}"])
@@ -234,12 +197,11 @@ def _spike_buffered(net: Netlist, tag: str, x_node: str) -> str:
     return _hold(net, tag, [f"pa{tag}"])
 
 
-def _add_refs(net: Netlist, *, mid: bool) -> None:
+def _add_refs(net: Netlist) -> None:
     net.add_source("REFP", "refp", "0", Dc(0.4))
     net.add_source("REFN", "refn", "0", Dc(-0.4))
     net.add_source("REFA", "refa", "0", Dc(1.2))
-    if mid:
-        net.add_source("REFM", "refm", "0", Dc(2.0))
+    net.add_source("REFM", "refm", "0", Dc(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -268,23 +230,9 @@ def build_gate(kind: GateKind, p: OtsParams | None = None,
         net.add_source(src, nm, "0", Dc(enc.v_high * b))
         sources.append(src)
 
-    if kind is GateKind.AND:
-        net.add_resistor("R1", names[0], "m", 900.0)
-        net.add_resistor("R2", names[1], "m", 900.0)
-        net.add_capacitor("C1", "m", "0", 100e-12)
-        net.add_ots("OTS1", "m", "x", p)
-        net.add_resistor("R3", "x", "0", 5e3)
-        outputs = [OutputSpec("y", "x", DecodeMode.SPIKE_COUNT, 1.2)]
-
-    elif kind is GateKind.OR:
-        net.add_diode("D1", names[0], "da")
-        net.add_resistor("R1", "da", "m", 900.0)
-        net.add_diode("D2", names[1], "db")
-        net.add_resistor("R2", "db", "m", 900.0)
-        net.add_capacitor("C1", "m", "0", 100e-12)
-        net.add_ots("OTS1", "m", "x", p)
-        net.add_resistor("R3", "x", "0", 5e3)
-        outputs = [OutputSpec("y", "x", DecodeMode.SPIKE_COUNT, 1.2)]
+    if kind in (GateKind.AND, GateKind.OR):
+        core = _and_core if kind is GateKind.AND else _or_core
+        outputs = [OutputSpec("y", core(net, "", *names, p), DecodeMode.SPIKE_COUNT, 1.2)]
 
     elif kind is GateKind.NOR:
         net.add_resistor("R1", names[0], "m", 900.0)
@@ -311,14 +259,7 @@ def build_gate(kind: GateKind, p: OtsParams | None = None,
         outputs = [OutputSpec("y", "m", DecodeMode.SPIKE_COUNT, 0.3)]
 
     elif kind is GateKind.XOR:
-        net.add_resistor("R1", names[0], "a", 1e3)
-        net.add_resistor("R2", names[1], "b", 1e3)
-        net.add_ots("OTS1", "a", "k", p)
-        net.add_capacitor("C1", "k", "b", 1e-9)
-        net.add_resistor("R4", "k", "b", 10e3)
-        net.add_capacitor("C2", "k", "out", 100e-12)
-        net.add_resistor("R3", "out", "0", 50e3)
-        outputs = [OutputSpec("y", "out", DecodeMode.SPIKE_COUNT, 0.4)]
+        outputs = [OutputSpec("y", _xor_core(net, "", *names, p), DecodeMode.SPIKE_COUNT, 0.4)]
 
     elif kind is GateKind.HALF_ADDER:
         # sum: XOR branch, 3 kOhm inputs; the conduction bursts are read as
@@ -341,7 +282,7 @@ def build_gate(kind: GateKind, p: OtsParams | None = None,
         ]
 
     elif kind is GateKind.DCAAP_CASCADE:
-        _add_refs(net, mid=True)
+        _add_refs(net)
         e1 = _xor_buffered(net, "x1", names[0], names[1], p)
         net.add_comparator("CMPB1", e1, "refm", "y1")
         e2 = _xor_buffered(net, "x2", "y1", names[2], p)
@@ -351,7 +292,7 @@ def build_gate(kind: GateKind, p: OtsParams | None = None,
         ]
 
     elif kind is GateKind.FULL_ADDER:
-        _add_refs(net, mid=True)
+        _add_refs(net)
         e_x1 = _xor_buffered(net, "x1", names[0], names[1], p)
         net.add_comparator("CMPB1", e_x1, "refm", "y1")
         e_sum = _xor_buffered(net, "x2", "y1", names[2], p)

@@ -137,14 +137,6 @@ class Netlist:
     def node_names(self) -> list[str]:
         return list(self._node_names)
 
-    def index_of(self, name: str | int) -> int:
-        if isinstance(name, int):
-            return name
-        try:
-            return self._node_index[str(name)]
-        except KeyError:
-            raise NetlistError(f"unknown node {name!r}") from None
-
     # -- elements ---------------------------------------------------------
 
     def _add(self, kind: ElementKind, *nodes: str | int) -> Element:

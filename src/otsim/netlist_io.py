@@ -21,7 +21,7 @@ import re
 from dataclasses import replace
 
 from .device import OtsParams, default_params
-from .netlist import Capacitor, Comparator, Diode, Element, Netlist, Ots, Resistor, VoltageSource
+from .netlist import Capacitor, Comparator, Diode, Netlist, Ots, Resistor, VoltageSource
 from .waveforms import Dc, PiecewiseLinear, Pulse, Triangle
 
 _SI = {
@@ -30,6 +30,16 @@ _SI = {
 }
 
 _NUM_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)([fpnumkKMG]?)$")
+
+# Option keywords of each element kind and the field each one sets (on
+# OtsParams for OTS); the reader accepts them and the writer emits them.
+_OPTIONS: dict[str, dict[str, str]] = {
+    "C": {"ic": "ic"},
+    "D": {"vf": "v_f", "vz": "v_z", "rs": "r_series"},
+    "OTS": {"vth": "v_th", "vhold": "v_hold", "ron": "r_on", "goff": "g_off",
+            "ihold": "i_hold", "tauon": "tau_on", "tauoff": "tau_off"},
+    "CMP": {"vhigh": "v_out_high", "vlow": "v_out_low", "rout": "r_out"},
+}
 
 
 class NetlistParseError(ValueError):
@@ -50,6 +60,7 @@ def parse_si(token: str) -> float:
 
 def format_si(value: float) -> str:
     """Compact engineering rendering used by the netlist writer."""
+    value = float(f"{value:.6g}")  # pick the suffix for the value as written
     if value == 0.0:
         return "0"
     for suffix, scale in (("G", 1e9), ("M", 1e6), ("k", 1e3)):
@@ -63,19 +74,20 @@ def format_si(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _parse_kv(tokens: list[str], allowed: dict[str, str], line_no: int) -> dict[str, float]:
+def _parse_options(tokens: list[str], n_fixed: int, kind: str, line_no: int) -> dict[str, float]:
+    """Fields set by the key=value options that follow the `n_fixed` leading
+    tokens of a `kind` line."""
+    allowed = _OPTIONS[kind]
+    _expect(tokens, n_fixed, n_fixed + len(allowed), line_no)
     out: dict[str, float] = {}
-    for tok in tokens:
+    for tok in tokens[n_fixed:]:
         if "=" not in tok:
             raise NetlistParseError(line_no, f"expected key=value, got {tok!r}")
         key, _, raw = tok.partition("=")
         key = key.lower()
         if key not in allowed:
             raise NetlistParseError(line_no, f"unknown option {key!r} (allowed: {sorted(allowed)})")
-        try:
-            out[allowed[key]] = parse_si(raw)
-        except ValueError as exc:
-            raise NetlistParseError(line_no, str(exc)) from None
+        out[allowed[key]] = _num(raw, line_no)
     return out
 
 
@@ -94,31 +106,18 @@ def parse_netlist(text: str, *, default_ots: OtsParams | None = None) -> Netlist
                 _expect(tokens, 5, 5, line_no)
                 net.add_resistor(tokens[1], tokens[2], tokens[3], _num(tokens[4], line_no))
             elif kind == "C":
-                _expect(tokens, 5, 6, line_no)
-                kv = _parse_kv(tokens[5:], {"ic": "ic"}, line_no)
-                net.add_capacitor(tokens[1], tokens[2], tokens[3], _num(tokens[4], line_no),
-                                  ic=kv.get("ic", 0.0))
+                kv = _parse_options(tokens, 5, kind, line_no)
+                net.add_capacitor(*tokens[1:4], _num(tokens[4], line_no), **kv)
             elif kind == "V":
                 _expect(tokens, 5, None, line_no)
                 net.add_source(tokens[1], tokens[2], tokens[3], _parse_source(tokens[4:], line_no))
             elif kind == "D":
-                _expect(tokens, 4, 7, line_no)
-                kv = _parse_kv(tokens[4:], {"vf": "v_f", "vz": "v_z", "rs": "r_series"}, line_no)
-                net.add_diode(tokens[1], tokens[2], tokens[3], **kv)
+                net.add_diode(*tokens[1:4], **_parse_options(tokens, 4, kind, line_no))
             elif kind == "OTS":
-                _expect(tokens, 4, 11, line_no)
-                kv = _parse_kv(
-                    tokens[4:],
-                    {"vth": "v_th", "vhold": "v_hold", "ron": "r_on", "goff": "g_off",
-                     "ihold": "i_hold", "tauon": "tau_on", "tauoff": "tau_off"},
-                    line_no,
-                )
-                net.add_ots(tokens[1], tokens[2], tokens[3], replace(base, **kv) if kv else base)
+                kv = _parse_options(tokens, 4, kind, line_no)
+                net.add_ots(*tokens[1:4], replace(base, **kv) if kv else base)
             elif kind == "CMP":
-                _expect(tokens, 5, 8, line_no)
-                kv = _parse_kv(tokens[5:], {"vhigh": "v_out_high", "vlow": "v_out_low",
-                                            "rout": "r_out"}, line_no)
-                net.add_comparator(tokens[1], tokens[2], tokens[3], tokens[4], **kv)
+                net.add_comparator(*tokens[1:5], **_parse_options(tokens, 5, kind, line_no))
             else:
                 raise NetlistParseError(line_no, f"unknown element kind {tokens[0]!r}")
         except NetlistParseError:
@@ -185,6 +184,10 @@ def _source_text(spec) -> str:
     raise TypeError(f"cannot serialize source waveform {type(spec).__name__}")
 
 
+def _options_text(kind: str, values) -> str:
+    return " ".join(f"{key}={format_si(getattr(values, name))}" for key, name in _OPTIONS[kind].items())
+
+
 def netlist_to_text(net: Netlist, header: str = "") -> str:
     """Serialize a netlist to the text format (device parameters written
     explicitly so the file is self-contained)."""
@@ -192,29 +195,18 @@ def netlist_to_text(net: Netlist, header: str = "") -> str:
     names = net.node_names
     for el in net.elements:
         k = el.kind
-        t = [names[i] for i in el.terminals]
+        t = " ".join(names[i] for i in el.terminals)
         if isinstance(k, Resistor):
-            lines.append(f"R {k.name} {t[0]} {t[1]} {format_si(k.ohms)}")
+            lines.append(f"R {k.name} {t} {format_si(k.ohms)}")
         elif isinstance(k, Capacitor):
-            suffix = f" ic={format_si(k.ic)}" if k.ic else ""
-            lines.append(f"C {k.name} {t[0]} {t[1]} {format_si(k.farads)}{suffix}")
+            suffix = f" {_options_text('C', k)}" if k.ic else ""
+            lines.append(f"C {k.name} {t} {format_si(k.farads)}{suffix}")
         elif isinstance(k, VoltageSource):
-            lines.append(f"V {k.name} {t[0]} {t[1]} {_source_text(k.spec)}")
+            lines.append(f"V {k.name} {t} {_source_text(k.spec)}")
         elif isinstance(k, Diode):
-            lines.append(
-                f"D {k.name} {t[0]} {t[1]} vf={format_si(k.v_f)} vz={format_si(k.v_z)} "
-                f"rs={format_si(k.r_series)}"
-            )
+            lines.append(f"D {k.name} {t} {_options_text('D', k)}")
         elif isinstance(k, Ots):
-            p = k.params
-            lines.append(
-                f"OTS {k.name} {t[0]} {t[1]} vth={format_si(p.v_th)} vhold={format_si(p.v_hold)} "
-                f"ron={format_si(p.r_on)} goff={format_si(p.g_off)} ihold={format_si(p.i_hold)} "
-                f"tauon={format_si(p.tau_on)} tauoff={format_si(p.tau_off)}"
-            )
+            lines.append(f"OTS {k.name} {t} {_options_text('OTS', k.params)}")
         elif isinstance(k, Comparator):
-            lines.append(
-                f"CMP {k.name} {t[0]} {t[1]} {t[2]} vhigh={format_si(k.v_out_high)} "
-                f"vlow={format_si(k.v_out_low)} rout={format_si(k.r_out)}"
-            )
+            lines.append(f"CMP {k.name} {t} {_options_text('CMP', k)}")
     return "\n".join(lines) + "\n"

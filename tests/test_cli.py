@@ -161,6 +161,11 @@ class TestConfigPlumbing:
         assert rc == EXIT_USAGE
         assert "max_newton" in capsys.readouterr().err
 
+    def test_unparseable_set_item_named(self, capsys):
+        for item in ("#v_high=3", "v_high", "otsu=maybe", "segment_clocks=1.5", "v_high=5x"):
+            assert main(["energy", "--set", item]) == EXIT_USAGE
+            assert repr(item) in capsys.readouterr().err
+
     def test_seed_circuits(self, tmp_path, capsys):
         rc = main(["--seed-circuits", str(tmp_path / "circuits")])
         assert rc == EXIT_OK

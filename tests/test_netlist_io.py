@@ -1,9 +1,14 @@
 """Netlist text format, SI-suffix parsing, and the run configuration."""
 
+from dataclasses import astuple
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otsim.config import ConfigError, RunConfig, parse_config
-from otsim.netlist import Capacitor, Diode, Ots, Resistor, VoltageSource
+from otsim.device import OtsParams
+from otsim.netlist import Capacitor, Diode, Netlist, Ots, Resistor, VoltageSource
 from otsim.netlist_io import NetlistParseError, format_si, netlist_to_text, parse_netlist, parse_si
 from otsim.waveforms import Dc, PiecewiseLinear, Pulse, Triangle
 
@@ -123,6 +128,97 @@ R RD d 0 1k
         for kind in GateKind:
             with open(shipped_path(kind), "r", encoding="utf-8") as fh:
                 assert fh.read() == gate_netlist_text(kind)
+
+
+# Magnitudes over the whole suffix range, mantissas included that round up to
+# the next suffix at 6 significant digits (9.9999996 -> 10).
+_MAG = st.builds(lambda m, e: m * 10.0 ** e,
+                 st.floats(1.0, 10.0, exclude_max=True), st.integers(-15, 10))
+_SIGNED = st.one_of(st.just(0.0), _MAG, _MAG.map(lambda v: -v))
+_FRAC = st.floats(1e-3, 0.999)  # keeps strict inequalities at 6-digit resolution
+_NODES = ("a", "b", "c", "n1", "out")
+
+
+@st.composite
+def _pwl(draw):
+    t = draw(st.one_of(st.just(0.0), _MAG))
+    points = []
+    for _ in range(draw(st.integers(1, 4))):
+        points.append((t, draw(_SIGNED)))
+        t += max(t * 1e-3, draw(_MAG))
+    return PiecewiseLinear(tuple(points))
+
+
+@st.composite
+def _pulse(draw):
+    period = draw(_MAG)
+    return Pulse(draw(_SIGNED), draw(_SIGNED), draw(st.one_of(st.just(0.0), _MAG)),
+                 period * draw(_FRAC), period, draw(st.one_of(st.none(), st.integers(1, 1000))))
+
+
+@st.composite
+def _ots_params(draw):
+    v_th, r_on = draw(_MAG), draw(_MAG)
+    g_off = draw(st.one_of(st.just(0.0), _FRAC.map(lambda f: f * 1e-3 / r_on)))
+    taus = st.one_of(st.just(0.0), _MAG)
+    return OtsParams(v_th, v_th * draw(_FRAC), r_on, g_off, draw(_MAG), draw(taus), draw(taus))
+
+
+@st.composite
+def _netlists(draw):
+    net = Netlist()
+    for node in _NODES:  # every node reaches ground
+        net.add_resistor(f"RG_{node}", node, "0", draw(_MAG))
+    node = st.sampled_from(("0",) + _NODES)
+    for i in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from("RCVDOK"))
+        a, b = draw(node), draw(node)
+        if kind == "R":
+            net.add_resistor(f"R{i}", a, b, draw(_MAG))
+        elif kind == "C":
+            net.add_capacitor(f"C{i}", a, b, draw(_MAG), ic=draw(_SIGNED))
+        elif kind == "V":
+            spec = draw(st.one_of(st.builds(Dc, _SIGNED), _pwl(), _pulse(),
+                                  st.builds(Triangle, _SIGNED, _MAG, _MAG)))
+            net.add_source(f"V{i}", a, b, spec)
+        elif kind == "D":
+            net.add_diode(f"D{i}", a, b, v_f=draw(_MAG), v_z=draw(_MAG), r_series=draw(_MAG))
+        elif kind == "O":
+            net.add_ots(f"OTS{i}", a, b, draw(_ots_params()))
+        else:
+            high = draw(_SIGNED)
+            low = high - max(draw(_MAG), 1e-3 * abs(high))
+            net.add_comparator(f"CMP{i}", a, b, draw(node), v_out_high=high, v_out_low=low,
+                               r_out=draw(_MAG))
+    return net
+
+
+def _flat(values):
+    for v in values:
+        if isinstance(v, tuple):
+            yield from _flat(v)
+        else:
+            yield v
+
+
+class TestTextRoundTripProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(_netlists())
+    def test_text_is_a_fixed_point(self, net):
+        text = netlist_to_text(net, header="round trip")
+        again = parse_netlist(text)
+        assert netlist_to_text(again, header="round trip") == text
+        assert len(again.elements) == len(net.elements)
+        for el, back in zip(net.elements, again.elements):
+            assert type(back.kind) is type(el.kind)
+            assert [again.node_names[i] for i in back.terminals] == [net.node_names[i] for i in el.terminals]
+            want, got = list(_flat(astuple(el.kind))), list(_flat(astuple(back.kind)))
+            assert len(got) == len(want)
+            for w, g in zip(want, got):  # names, repeat counts and values to 6 digits
+                if isinstance(w, float):
+                    assert g == pytest.approx(w, rel=1e-5, abs=0.0)
+                else:
+                    assert g == w
 
 
 class TestRunConfig:
