@@ -126,7 +126,7 @@ def cmd_gate(args) -> int:
         print(" ".join(f"{n}={b}" for n, b in zip(names, measured)))
         return EXIT_OK if measured == expected_bits(kind, bits) else EXIT_CHECK_FAILED
 
-    table = truth_table(kind, enc, p, dt=cfg.dt_logic, n_jobs=cfg.n_jobs)
+    table = truth_table(kind, enc, p, dt=cfg.dt_logic, n_jobs=cfg.n_jobs, keep_traces=bool(args.waveforms))
     payload = table.to_json()
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -134,19 +134,19 @@ def cmd_gate(args) -> int:
     else:
         print(payload)
     if args.waveforms:
-        _write_table_waveforms(kind, table, enc, p, cfg, args.waveforms)
+        _write_table_waveforms(table, enc, args.waveforms)
     status = "all rows match" if table.ok else "MISMATCH"
     print(f"{kind.value}: {status}", file=sys.stderr)
     return EXIT_OK if table.ok else EXIT_CHECK_FAILED
 
 
-def _write_table_waveforms(kind, table, enc, p, cfg, path) -> None:
+def _write_table_waveforms(table, enc, path) -> None:
     """Concatenated per-row traces, rows offset by the evaluation period."""
     period = enc.settle + enc.bit_width
     chunks = []
     header = None
     for i, row in enumerate(table.rows):
-        _, _, tr = evaluate(kind, row.inputs, enc, p, dt=cfg.dt_logic, with_detail=True)
+        tr = row.trace
         names = [n for n in tr.node_names if n != "0"]
         header = "t," + ",".join(names)
         block = np.column_stack([tr.times + i * period] + [tr.voltage(n) for n in names])

@@ -17,6 +17,8 @@ import enum
 import math
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from .waveforms import require_finite
 
 
@@ -91,6 +93,13 @@ def ots_current(p: OtsParams, s: OtsState, v: float) -> float:
     if s.phase is Phase.OFF:
         return p.g_off * v
     return math.copysign(max(0.0, abs(v) - p.v_hold), v) / p.r_on
+
+
+def ots_currents(p: OtsParams, on: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`ots_current` over arrays, with the same floating-point operations:
+    v[k] is taken in the on phase where on[k] and in the off phase elsewhere.
+    Values are not checked for finiteness."""
+    return np.where(on, np.copysign(np.maximum(0.0, np.abs(v) - p.v_hold), v) / p.r_on, p.g_off * v)
 
 
 def ots_step(p: OtsParams, s: OtsState, v: float, dt: float) -> OtsState:

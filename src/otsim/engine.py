@@ -13,14 +13,27 @@ element back and forth, is accepted).  The system matrix depends only on the seg
 choice, so LU factorizations are cached and most steps reduce to a single
 LAPACK back-substitution (``dgetrs``).
 
-Each run has two phases.  A compile phase (``_Compiled``) turns the
+Each run has three phases.  A compile phase (``_Compiled``) turns the
 netlist into index arrays and plain tuples once: terminal indices into an
 extended solution vector whose entry 0 is ground, per-kind parameters,
 capacitor stamps, OTS slots and the column of every element in the current
 record.  The step loop then works on those tuples and on floats from
-``x.tolist()`` only.  Currents of sources, resistors and capacitors follow
-from the recorded solution and are computed for all samples at once after
-the loop; diodes, OTSs and comparators are recorded step by step.
+``x.tolist()`` only: it solves, advances the integrator and OTS states, and
+records each sample's solution, right-hand side and segment set.  The rest
+is done for all samples at once after the loop:
+
+- the residual gate: each sample's nodal residual ``mat @ x - z`` comes
+  from one batched ``np.matmul`` per segment set, which gives the same bits
+  as a per-step ``mat.dot(x)``.  If the loop raises, the samples it solved
+  are checked first, so a residual failure at an earlier step still wins;
+- every element current: sources, resistors and capacitors from the
+  solution, diodes, OTSs and comparators from the solution, the recorded
+  segment sets and the OTS phase each sample was solved with.
+
+When every drive is a ``Dc``, a step that reproduces its predecessor bit
+for bit, with the same segments and unchanged OTS states, has the same
+inputs as the step after it, so the run is at a fixed point: the loop stops
+and the remaining samples are copies of the last one.
 
 OTS phases are device *state*, not a solver segment: they advance once per
 accepted step from the converged device voltage.
@@ -36,9 +49,9 @@ import numpy as np
 from scipy.linalg import lu_factor
 from scipy.linalg.lapack import dgetrs
 
-from .device import OtsState, Phase, ots_current, ots_step
+from .device import OtsState, Phase, ots_currents, ots_step
 from .netlist import Capacitor, Comparator, Diode, Netlist, NetlistError, Ots, Resistor, VoltageSource
-from .waveforms import SourceSpec, Triangle
+from .waveforms import Dc, SourceSpec, Triangle
 
 
 class SimulationError(RuntimeError):
@@ -90,6 +103,7 @@ class Trace:
     currents: dict[str, np.ndarray]        # element name -> (n_samples,), positive from n+ to n-
     ots_on: dict[str, np.ndarray]          # OTS name -> (n_samples,) bool, phase after the step
     kcl_residual: float                    # max |node current sum| over all accepted steps
+    solved_steps: int                      # samples the step loop solved; later ones repeat the last
 
     def node_index(self, node: str | int) -> int:
         if isinstance(node, int):
@@ -167,6 +181,7 @@ def extract_spikes(tr: Trace, node: str | int, threshold: float, refractory: flo
 
 _PIN = 1e6         # stiffness of the step-0 capacitor companions
 _KNEE_TOL = 1e-12  # V, knee ties accepted once the reselection budget is spent
+_CHUNK = 4096      # samples per batch of post-loop residuals
 
 
 def _stamp(mat: np.ndarray, a: int, b: int, g: float) -> None:
@@ -309,6 +324,8 @@ class _Compiled:
                                     _CMP_LOW: (t[2], 0, g, g * -k.v_out_low)})
 
         self.lu_cache: dict[tuple[int, ...], tuple] = {}
+        # (segments, matrix) of every system solved, indexed by set id
+        self.sets: list[tuple[tuple[int, ...], np.ndarray]] = []
 
     def assemble(self, base_ext: np.ndarray, segments: tuple[int, ...]):
         """System matrix (n x n) and extended dynamic RHS for a segment set."""
@@ -325,21 +342,23 @@ class _Compiled:
         return np.ascontiguousarray(mat[1:, 1:]), z
 
     def solve(self, segments: tuple[int, ...], zl: list[float], pinned: bool):
-        """Solution, matrix and RHS for a segment set and the extended
+        """Solution, RHS and set id for a segment set and the extended
         source/history RHS `zl`; `pinned` selects the step-0 system."""
         if pinned:
             mat, z_dyn = self.assemble(self.g_pin_ext, segments)
             z = np.add(zl, z_dyn)[1:]
             try:
-                return np.linalg.solve(mat, z), mat, z
+                x = np.linalg.solve(mat, z)
             except np.linalg.LinAlgError:
                 self.raise_singular(mat)
-        lu, piv, mat, z_dyn = self.lu_cache.get(segments) or self.factorized(segments)
+            self.sets.append((segments, mat))
+            return x, z, len(self.sets) - 1
+        lu, piv, z_dyn, sid = self.lu_cache.get(segments) or self.factorized(segments)
         z = np.add(zl, z_dyn)[1:]
-        return dgetrs(lu, piv, z)[0], mat, z
+        return dgetrs(lu, piv, z)[0], z, sid
 
     def factorized(self, segments: tuple[int, ...]):
-        """(lu, piv, matrix, extended dynamic RHS) for a segment set, cached."""
+        """(lu, piv, extended dynamic RHS, set id) for a segment set, cached."""
         mat, z = self.assemble(self.g_ext, segments)
         try:
             lu, piv = lu_factor(mat)
@@ -350,7 +369,8 @@ class _Compiled:
         diag = np.abs(lu.diagonal())
         if diag.min() <= diag.max() * 1e-14:
             self.raise_singular(mat)
-        entry = (lu, piv, mat, z)
+        entry = (lu, piv, z, len(self.sets))
+        self.sets.append((segments, mat))
         self.lu_cache[segments] = entry
         return entry
 
@@ -360,6 +380,54 @@ class _Compiled:
         if bad < self.nv:
             raise SingularSystemError(self.net.node_names[bad + 1])
         raise SingularSystemError(self.source_names[bad - self.nv])
+
+    def residuals(self, sol: np.ndarray, rhs: np.ndarray, set_id: np.ndarray, solved: int) -> np.ndarray:
+        """max |mat @ x - z| over the node rows of each of the first `solved`
+        samples, one batched product per segment set."""
+        res = np.zeros(solved)
+        if not self.nv:
+            return res
+        for lo in range(0, solved, _CHUNK):  # bounds the temporaries of a long run
+            ids = set_id[lo:min(lo + _CHUNK, solved)]
+            for sid in np.unique(ids):
+                rows = lo + np.flatnonzero(ids == sid)
+                mat = self.sets[sid][1]
+                x = sol[rows, 1:]
+                r = np.matmul(np.broadcast_to(mat, (len(rows), *mat.shape)), x[:, :, None])[:, :self.nv, 0]
+                res[rows] = np.max(np.abs(r - rhs[rows, :self.nv]), axis=1)
+        return res
+
+    def currents(self, sol: np.ndarray, set_id: np.ndarray, on_hist: np.ndarray) -> np.ndarray:
+        """Current record of every sample: the segment-switched elements in
+        its first columns, then resistors and capacitors."""
+        cur = np.empty((len(sol), self.n_recorded))
+        segs = np.array([segments for segments, _ in self.sets])[set_id]
+        # a sample is solved with the OTS phases the previous step left
+        on = np.concatenate((on_hist[:1], on_hist[:-1]))
+        for col, (kind, a, b, p, q, r) in enumerate(self.laws):
+            seg = segs[:, col]
+            if kind == _DIODE:
+                v = sol[:, a] - sol[:, b]
+                cur[:, col] = np.where(seg == _SEG_FWD, (v - p) / r, np.where(seg == _SEG_REV, (v + q) / r, 0.0))
+            elif kind == _OTS:
+                cur[:, col] = ots_currents(q, on[:, p], sol[:, a] - sol[:, b])
+            else:
+                cur[:, col] = (np.where(seg == _CMP_HIGH, p, q) - sol[:, a]) / r
+        for a, b, ohms, col in self.res:
+            cur[:, col] = (sol[:, a] - sol[:, b]) / ohms
+        for (a, b), g, ic, col in zip(self.caps, self.cap_g, self.cap_ic, self.cap_cols):
+            cur[:, col] = g * np.diff(sol[:, a] - sol[:, b], prepend=ic)
+        return cur
+
+
+def _residual_gate(res: np.ndarray, residual_tol: float) -> float:
+    """The largest residual, or SimulationError naming the first sample
+    whose residual is above the tolerance or not a number."""
+    bad = np.flatnonzero(~(res <= residual_tol))
+    if bad.size:
+        step = int(bad[0])
+        raise SimulationError(f"nodal residual {float(res[step]):.3g} A exceeds {residual_tol:g} A at step {step}")
+    return float(res.max(initial=0.0))
 
 
 def _select(table, xe: list[float]) -> tuple[int, ...]:
@@ -379,21 +447,6 @@ def _knee_gap(table, segments: tuple[int, ...], desired: tuple[int, ...], xe: li
     return gap
 
 
-def _dynamic_currents(laws, segments: tuple[int, ...], xe: list[float],
-                      states: list[OtsState]) -> list[float]:
-    """Currents of the segment-switched elements, in their element order."""
-    out = []
-    for (kind, a, b, p, q, r), seg in zip(laws, segments):
-        if kind == _DIODE:
-            v = xe[a] - xe[b]
-            out.append((v - p) / r if seg == _SEG_FWD else (v + q) / r if seg == _SEG_REV else 0.0)
-        elif kind == _OTS:
-            out.append(ots_current(q, states[p], xe[a] - xe[b]))
-        else:
-            out.append(((p if seg == _CMP_HIGH else q) - xe[a]) / r)
-    return out
-
-
 def transient(net: Netlist, t_stop: float, dt: float, *,
               sources: Mapping[str, SourceSpec] | None = None,
               ots_states: dict[str, OtsState] | None = None,
@@ -410,7 +463,10 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     re-selections, a second round accepts an element that rounding keeps
     flipping across a knee), SingularSystemError for defective topologies,
     and SimulationError if any accepted step violates (or cannot evaluate)
-    the nodal-current residual tolerance.
+    the nodal-current residual tolerance; that check runs after the loop,
+    and before any other error the loop raises is passed on.  With only
+    `Dc` drives the loop may stop at a fixed point; `Trace.solved_steps`
+    counts the samples it solved.
     """
     if dt <= 0.0 or t_stop < dt:
         raise ValueError("require 0 < dt <= t_stop")
@@ -424,85 +480,97 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
 
     n_steps = int(round(t_stop / dt))
     times = np.arange(n_steps + 1) * dt
-    nv, n, nd = c.nv, c.n, len(c.select)
+    n = c.n
     sol = np.zeros((n_steps + 1, n + 1))     # extended solution per sample, column 0 is ground
-    cur = np.empty((n_steps + 1, c.n_recorded))
+    rhs = np.empty((n_steps + 1, n))         # the RHS each sample was solved with
+    set_id = np.empty(n_steps + 1, dtype=np.int32)  # c.sets entry each sample was solved with
     on_hist = np.zeros((n_steps + 1, len(states)), dtype=bool)
 
-    drives, cap_terms, laws, ots = c.drives, c.caps, c.laws, c.ots
+    drives, cap_terms, ots = c.drives, c.caps, c.ots
+    constant = all(type(spec) is Dc for _, spec in drives)
     select = list(c.select)                  # per run: OTS entries follow the phase
     for (_, _, _, pos, _, on_entry), is_on in zip(ots, on):
         if is_on:
             select[pos] = on_entry
     solve = c.solve
     vcap = list(c.cap_ic)
-    xe = [0.0] * (n + 1)
+    xe = prev = [0.0] * (n + 1)
     segments = _select(select, xe)
-    max_residual = 0.0
     held, held_from = tuple(on), 0           # OTS phases recorded from sample held_from on
+    solved = 0
 
     # step 0 initializes node voltages consistently with the capacitor ICs by
     # pinning each capacitor branch with a stiff companion (g scaled 1e6 up).
-    for step in range(n_steps + 1):
-        t = step * dt  # the same product as times[step]
-        zl = [0.0] * (n + 1)
-        for row, spec in drives:
-            zl[row] = spec(t)
-        for (a, b), g, v in zip(cap_terms, c.cap_g if step else c.cap_g_pin, vcap):
-            hist = g * v
-            zl[a] += hist
-            zl[b] -= hist
+    try:
+        for step in range(n_steps + 1):
+            t = step * dt  # the same product as times[step]
+            zl = [0.0] * (n + 1)
+            for row, spec in drives:
+                zl[row] = spec(t)
+            for (a, b), g, v in zip(cap_terms, c.cap_g if step else c.cap_g_pin, vcap):
+                hist = g * v
+                zl[a] += hist
+                zl[b] -= hist
 
-        # A segment set that rounding keeps flipping across a knee has no
-        # stable assignment; once the budget is spent, a second one accepts a
-        # set whose own solution contradicts it by at most _KNEE_TOL.
-        before = segments
-        for attempt in range(2 * (max_reselections + 1)):
-            x, mat, z = solve(segments, zl, step == 0)
-            xe = [0.0, *x.tolist()]
-            desired = _select(select, xe)
-            if desired == segments or (attempt > max_reselections
-                                       and _knee_gap(select, segments, desired, xe) <= _KNEE_TOL):
+            # A segment set that rounding keeps flipping across a knee has no
+            # stable assignment; once the budget is spent, a second one accepts a
+            # set whose own solution contradicts it by at most _KNEE_TOL.
+            before = entering = segments
+            for attempt in range(2 * (max_reselections + 1)):
+                x, z, sid = solve(segments, zl, step == 0)
+                xe = [0.0, *x.tolist()]
+                desired = _select(select, xe)
+                if desired == segments or (attempt > max_reselections
+                                           and _knee_gap(select, segments, desired, xe) <= _KNEE_TOL):
+                    break
+                before, segments = segments, desired
+            else:
+                flips = [name for name, a, b in zip(c.dyn_names, before, segments) if a != b]
+                raise ConvergenceError(step, t, flips[-1] if flips else "")
+
+            sol[step, 1:] = x
+            rhs[step] = z
+            set_id[step] = sid
+            solved = step + 1
+
+            # advance integrator history and device states using converged values
+            vcap = [xe[a] - xe[b] for a, b in cap_terms]
+            unchanged = True
+            if step and ots:  # step 0 only establishes the initial operating point
+                flipped = False
+                for slot, (a, b, p, pos, off_entry, on_entry) in enumerate(ots):
+                    st = ots_step(p, states[slot], xe[a] - xe[b], dt)
+                    if st is not states[slot]:
+                        unchanged = False
+                        if st.phase is not states[slot].phase:
+                            on[slot] = st.phase is Phase.ON
+                            select[pos] = on_entry if on[slot] else off_entry
+                            flipped = True
+                        states[slot] = st
+                if flipped:
+                    segments = _select(select, xe)
+                    on_hist[held_from:step] = held
+                    held, held_from = tuple(on), step
+
+            # Constant drives, and the next step would start from exactly the
+            # capacitor voltages, segments and OTS states this one started
+            # from (an OTS state counts as unchanged only if ots_step returned
+            # the very object it was given).
+            if (constant and unchanged and step >= 2 and segments == entering and xe == prev
+                    and sol[step].tobytes() == sol[step - 1].tobytes()):
+                sol[step + 1:] = sol[step]
+                set_id[step + 1:] = sid
                 break
-            before, segments = segments, desired
-        else:
-            flips = [name for name, a, b in zip(c.dyn_names, before, segments) if a != b]
-            raise ConvergenceError(step, t, flips[-1] if flips else "")
+            prev = xe
+    except Exception:
+        _residual_gate(c.residuals(sol, rhs, set_id, solved), residual_tol)
+        raise
 
-        residual = float(np.maximum.reduce(abs((mat.dot(x) - z)[:nv]))) if nv else 0.0
-        max_residual = max(max_residual, residual)
-        if not residual <= residual_tol:
-            raise SimulationError(f"nodal residual {residual:.3g} A exceeds {residual_tol:g} A at step {step}")
-
-        sol[step, 1:] = x
-        if nd:
-            cur[step, :nd] = _dynamic_currents(laws, segments, xe, states)
-
-        # advance integrator history and device states using converged values
-        vcap = [xe[a] - xe[b] for a, b in cap_terms]
-        if step and ots:  # step 0 only establishes the initial operating point
-            flipped = False
-            for slot, (a, b, p, pos, off_entry, on_entry) in enumerate(ots):
-                st = ots_step(p, states[slot], xe[a] - xe[b], dt)
-                if st.phase is not states[slot].phase:
-                    on[slot] = st.phase is Phase.ON
-                    select[pos] = on_entry if on[slot] else off_entry
-                    flipped = True
-                states[slot] = st
-            if flipped:
-                segments = _select(select, xe)
-                on_hist[held_from:step] = held
-                held, held_from = tuple(on), step
-
+    kcl_residual = _residual_gate(c.residuals(sol, rhs, set_id, solved), residual_tol)
+    del rhs  # not needed for the current record
     on_hist[held_from:] = held
 
-    # resistors and capacitors: all samples at once from the recorded solution
-    for a, b, ohms, col in c.res:
-        cur[:, col] = (sol[:, a] - sol[:, b]) / ohms
-    for (a, b), g, ic, col in zip(c.caps, c.cap_g, c.cap_ic, c.cap_cols):
-        cur[:, col] = g * np.diff(sol[:, a] - sol[:, b], prepend=ic)
-
-    record = (sol, cur)
+    record = (sol, c.currents(sol, set_id, on_hist))
     return Trace(
         dt=dt,
         times=times,
@@ -510,7 +578,8 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
         voltages=sol[:, : net.node_count],
         currents={el.name: record[k][:, col] for el, (k, col) in zip(net.elements, c.where)},
         ots_on={name: on_hist[:, slot] for slot, name in enumerate(c.ots_names)},
-        kcl_residual=max_residual,
+        kcl_residual=kcl_residual,
+        solved_steps=solved,
     )
 
 

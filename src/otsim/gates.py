@@ -361,6 +361,7 @@ class TruthRow:
     expected: tuple[int, ...]
     measured: tuple[int, ...]
     detail: tuple[float, ...]
+    trace: Trace | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -397,18 +398,18 @@ class TruthTable:
 
 def truth_table(kind: GateKind, enc: LogicEncoding | None = None,
                 p: OtsParams | None = None, *, dt: float = 50e-9,
-                n_jobs: int = 1) -> TruthTable:
+                n_jobs: int = 1, keep_traces: bool = False) -> TruthTable:
     """Exhaustive evaluation over all input combinations.
 
     Rows are independent transients (state fully reset between rows), so
     they may be computed in parallel; the row order of the result is fixed
-    regardless of scheduling."""
+    regardless of scheduling.  With `keep_traces` each row keeps its trace."""
     arity = gate_arity(kind)
     combos = [tuple((i >> (arity - 1 - k)) & 1 for k in range(arity)) for i in range(2 ** arity)]
 
     def run(bits: tuple[int, ...]) -> TruthRow:
-        measured, detail, _ = evaluate(kind, bits, enc, p, dt=dt, with_detail=True)
-        return TruthRow(bits, expected_bits(kind, bits), measured, detail)
+        measured, detail, tr = evaluate(kind, bits, enc, p, dt=dt, with_detail=True)
+        return TruthRow(bits, expected_bits(kind, bits), measured, detail, tr if keep_traces else None)
 
     if n_jobs > 1:
         from concurrent.futures import ThreadPoolExecutor

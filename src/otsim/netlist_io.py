@@ -21,7 +21,7 @@ import re
 from dataclasses import replace
 
 from .device import OtsParams, default_params
-from .netlist import Capacitor, Comparator, Diode, Netlist, Ots, Resistor, VoltageSource
+from .netlist import Capacitor, Comparator, Diode, Netlist, NetlistError, Ots, Resistor, VoltageSource
 from .waveforms import Dc, PiecewiseLinear, Pulse, Triangle
 
 _SI = {
@@ -188,13 +188,53 @@ def _options_text(kind: str, values) -> str:
     return " ".join(f"{key}={format_si(getattr(values, name))}" for key, name in _OPTIONS[kind].items())
 
 
+# Fields the writer rounds to 6 significant digits, by the type holding them
+_ROUNDED: dict[type, tuple[str, ...]] = {
+    Resistor: ("ohms",),
+    Capacitor: ("farads", "ic"),
+    Diode: tuple(_OPTIONS["D"].values()),
+    Comparator: tuple(_OPTIONS["CMP"].values()),
+    OtsParams: tuple(_OPTIONS["OTS"].values()),
+    Dc: ("value",),
+    Pulse: ("v_low", "v_high", "delay", "width", "period"),
+    Triangle: ("v_peak", "t_rise", "t_fall"),
+}
+
+
+def _check_written(owner: str, obj) -> None:
+    """Raise NetlistError if `obj`, read back from its written text, would
+    break one of its constraints; names the first field whose rounding does."""
+    def fail(field: str, value: float, why: str):
+        raise NetlistError(f"{owner}: {field} {value!r} is written as {format_si(value)}, "
+                           f"which breaks: {why}")
+
+    if isinstance(obj, PiecewiseLinear):
+        times = [parse_si(format_si(t)) for t, _ in obj.points]
+        for k in range(1, len(times)):
+            if times[k] <= times[k - 1]:
+                fail(f"breakpoint {k} time", obj.points[k][0], "PWL breakpoint times must be strictly increasing")
+        return
+    written = {}
+    for name in _ROUNDED.get(type(obj), ()):
+        written[name] = parse_si(format_si(getattr(obj, name)))
+        try:
+            replace(obj, **written)
+        except ValueError as exc:
+            fail(name, getattr(obj, name), str(exc))
+
+
 def netlist_to_text(net: Netlist, header: str = "") -> str:
     """Serialize a netlist to the text format (device parameters written
-    explicitly so the file is self-contained)."""
+    explicitly so the file is self-contained).
+
+    Raises NetlistError naming the element and the field if a value, written
+    with 6 significant digits, would no longer satisfy a constraint that
+    `parse_netlist` checks (say, PWL times 1e-6 and 1.0000001e-6 s)."""
     lines = [f"# {ln}" if ln else "#" for ln in header.splitlines()] if header else []
     names = net.node_names
     for el in net.elements:
         k = el.kind
+        _check_written(k.name, k.spec if isinstance(k, VoltageSource) else k.params if isinstance(k, Ots) else k)
         t = " ".join(names[i] for i in el.terminals)
         if isinstance(k, Resistor):
             lines.append(f"R {k.name} {t} {format_si(k.ohms)}")

@@ -58,6 +58,24 @@ class TestGateCmd:
         header = wf.read_text().splitlines()[0]
         assert header.startswith("t,")
 
+    def test_table_waveforms_simulate_each_row_once(self, tmp_path, monkeypatch):
+        from otsim import gates
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return transient(*args, **kwargs)
+
+        transient = gates.transient
+        monkeypatch.setattr(gates, "transient", counting)
+        wf = tmp_path / "wave.csv"
+        assert main(["gate", "--kind", "and", "--waveforms", str(wf), "--json", str(tmp_path / "t.json")]) == EXIT_OK
+        assert len(calls) == 4
+        rows = np.loadtxt(wf, delimiter=",", skiprows=1)
+        assert len(rows) == 4 * 2001
+        assert np.all(np.diff(rows[:, 0]) >= 0)  # rows offset by the evaluation period
+
     def test_unknown_kind(self, capsys):
         assert main(["gate", "--kind", "xnor"]) == EXIT_USAGE
 

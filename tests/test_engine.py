@@ -252,6 +252,15 @@ class TestNonFiniteRejected:
         with pytest.raises(SimulationError, match="nodal residual nan"):
             transient(net, 1e-6, 10e-9, sources={"VIN": lambda t: math.nan})
 
+    @pytest.mark.parametrize("net", [rc_lowpass(), measurement_netlist(4.0)], ids=["rc", "ots_rig"])
+    def test_residual_gate_names_first_nan_step(self, net):
+        # on the rig the NaN also reaches ots_step, whose error must not hide the residual one
+        def late_nan(t):
+            return math.nan if t >= 0.5e-6 else 4.0
+
+        with pytest.raises(SimulationError, match=r"nodal residual nan A exceeds 1e-09 A at step 50$"):
+            transient(net, 1e-6, 10e-9, sources={"VIN": late_nan})
+
 
 class TestSourceOverride:
     def test_override_matches_rebuilt_netlist(self):

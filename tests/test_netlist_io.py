@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from otsim.config import ConfigError, RunConfig, parse_config
 from otsim.device import OtsParams
-from otsim.netlist import Capacitor, Diode, Netlist, Ots, Resistor, VoltageSource
+from otsim.netlist import Capacitor, Diode, Netlist, NetlistError, Ots, Resistor, VoltageSource
 from otsim.netlist_io import NetlistParseError, format_si, netlist_to_text, parse_netlist, parse_si
 from otsim.waveforms import Dc, PiecewiseLinear, Pulse, Triangle
 
@@ -219,6 +219,40 @@ class TestTextRoundTripProperty:
                     assert g == pytest.approx(w, rel=1e-5, abs=0.0)
                 else:
                     assert g == w
+
+
+class TestWriterRejectsRoundedConstraints:
+    """A value that breaks a strict constraint once written with 6
+    significant digits is refused by the writer, which names it."""
+
+    def _net(self, add):
+        net = Netlist()
+        net.add_resistor("RL", "a", "0", 1e3)
+        add(net)
+        return net
+
+    @pytest.mark.parametrize("add, match", [
+        (lambda n: n.add_source("V1", "a", "0", PiecewiseLinear(((1e-6, 0.0), (1.0000001e-6, 1.0)))),
+         r"V1: breakpoint 1 time 1\.0000001e-06 is written as 1u"),
+        (lambda n: n.add_source("V2", "a", "0", Pulse(0.0, 1.0, 0.0, 1e-6, 1.0000001e-6)),
+         r"V2: period 1\.0000001e-06 is written as 1u, which breaks: require 0 < width < period"),
+        (lambda n: n.add_ots("OTS1", "a", "0", OtsParams(v_th=1.0000001, v_hold=1.0)),
+         r"OTS1: v_th 1\.0000001 is written as 1, which breaks: require v_th > v_hold"),
+        (lambda n: n.add_comparator("CMP1", "a", "0", "a", v_out_high=5.0000001, v_out_low=5.0),
+         r"CMP1: v_out_high 5\.0000001 is written as 5, which breaks: CMP1: require v_out_high > v_out_low"),
+    ], ids=["pwl", "pulse", "ots", "comparator"])
+    def test_rounding_that_breaks_a_constraint_is_named(self, add, match):
+        with pytest.raises(NetlistError, match=match):
+            netlist_to_text(self._net(add))
+
+    def test_found_example_no_longer_writes_unparseable_text(self):
+        net = self._net(lambda n: n.add_source("V1", "a", "0",
+                                               PiecewiseLinear(((1e-6, 0.0), (1.0000001e-6, 1.0)))))
+        with pytest.raises(NetlistError, match="V1"):
+            netlist_to_text(net)
+        # the same source with a gap the format resolves round-trips
+        net = self._net(lambda n: n.add_source("V1", "a", "0", PiecewiseLinear(((1e-6, 0.0), (1.00001e-6, 1.0)))))
+        assert netlist_to_text(parse_netlist(netlist_to_text(net))) == netlist_to_text(net)
 
 
 class TestRunConfig:
