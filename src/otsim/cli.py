@@ -126,7 +126,7 @@ def cmd_gate(args) -> int:
         print(" ".join(f"{n}={b}" for n, b in zip(names, measured)))
         return EXIT_OK if measured == expected_bits(kind, bits) else EXIT_CHECK_FAILED
 
-    table = truth_table(kind, enc, p, dt=cfg.dt_logic, n_jobs=cfg.n_jobs, keep_traces=bool(args.waveforms))
+    table = truth_table(kind, enc, p, dt=cfg.dt_logic, keep_traces=bool(args.waveforms))
     payload = table.to_json()
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -141,7 +141,9 @@ def cmd_gate(args) -> int:
 
 
 def _write_table_waveforms(table, enc, path) -> None:
-    """Concatenated per-row traces, rows offset by the evaluation period."""
+    """Concatenated per-row traces, rows offset by the evaluation period.
+    A row's first sample falls at the time of the previous row's last one,
+    so every row after the first starts at its second sample."""
     period = enc.settle + enc.bit_width
     chunks = []
     header = None
@@ -150,14 +152,14 @@ def _write_table_waveforms(table, enc, path) -> None:
         names = [n for n in tr.node_names if n != "0"]
         header = "t," + ",".join(names)
         block = np.column_stack([tr.times + i * period] + [tr.voltage(n) for n in names])
-        chunks.append(block)
+        chunks.append(block[1:] if i else block)
     np.savetxt(path, np.vstack(chunks), delimiter=",", header=header, comments="", fmt="%.9g")
 
 
 def cmd_edge(args) -> int:
     cfg = _build_config(args)
     cfg = cfg.merged(binarize_threshold=args.threshold, segment_clocks=args.segment_clocks,
-                     count_threshold=args.count_threshold, n_jobs=args.jobs)
+                     count_threshold=args.count_threshold)
     p = cfg.device_params()
     try:
         img = load_image(args.input)
@@ -310,7 +312,6 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--report", help="write the mismatch report JSON here")
     sp.add_argument("--segment-clocks", type=int, default=None, help="stream segment length")
     sp.add_argument("--count-threshold", type=int, default=None, help="spikes per clock for a 1")
-    sp.add_argument("--jobs", type=int, default=None, help="parallel stream segments")
     sp.set_defaults(func=cmd_edge)
 
     sp = sub.add_parser("gradient", help="rate-coded contrast-difference estimation")

@@ -34,7 +34,6 @@ class RunConfig:
     otsu: bool = False
     count_threshold: int = 1
     segment_clocks: int = 256
-    n_jobs: int = 1
     gradient_window: float = 1e-3
     # energy scaling
     exponent: float = 1.6
@@ -55,7 +54,6 @@ class RunConfig:
             dt=self.dt_logic,
             count_threshold=self.count_threshold,
             segment_clocks=self.segment_clocks,
-            n_jobs=self.n_jobs,
         )
 
     def merged(self, **overrides) -> "RunConfig":

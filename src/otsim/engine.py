@@ -10,7 +10,8 @@ solve the resulting linear system exactly, re-derive the segments from the
 solution, and repeat until the choice is stable (at most a fixed number of
 re-selections per step, after which a tie at a knee, where rounding flips an
 element back and forth, is accepted).  The system matrix depends only on the segment
-choice, so LU factorizations are cached and most steps reduce to a single
+choice and on whether it is step 0, whose capacitor companions are stiffer,
+so every step, step 0 included, solves cached LU factors with a single
 LAPACK back-substitution (``dgetrs``).
 
 Each run has three phases.  A compile phase (``_Compiled``) turns the
@@ -19,16 +20,17 @@ extended solution vector whose entry 0 is ground, per-kind parameters,
 capacitor stamps, OTS slots and the column of every element in the current
 record.  The step loop then works on those tuples and on floats from
 ``x.tolist()`` only: it solves, advances the integrator and OTS states, and
-records each sample's solution, right-hand side and segment set.  The rest
-is done for all samples at once after the loop:
-
-- the residual gate: each sample's nodal residual ``mat @ x - z`` comes
-  from one batched ``np.matmul`` per segment set, which gives the same bits
-  as a per-step ``mat.dot(x)``.  If the loop raises, the samples it solved
-  are checked first, so a residual failure at an earlier step still wins;
-- every element current: sources, resistors and capacitors from the
-  solution, diodes, OTSs and comparators from the solution, the recorded
-  segment sets and the OTS phase each sample was solved with.
+records each sample's solution, right-hand side and segment set.  The
+residual gate runs on batches of recorded samples: each sample's nodal
+residual ``mat @ x - z`` comes from one batched ``np.matmul`` per segment
+set, which gives the same bits as a per-step ``mat.dot(x)``.  The loop
+checks every full batch of ``_CHUNK`` samples as soon as it is solved, and
+the last, partial batch after the loop.  If the loop raises, the samples it
+solved are checked first, so a residual failure at an earlier step still
+wins.  Every element current is computed for all samples at once after the
+loop: sources, resistors and capacitors from the solution, diodes, OTSs and
+comparators from the solution, the recorded segment sets and the OTS phase
+each sample was solved with.
 
 When every drive is a ``Dc``, a step that reproduces its predecessor bit
 for bit, with the same segments and unchanged OTS states, has the same
@@ -46,8 +48,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor
-from scipy.linalg.lapack import dgetrs
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .device import OtsState, Phase, ots_currents, ots_step
 from .netlist import Capacitor, Comparator, Diode, Netlist, NetlistError, Ots, Resistor, VoltageSource
@@ -164,6 +165,12 @@ def count_crossings(times: np.ndarray, values: np.ndarray, threshold: float,
     return out
 
 
+def burst_refractory(dt: float) -> float:
+    """Shortest gap between two counted bursts in a trace sampled every dt:
+    four samples, and at least 0.2 us."""
+    return max(4.0 * dt, 2e-7)
+
+
 def extract_spikes(tr: Trace, node: str | int, threshold: float, refractory: float,
                    window: tuple[float, float] | None = None) -> SpikeTrain:
     """One spike per upward threshold crossing of a node voltage."""
@@ -179,9 +186,11 @@ def extract_spikes(tr: Trace, node: str | int, threshold: float, refractory: flo
     return SpikeTrain(tuple(spikes), threshold, window)
 
 
-_PIN = 1e6         # stiffness of the step-0 capacitor companions
-_KNEE_TOL = 1e-12  # V, knee ties accepted once the reselection budget is spent
-_CHUNK = 4096      # samples per batch of post-loop residuals
+_PIN = 1e6               # stiffness of the step-0 capacitor companions
+_MAX_RESELECTIONS = 8    # segment re-selections per step before knee ties are accepted
+_KNEE_TOL = 1e-12        # V, knee ties accepted once the reselection budget is spent
+_RESIDUAL_TOL = 1e-9     # A, largest nodal-current residual of an accepted step
+_CHUNK = 4096            # samples per batch of residuals
 
 
 def _stamp(mat: np.ndarray, a: int, b: int, g: float) -> None:
@@ -323,7 +332,9 @@ class _Compiled:
                 self.stamps.append({_CMP_HIGH: (t[2], 0, g, g * -k.v_out_high),
                                     _CMP_LOW: (t[2], 0, g, g * -k.v_out_low)})
 
+        # factorizations by segment set, after step 0 and at step 0 (pinned)
         self.lu_cache: dict[tuple[int, ...], tuple] = {}
+        self.pin_cache: dict[tuple[int, ...], tuple] = {}
         # (segments, matrix) of every system solved, indexed by set id
         self.sets: list[tuple[tuple[int, ...], np.ndarray]] = []
 
@@ -344,34 +355,26 @@ class _Compiled:
     def solve(self, segments: tuple[int, ...], zl: list[float], pinned: bool):
         """Solution, RHS and set id for a segment set and the extended
         source/history RHS `zl`; `pinned` selects the step-0 system."""
-        if pinned:
-            mat, z_dyn = self.assemble(self.g_pin_ext, segments)
-            z = np.add(zl, z_dyn)[1:]
-            try:
-                x = np.linalg.solve(mat, z)
-            except np.linalg.LinAlgError:
-                self.raise_singular(mat)
-            self.sets.append((segments, mat))
-            return x, z, len(self.sets) - 1
-        lu, piv, z_dyn, sid = self.lu_cache.get(segments) or self.factorized(segments)
+        cache = self.pin_cache if pinned else self.lu_cache
+        lu, piv, z_dyn, sid = cache.get(segments) or self.factorized(segments, pinned)
         z = np.add(zl, z_dyn)[1:]
         return dgetrs(lu, piv, z)[0], z, sid
 
-    def factorized(self, segments: tuple[int, ...]):
-        """(lu, piv, extended dynamic RHS, set id) for a segment set, cached."""
-        mat, z = self.assemble(self.g_ext, segments)
-        try:
-            lu, piv = lu_factor(mat)
-        except Exception:
-            self.raise_singular(mat)
-        if not np.all(np.isfinite(lu)):
-            self.raise_singular(mat)
+    def factorized(self, segments: tuple[int, ...], pinned: bool):
+        """(lu, piv, extended dynamic RHS, set id) for a segment set, cached.
+
+        A system is singular if a pivot is zero or not finite, or, after
+        step 0, if the pivots span more than 14 decades.  The step-0 system
+        skips that last test: its capacitor rows are _PIN times stiffer, so
+        its pivots span more decades on circuits that are well posed."""
+        mat, z = self.assemble(self.g_pin_ext if pinned else self.g_ext, segments)
+        lu, piv, info = dgetrf(mat)
         diag = np.abs(lu.diagonal())
-        if diag.min() <= diag.max() * 1e-14:
+        if info or not np.all(np.isfinite(lu)) or (not pinned and diag.min() <= diag.max() * 1e-14):
             self.raise_singular(mat)
         entry = (lu, piv, z, len(self.sets))
         self.sets.append((segments, mat))
-        self.lu_cache[segments] = entry
+        (self.pin_cache if pinned else self.lu_cache)[segments] = entry
         return entry
 
     def raise_singular(self, mat: np.ndarray):
@@ -381,21 +384,25 @@ class _Compiled:
             raise SingularSystemError(self.net.node_names[bad + 1])
         raise SingularSystemError(self.source_names[bad - self.nv])
 
-    def residuals(self, sol: np.ndarray, rhs: np.ndarray, set_id: np.ndarray, solved: int) -> np.ndarray:
-        """max |mat @ x - z| over the node rows of each of the first `solved`
-        samples, one batched product per segment set."""
-        res = np.zeros(solved)
-        if not self.nv:
-            return res
-        for lo in range(0, solved, _CHUNK):  # bounds the temporaries of a long run
-            ids = set_id[lo:min(lo + _CHUNK, solved)]
+    def residual_gate(self, sol: np.ndarray, rhs: np.ndarray, set_id: np.ndarray, lo: int, hi: int) -> float:
+        """The largest max |mat @ x - z| over the node rows of samples lo..hi-1
+        (at most _CHUNK of them), one batched product per segment set, or
+        SimulationError naming the first sample whose residual is above
+        _RESIDUAL_TOL or not a number."""
+        res = np.zeros(hi - lo)
+        if self.nv:
+            ids = set_id[lo:hi]
             for sid in np.unique(ids):
-                rows = lo + np.flatnonzero(ids == sid)
+                rows = np.flatnonzero(ids == sid)
                 mat = self.sets[sid][1]
-                x = sol[rows, 1:]
+                x = sol[lo + rows, 1:]
                 r = np.matmul(np.broadcast_to(mat, (len(rows), *mat.shape)), x[:, :, None])[:, :self.nv, 0]
-                res[rows] = np.max(np.abs(r - rhs[rows, :self.nv]), axis=1)
-        return res
+                res[rows] = np.max(np.abs(r - rhs[lo + rows, :self.nv]), axis=1)
+        bad = np.flatnonzero(~(res <= _RESIDUAL_TOL))
+        if bad.size:
+            k = int(bad[0])
+            raise SimulationError(f"nodal residual {float(res[k]):.3g} A exceeds {_RESIDUAL_TOL:g} A at step {lo + k}")
+        return float(res.max(initial=0.0))
 
     def currents(self, sol: np.ndarray, set_id: np.ndarray, on_hist: np.ndarray) -> np.ndarray:
         """Current record of every sample: the segment-switched elements in
@@ -420,16 +427,6 @@ class _Compiled:
         return cur
 
 
-def _residual_gate(res: np.ndarray, residual_tol: float) -> float:
-    """The largest residual, or SimulationError naming the first sample
-    whose residual is above the tolerance or not a number."""
-    bad = np.flatnonzero(~(res <= residual_tol))
-    if bad.size:
-        step = int(bad[0])
-        raise SimulationError(f"nodal residual {float(res[step]):.3g} A exceeds {residual_tol:g} A at step {step}")
-    return float(res.max(initial=0.0))
-
-
 def _select(table, xe: list[float]) -> tuple[int, ...]:
     """Conduction segment of every segment-switched element at solution xe."""
     return tuple([_SEG_FWD if (v := xe[a] - xe[b]) > hi else _SEG_REV if v < lo else mid
@@ -449,9 +446,7 @@ def _knee_gap(table, segments: tuple[int, ...], desired: tuple[int, ...], xe: li
 
 def transient(net: Netlist, t_stop: float, dt: float, *,
               sources: Mapping[str, SourceSpec] | None = None,
-              ots_states: dict[str, OtsState] | None = None,
-              max_reselections: int = 8,
-              residual_tol: float = 1e-9) -> Trace:
+              ots_states: dict[str, OtsState] | None = None) -> Trace:
     """Integrate the netlist from its initial conditions to t_stop.
 
     Capacitors start at their declared initial voltages and OTS devices in
@@ -459,14 +454,14 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     the named voltage sources for this run.
 
     Raises NetlistError for an unknown source or OTS name, ConvergenceError if the
-    segment iteration does not settle (after `max_reselections`
+    segment iteration does not settle (after _MAX_RESELECTIONS
     re-selections, a second round accepts an element that rounding keeps
     flipping across a knee), SingularSystemError for defective topologies,
     and SimulationError if any accepted step violates (or cannot evaluate)
-    the nodal-current residual tolerance; that check runs after the loop,
-    and before any other error the loop raises is passed on.  With only
-    `Dc` drives the loop may stop at a fixed point; `Trace.solved_steps`
-    counts the samples it solved.
+    the nodal-current residual tolerance _RESIDUAL_TOL; that check runs on
+    each batch of _CHUNK solved samples, and before any other error the
+    loop raises is passed on.  With only `Dc` drives the loop may stop at a
+    fixed point; `Trace.solved_steps` counts the samples it solved.
     """
     if dt <= 0.0 or t_stop < dt:
         raise ValueError("require 0 < dt <= t_stop")
@@ -497,7 +492,9 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     xe = prev = [0.0] * (n + 1)
     segments = _select(select, xe)
     held, held_from = tuple(on), 0           # OTS phases recorded from sample held_from on
-    solved = 0
+    solved = checked = 0                     # samples solved, and residual-checked
+    gate_at = _CHUNK                         # solved count at which the next batch is checked
+    kcl_residual = 0.0
 
     # step 0 initializes node voltages consistently with the capacitor ICs by
     # pinning each capacitor branch with a stiff companion (g scaled 1e6 up).
@@ -516,11 +513,11 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
             # stable assignment; once the budget is spent, a second one accepts a
             # set whose own solution contradicts it by at most _KNEE_TOL.
             before = entering = segments
-            for attempt in range(2 * (max_reselections + 1)):
+            for attempt in range(2 * (_MAX_RESELECTIONS + 1)):
                 x, z, sid = solve(segments, zl, step == 0)
                 xe = [0.0, *x.tolist()]
                 desired = _select(select, xe)
-                if desired == segments or (attempt > max_reselections
+                if desired == segments or (attempt > _MAX_RESELECTIONS
                                            and _knee_gap(select, segments, desired, xe) <= _KNEE_TOL):
                     break
                 before, segments = segments, desired
@@ -532,6 +529,10 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
             rhs[step] = z
             set_id[step] = sid
             solved = step + 1
+            if solved == gate_at:
+                lo, checked = checked, solved
+                gate_at += _CHUNK
+                kcl_residual = max(kcl_residual, c.residual_gate(sol, rhs, set_id, lo, solved))
 
             # advance integrator history and device states using converged values
             vcap = [xe[a] - xe[b] for a, b in cap_terms]
@@ -563,10 +564,10 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                 break
             prev = xe
     except Exception:
-        _residual_gate(c.residuals(sol, rhs, set_id, solved), residual_tol)
+        c.residual_gate(sol, rhs, set_id, checked, solved)
         raise
 
-    kcl_residual = _residual_gate(c.residuals(sol, rhs, set_id, solved), residual_tol)
+    kcl_residual = max(kcl_residual, c.residual_gate(sol, rhs, set_id, checked, solved))
     del rhs  # not needed for the current record
     on_hist[held_from:] = held
 

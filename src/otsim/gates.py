@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .device import OtsParams, default_params
-from .engine import Trace, count_crossings, transient
+from .engine import Trace, burst_refractory, count_crossings, transient
 from .netlist import Netlist
 from .waveforms import Dc
 
@@ -333,7 +333,7 @@ def decode_output(tr: Trace, out: OutputSpec, enc: LogicEncoding) -> tuple[int, 
         return (1 if mean > out.threshold else 0, mean)
     x = v - v.mean()
     tt = t[mask]
-    refractory = max(4.0 * tr.dt, 2e-7)
+    refractory = burst_refractory(tr.dt)
     n = len(count_crossings(tt, x, out.threshold, refractory))
     n += len(count_crossings(tt, -x, out.threshold, refractory))
     return (1 if n >= 1 else 0, float(n))
@@ -401,9 +401,10 @@ def truth_table(kind: GateKind, enc: LogicEncoding | None = None,
                 n_jobs: int = 1, keep_traces: bool = False) -> TruthTable:
     """Exhaustive evaluation over all input combinations.
 
-    Rows are independent transients (state fully reset between rows), so
-    they may be computed in parallel; the row order of the result is fixed
-    regardless of scheduling.  With `keep_traces` each row keeps its trace."""
+    Rows are independent transients (state fully reset between rows), run
+    one after another in input order.  `n_jobs` has no effect until batched
+    lanes make it their cap (ROADMAP item 3).  With `keep_traces` each row
+    keeps its trace."""
     arity = gate_arity(kind)
     combos = [tuple((i >> (arity - 1 - k)) & 1 for k in range(arity)) for i in range(2 ** arity)]
 
@@ -411,11 +412,4 @@ def truth_table(kind: GateKind, enc: LogicEncoding | None = None,
         measured, detail, tr = evaluate(kind, bits, enc, p, dt=dt, with_detail=True)
         return TruthRow(bits, expected_bits(kind, bits), measured, detail, tr if keep_traces else None)
 
-    if n_jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            rows = list(pool.map(run, combos))
-    else:
-        rows = [run(c) for c in combos]
-    return TruthTable(kind, rows)
+    return TruthTable(kind, [run(bits) for bits in combos])

@@ -8,40 +8,39 @@ per clock period recovers the XOR of the two bit streams; capacitive feed-
 through from coincident pulse edges carries no device current and is
 therefore invisible to the counter.
 
-Long streams are simulated in independent segments with the circuit state
-reset at segment boundaries; boundaries fall between clock periods so no
-pixel pair ever straddles a reset.
+Long streams are simulated in independent segments, one after another,
+with the circuit state reset at segment boundaries; boundaries fall between
+clock periods so no pixel pair ever straddles a reset.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .device import OtsParams, default_params
-from .engine import Trace, count_crossings, transient
+from .engine import Trace, burst_refractory, count_crossings, transient
 from .gates import GateKind, LogicEncoding, build_gate
 from .imaging import BinaryImage, ShiftDirection, reference_edges, shift
 from .waveforms import Dc, require_finite
+
+_BURST_CURRENT = 3e-4  # A, switch current that marks a conduction burst, in streams and gradients
 
 
 @dataclass(frozen=True)
 class PulseTrain:
     """Return-to-zero pulse encoding of a bit sequence: one clock period per
-    bit, pulsing to v_high for `width` when the bit is 1."""
+    bit, pulsing from ground to v_high for `width` when the bit is 1."""
 
     bits: tuple[int, ...]
     width: float = 5e-6
     period: float = 10e-6
     v_high: float = 5.0
-    v_low: float = 0.0
 
     def __post_init__(self) -> None:
-        require_finite("PulseTrain", width=self.width, period=self.period,
-                       v_high=self.v_high, v_low=self.v_low)
+        require_finite("PulseTrain", width=self.width, period=self.period, v_high=self.v_high)
         if not (0.0 < self.width < self.period):
             raise ValueError("require 0 < width < period")
         if any(b not in (0, 1) for b in self.bits):
@@ -55,10 +54,10 @@ class PulseTrain:
     def __call__(self, t: float) -> float:
         k = int(t // self.period)
         if k < 0 or k >= len(self.bits):
-            return self.v_low
+            return 0.0
         if self.bits[k] and (t - k * self.period) < self.width:
             return self.v_high
-        return self.v_low
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -81,14 +80,15 @@ class LinearFit:
 
 @dataclass(frozen=True)
 class StreamSettings:
-    """Knobs of the circuit stream decoder."""
+    """Knobs of the circuit stream decoder.  Segments run one after
+    another; `n_jobs` has no effect until batched lanes make it their cap
+    (ROADMAP item 3)."""
 
     pulse_width: float = 5e-6
     clock_period: float = 10e-6
     dt: float = 50e-9
     count_threshold: int = 1       # spikes per clock period for an output 1
     segment_clocks: int = 256      # state reset between segments (<= 4096)
-    current_threshold: float = 3e-4  # conduction-burst detection level, A
     n_jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -106,8 +106,7 @@ def _xor_stream(spec_a, spec_b, p: OtsParams, t_stop: float, dt: float) -> Trace
 
 def _count_bursts_per_clock(times: np.ndarray, current: np.ndarray,
                             n_clocks: int, settings: StreamSettings) -> list[int]:
-    events = count_crossings(times, np.abs(current), settings.current_threshold,
-                             max(4.0 * settings.dt, 2e-7))
+    events = count_crossings(times, np.abs(current), _BURST_CURRENT, burst_refractory(settings.dt))
     counts = [0] * n_clocks
     for ts in events:
         k = int(ts // settings.clock_period)
@@ -145,15 +144,9 @@ def xor_stream_circuit(bits_a, bits_b, enc: LogicEncoding | None = None,
     settings = settings or StreamSettings()
 
     seg = settings.segment_clocks
-    chunks = [(bits_a[i : i + seg], bits_b[i : i + seg]) for i in range(0, len(bits_a), seg)]
-    if settings.n_jobs > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=settings.n_jobs) as pool:
-            parts = list(pool.map(lambda ab: _run_segment(ab[0], ab[1], enc, p, settings), chunks))
-    else:
-        parts = [_run_segment(a, b, enc, p, settings) for a, b in chunks]
     out: list[int] = []
-    for part in parts:
-        out.extend(part)
+    for i in range(0, len(bits_a), seg):
+        out.extend(_run_segment(bits_a[i : i + seg], bits_b[i : i + seg], enc, p, settings))
     return out
 
 
@@ -203,24 +196,23 @@ def verify_against_oracle(img: BinaryImage, enc: LogicEncoding | None = None,
 def gradient_rate(c_a: float, c_b: float, window: float = 1e-3,
                   p: OtsParams | None = None,
                   enc: LogicEncoding | None = None, *,
-                  dt: float = 50e-9,
-                  settle: float = 50e-6,
-                  current_threshold: float = 3e-4) -> GradientSample:
+                  dt: float = 50e-9) -> GradientSample:
     """Firing rate of the XOR circuit when the two pixels are applied as
     sustained analog levels v_high*(c/255); the rate encodes the contrast
-    difference."""
+    difference.  Bursts are counted from `enc.settle` to the end of the
+    window."""
     for c in (c_a, c_b):
         if not (0 <= c <= 255):
             raise ValueError(f"contrast {c} outside [0, 255]")
-    if window <= settle:
-        raise ValueError("window must exceed the settle interval")
     enc = enc or LogicEncoding()
+    if window <= enc.settle:
+        raise ValueError("window must exceed the settle interval")
     p = p or default_params()
     tr = _xor_stream(Dc(enc.v_high * c_a / 255.0), Dc(enc.v_high * c_b / 255.0), p, window, dt)
-    mask = tr.times >= settle
+    mask = tr.times >= enc.settle
     events = count_crossings(tr.times[mask], np.abs(tr.currents["OTS1"][mask]),
-                             current_threshold, max(4.0 * dt, 2e-7))
-    rate = len(events) / (window - settle)
+                             _BURST_CURRENT, burst_refractory(dt))
+    rate = len(events) / (window - enc.settle)
     return GradientSample(abs(c_a - c_b), rate)
 
 

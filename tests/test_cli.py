@@ -73,8 +73,9 @@ class TestGateCmd:
         assert main(["gate", "--kind", "and", "--waveforms", str(wf), "--json", str(tmp_path / "t.json")]) == EXIT_OK
         assert len(calls) == 4
         rows = np.loadtxt(wf, delimiter=",", skiprows=1)
-        assert len(rows) == 4 * 2001
-        assert np.all(np.diff(rows[:, 0]) >= 0)  # rows offset by the evaluation period
+        # rows offset by the evaluation period; each row boundary time written once
+        assert len(rows) == 4 * 2001 - 3
+        assert np.all(np.diff(rows[:, 0]) > 0)
 
     def test_unknown_kind(self, capsys):
         assert main(["gate", "--kind", "xnor"]) == EXIT_USAGE
@@ -175,9 +176,16 @@ class TestConfigPlumbing:
         assert merged.segment_clocks == 32   # file survives
 
     def test_removed_key_rejected_by_set(self, capsys):
-        rc = main(["gate", "--kind", "xor", "--set", "max_newton=8"])
-        assert rc == EXIT_USAGE
-        assert "max_newton" in capsys.readouterr().err
+        for key in ("max_newton", "n_jobs"):
+            rc = main(["gate", "--kind", "xor", "--set", f"{key}=8"])
+            assert rc == EXIT_USAGE
+            assert key in capsys.readouterr().err
+
+    def test_removed_jobs_flag_rejected(self, uniform_pgm, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["edge", "--in", uniform_pgm, "--out", str(tmp_path / "o.pgm"), "--jobs", "2"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--jobs" in capsys.readouterr().err
 
     def test_unparseable_set_item_named(self, capsys):
         for item in ("#v_high=3", "v_high", "otsu=maybe", "segment_clocks=1.5", "v_high=5x"):

@@ -1,9 +1,11 @@
 """Transient-engine validation: analytic circuits, element laws, errors."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning
 
 from otsim import (
     ConvergenceError,
@@ -209,6 +211,42 @@ class TestValidation:
             net.add_resistor("R1", "a", "0", 2.0)
 
 
+class TestStepZeroSolve:
+    """The step-0 system pins every capacitor with a companion 1e6 times
+    stiffer than the later steps' one; it must still solve where its pivots
+    span many decades, and an exactly singular system must still raise."""
+
+    @staticmethod
+    def stiff_net(farads):
+        net = Netlist()
+        net.add_source("V1", "in", "0", Dc(1.0))
+        net.add_resistor("R1", "in", "a", 1e3)
+        net.add_capacitor("C1", "a", "0", farads)
+        net.add_ots("OTS1", "a", "x", default_params())
+        net.add_resistor("R2", "x", "0", 1e9)
+        return net
+
+    @pytest.mark.parametrize("farads, dt, v_end", [
+        (100e-9, 10e-9, "0x1.dc20196c85fb5p-10"),
+        (1e-6, 1e-9, "0x1.31097f996111bp-16"),
+    ])
+    def test_stiff_pinned_system_solves(self, farads, dt, v_end):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LinAlgWarning)
+            tr = transient(self.stiff_net(farads), 20 * dt, dt)
+        assert len(tr.times) == 21
+        assert tr.voltage("x")[-1].hex() == v_end
+
+    def test_parallel_sources_singular(self):
+        net = Netlist()
+        net.add_source("V1", "a", "0", Dc(1.0))
+        net.add_source("V2", "a", "0", Dc(2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LinAlgWarning)
+            with pytest.raises(SingularSystemError):
+                transient(net, 1e-6, 10e-9)
+
+
 class TestNonFiniteRejected:
     """Non-finite element and waveform values fail at construction, with an
     error naming the element or the offending field."""
@@ -260,6 +298,17 @@ class TestNonFiniteRejected:
 
         with pytest.raises(SimulationError, match=r"nodal residual nan A exceeds 1e-09 A at step 50$"):
             transient(net, 1e-6, 10e-9, sources={"VIN": late_nan})
+
+    def test_residual_failure_stops_within_one_batch(self):
+        calls = []
+
+        def late_nan(t):
+            calls.append(t)
+            return math.nan if t >= 0.5e-6 else 1.0
+
+        with pytest.raises(SimulationError, match=r"at step 50$"):
+            transient(rc_lowpass(), 1e-3, 10e-9, sources={"VIN": late_nan})
+        assert len(calls) <= 4096  # one residual batch; a run to t_stop takes 100,001
 
 
 class TestSourceOverride:

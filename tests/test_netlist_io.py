@@ -279,7 +279,7 @@ class TestRunConfig:
             parse_config("voltage = 5\n")
 
     def test_removed_solver_keys_rejected(self):
-        for key in ("max_newton = 8", "residual_tol = 1e-9"):
+        for key in ("max_newton = 8", "residual_tol = 1e-9", "n_jobs = 2"):
             with pytest.raises(ConfigError, match="unknown key"):
                 parse_config(key + "\n")
 
