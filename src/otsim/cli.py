@@ -103,6 +103,8 @@ def cmd_oscillate(args) -> int:
     result = run_oscillator(args.vin, args.duration, p=p, dt=cfg.dt_device)
     result.trace.to_csv(args.out)
     print(f"v_in={args.vin} V: {result.spikes.count} spikes, rate {result.rate:.4g} Hz; trace in {args.out}")
+    tr = result.trace
+    print(f"solved {tr.solved_steps} of {len(tr.times)} steps; period {tr.period or 'none'}")
     return EXIT_OK
 
 

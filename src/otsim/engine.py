@@ -32,10 +32,17 @@ loop: sources, resistors and capacitors from the solution, diodes, OTSs and
 comparators from the solution, the recorded segment sets and the OTS phase
 each sample was solved with.
 
-When every drive is a ``Dc``, a step that reproduces its predecessor bit
-for bit, with the same segments and unchanged OTS states, has the same
-inputs as the step after it, so the run is at a fixed point: the loop stops
-and the remaining samples are copies of the last one.
+When every drive is a ``Dc``, the state a step leaves fixes every later
+step: the bits of its solution (hence the capacitor voltages), the segment
+set the next step starts from and every OTS state (phase, pending
+transition and elapsed time).  Once a step leaves the state an earlier step
+j left, the run is periodic with period P = step - j: the loop stops and the
+remaining samples copy the last P solved ones.  A fixed point is the case
+P = 1, checked at every step against the previous one; longer periods are
+looked up at the steps where an OTS phase flips, among the states the last
+(at most _FLIP_STATES) earlier flip steps left.  Every copied sample
+repeats a solved one, so the residuals checked on the solved samples cover
+it.
 
 OTS phases are device *state*, not a solver segment: they advance once per
 accepted step from the converged device voltage.
@@ -60,19 +67,36 @@ class SimulationError(RuntimeError):
 
 
 class ConvergenceError(SimulationError):
-    """Segment selection failed to settle within the iteration budget."""
+    """Segment selection failed to settle within the iteration budget.
 
-    def __init__(self, step: int, t: float, element: str):
+    `cycle_length` is the number of segment sets the iteration cycled
+    through (None if no set repeated within the budget), `cycle_elements`
+    the elements whose segment changes within that cycle and `element` the
+    last one to flip."""
+
+    def __init__(self, step: int, t: float, element: str,
+                 cycle_length: int | None = None, cycle_elements: tuple[str, ...] = ()):
         self.step = step
         self.t = t
         self.element = element
-        super().__init__(f"no stable segment assignment at step {step} (t={t:.6g} s), last flip: {element}")
+        self.cycle_length = cycle_length
+        self.cycle_elements = cycle_elements
+        cycle = (f"a cycle of {cycle_length} segment sets switches {', '.join(cycle_elements)}"
+                 if cycle_length else "no segment set repeats")
+        super().__init__(f"no stable segment assignment at step {step} (t={t:.6g} s): {cycle}; "
+                         f"last flip: {element}")
 
 
 class SingularSystemError(SimulationError):
-    def __init__(self, node: str):
+    """`node` has no defined voltage, or, if `source` is set, that voltage
+    source on `node` (its first terminal) has no defined branch current."""
+
+    def __init__(self, node: str, source: str | None = None):
         self.node = node
-        super().__init__(f"singular system matrix; node {node!r} has no defined voltage")
+        self.source = source
+        what = (f"voltage source {source!r} on node {node!r} has no defined current "
+                "(it may close a loop of voltage sources)" if source else f"node {node!r} has no defined voltage")
+        super().__init__(f"singular system matrix; {what}")
 
 
 # Conduction segments, encoded as small ints for cheap cache keys.
@@ -104,7 +128,8 @@ class Trace:
     currents: dict[str, np.ndarray]        # element name -> (n_samples,), positive from n+ to n-
     ots_on: dict[str, np.ndarray]          # OTS name -> (n_samples,) bool, phase after the step
     kcl_residual: float                    # max |node current sum| over all accepted steps
-    solved_steps: int                      # samples the step loop solved; later ones repeat the last
+    solved_steps: int                      # samples the step loop solved; later ones repeat
+    period: int | None                     # later samples repeat the last `period` solved ones
 
     def node_index(self, node: str | int) -> int:
         if isinstance(node, int):
@@ -191,6 +216,7 @@ _MAX_RESELECTIONS = 8    # segment re-selections per step before knee ties are a
 _KNEE_TOL = 1e-12        # V, knee ties accepted once the reselection budget is spent
 _RESIDUAL_TOL = 1e-9     # A, largest nodal-current residual of an accepted step
 _CHUNK = 4096            # samples per batch of residuals
+_FLIP_STATES = 128       # flip-step states remembered; a period with more flips is not found
 
 
 def _stamp(mat: np.ndarray, a: int, b: int, g: float) -> None:
@@ -382,7 +408,8 @@ class _Compiled:
         bad = rows[0] if rows.size else int(np.argmin(np.abs(mat).sum(axis=1)))
         if bad < self.nv:
             raise SingularSystemError(self.net.node_names[bad + 1])
-        raise SingularSystemError(self.source_names[bad - self.nv])
+        source = self.source_names[bad - self.nv]
+        raise SingularSystemError(self.net.node_names[self.net.element(source).terminals[0]], source)
 
     def residual_gate(self, sol: np.ndarray, rhs: np.ndarray, set_id: np.ndarray, lo: int, hi: int) -> float:
         """The largest max |mat @ x - z| over the node rows of samples lo..hi-1
@@ -444,6 +471,33 @@ def _knee_gap(table, segments: tuple[int, ...], desired: tuple[int, ...], xe: li
     return gap
 
 
+def _cycle_error(c: _Compiled, select, entering: tuple[int, ...], zl: list[float],
+                 step: int, t: float) -> ConvergenceError:
+    """The error for a step whose segment iteration did not settle: replays
+    the iteration from the set it entered with and names the cycle of sets
+    it ends in."""
+    seq = [entering]
+    for _ in range(2 * (_MAX_RESELECTIONS + 1)):
+        x = c.solve(seq[-1], zl, step == 0)[0]
+        seq.append(_select(select, [0.0, *x.tolist()]))
+    flips = [name for name, a, b in zip(c.dyn_names, seq[-2], seq[-1]) if a != b]
+    last = flips[-1] if flips else ""
+    if seq[-1] not in seq[:-1]:
+        return ConvergenceError(step, t, last)
+    cycle = seq[len(seq) - 2 - seq[-2::-1].index(seq[-1]):-1]
+    changing = tuple(name for col, name in enumerate(c.dyn_names) if len({s[col] for s in cycle}) > 1)
+    return ConvergenceError(step, t, last, len(cycle), changing)
+
+
+def _repeat(a: np.ndarray, start: int, stop: int) -> None:
+    """Fill a[stop:] by repeating rows start..stop-1 in order."""
+    i = stop
+    while i < len(a):
+        m = min(i - start, len(a) - i)
+        a[i:i + m] = a[start:start + m]
+        i += m
+
+
 def transient(net: Netlist, t_stop: float, dt: float, *,
               sources: Mapping[str, SourceSpec] | None = None,
               ots_states: dict[str, OtsState] | None = None) -> Trace:
@@ -456,12 +510,15 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     Raises NetlistError for an unknown source or OTS name, ConvergenceError if the
     segment iteration does not settle (after _MAX_RESELECTIONS
     re-selections, a second round accepts an element that rounding keeps
-    flipping across a knee), SingularSystemError for defective topologies,
+    flipping across a knee; the error names the cycle of segment sets the
+    iteration ends in), SingularSystemError for defective topologies,
     and SimulationError if any accepted step violates (or cannot evaluate)
     the nodal-current residual tolerance _RESIDUAL_TOL; that check runs on
     each batch of _CHUNK solved samples, and before any other error the
-    loop raises is passed on.  With only `Dc` drives the loop may stop at a
-    fixed point; `Trace.solved_steps` counts the samples it solved.
+    loop raises is passed on.  With only `Dc` drives the loop stops once a
+    step leaves the state an earlier one left, and the rest of the run
+    repeats that period; `Trace.solved_steps` counts the samples the loop
+    solved and `Trace.period` is the period (None if it solved them all).
     """
     if dt <= 0.0 or t_stop < dt:
         raise ValueError("require 0 < dt <= t_stop")
@@ -489,12 +546,15 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
             select[pos] = on_entry
     solve = c.solve
     vcap = list(c.cap_ic)
-    xe = prev = [0.0] * (n + 1)
+    xe = [0.0] * (n + 1)
+    prev = None                              # xe of the previous step
     segments = _select(select, xe)
     held, held_from = tuple(on), 0           # OTS phases recorded from sample held_from on
     solved = checked = 0                     # samples solved, and residual-checked
     gate_at = _CHUNK                         # solved count at which the next batch is checked
     kcl_residual = 0.0
+    seen: dict[tuple, int] = {}              # state left by each OTS flip step -> that step
+    period = None
 
     # step 0 initializes node voltages consistently with the capacitor ICs by
     # pinning each capacitor branch with a stiff companion (g scaled 1e6 up).
@@ -512,7 +572,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
             # A segment set that rounding keeps flipping across a knee has no
             # stable assignment; once the budget is spent, a second one accepts a
             # set whose own solution contradicts it by at most _KNEE_TOL.
-            before = entering = segments
+            entering = segments
             for attempt in range(2 * (_MAX_RESELECTIONS + 1)):
                 x, z, sid = solve(segments, zl, step == 0)
                 xe = [0.0, *x.tolist()]
@@ -520,10 +580,9 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                 if desired == segments or (attempt > _MAX_RESELECTIONS
                                            and _knee_gap(select, segments, desired, xe) <= _KNEE_TOL):
                     break
-                before, segments = segments, desired
+                segments = desired
             else:
-                flips = [name for name, a, b in zip(c.dyn_names, before, segments) if a != b]
-                raise ConvergenceError(step, t, flips[-1] if flips else "")
+                raise _cycle_error(c, select, entering, zl, step, t)
 
             sol[step, 1:] = x
             rhs[step] = z
@@ -537,8 +596,8 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
             # advance integrator history and device states using converged values
             vcap = [xe[a] - xe[b] for a, b in cap_terms]
             unchanged = True
+            flipped = False
             if step and ots:  # step 0 only establishes the initial operating point
-                flipped = False
                 for slot, (a, b, p, pos, off_entry, on_entry) in enumerate(ots):
                     st = ots_step(p, states[slot], xe[a] - xe[b], dt)
                     if st is not states[slot]:
@@ -553,23 +612,39 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                     on_hist[held_from:step] = held
                     held, held_from = tuple(on), step
 
-            # Constant drives, and the next step would start from exactly the
-            # capacitor voltages, segments and OTS states this one started
-            # from (an OTS state counts as unchanged only if ots_step returned
-            # the very object it was given).
-            if (constant and unchanged and step >= 2 and segments == entering and xe == prev
-                    and sol[step].tobytes() == sol[step - 1].tobytes()):
-                sol[step + 1:] = sol[step]
-                set_id[step + 1:] = sid
-                break
-            prev = xe
+            # With constant drives, the state a step leaves (solution bits,
+            # the segments the next step starts from, OTS states by value)
+            # fixes every later step.  If an earlier step j left the same
+            # state, the run repeats from there with period step - j.  The
+            # state is compared with step - 1's at every step (OTS states
+            # count as unchanged only if ots_step returned the very objects
+            # it was given), and at a flip looked up among the states earlier
+            # flip steps left, keyed without the segments, which a flip
+            # selects from the solution and the OTS phases.
+            if constant:
+                j = step
+                if (unchanged and segments == entering and xe == prev
+                        and sol[step].tobytes() == sol[step - 1].tobytes()):
+                    j = step - 1
+                elif flipped:
+                    if len(seen) == _FLIP_STATES:  # bounds the memory of a run that never recurs
+                        seen.clear()
+                    j = seen.setdefault((sol[step].tobytes(), tuple(states)), step)
+                if j < step:
+                    period = step - j
+                    break
+                prev = xe
     except Exception:
         c.residual_gate(sol, rhs, set_id, checked, solved)
         raise
 
     kcl_residual = max(kcl_residual, c.residual_gate(sol, rhs, set_id, checked, solved))
     del rhs  # not needed for the current record
-    on_hist[held_from:] = held
+    on_hist[held_from:solved] = held
+    if period:
+        # later samples repeat the last `period` solved ones
+        for a in (sol, set_id, on_hist):
+            _repeat(a, solved - period, solved)
 
     record = (sol, c.currents(sol, set_id, on_hist))
     return Trace(
@@ -581,6 +656,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
         ots_on={name: on_hist[:, slot] for slot, name in enumerate(c.ots_names)},
         kcl_residual=kcl_residual,
         solved_steps=solved,
+        period=period,
     )
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: subcommand behavior and exit-code contract."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,20 @@ class TestIvOscillate:
         rc = main(["oscillate", "--vin", "4.0", "--duration", "100u", "--out", str(out)])
         assert rc == EXIT_OK
         assert "spikes" in capsys.readouterr().out
+
+    def test_oscillate_reports_solved_steps_and_period(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        rc = main(["oscillate", "--vin", "4.0", "--duration", "100u", "--out", str(out)])
+        assert rc == EXIT_OK
+        m = re.search(r"^solved (\d+) of 10001 steps; period (\d+)$", capsys.readouterr().out, re.M)
+        assert m and int(m[2]) < int(m[1]) < 10001
+        # the copied samples are in the written trace
+        assert len(np.loadtxt(str(out), delimiter=",", skiprows=1)) == 10001
+
+    def test_oscillate_reports_no_period(self, tmp_path, capsys):
+        rc = main(["oscillate", "--vin", "4.3", "--duration", "40u", "--out", str(tmp_path / "t.csv")])
+        assert rc == EXIT_OK
+        assert "solved 4001 of 4001 steps; period none" in capsys.readouterr().out
 
 
 class TestConfigPlumbing:

@@ -169,6 +169,19 @@ class TestNonlinearElements:
         assert err.value.step >= 0
         assert "CMP1" in str(err.value)
 
+    def test_convergence_error_names_the_segment_cycle(self):
+        # high output lifts `in` above ref, which drives the output low,
+        # which drops `in` below ref: a cycle of two segment sets
+        net = Netlist()
+        net.add_source("VREF", "ref", "0", Dc(2.5))
+        net.add_comparator("CMP1", "ref", "in", "out")
+        net.add_resistor("RF", "out", "in", 1e3)
+        net.add_resistor("RG", "in", "0", 1e4)
+        with pytest.raises(ConvergenceError, match=r"at step 0 .*a cycle of 2 segment sets switches CMP1; "
+                                                   r"last flip: CMP1") as err:
+            transient(net, 1e-6, 10e-9)
+        assert (err.value.cycle_length, err.value.cycle_elements, err.value.element) == (2, ("CMP1",), "CMP1")
+
     def test_ots_leak_path(self):
         p = default_params()
         net = Netlist()
@@ -245,6 +258,14 @@ class TestStepZeroSolve:
             warnings.simplefilter("error", LinAlgWarning)
             with pytest.raises(SingularSystemError):
                 transient(net, 1e-6, 10e-9)
+
+    def test_source_loop_names_the_source_and_its_node(self):
+        net = Netlist()
+        net.add_source("V1", "a", "0", Dc(1.0))
+        net.add_source("V2", "a", "0", Dc(2.0))
+        with pytest.raises(SingularSystemError, match=r"voltage source 'V1' on node 'a' has no defined current") as err:
+            transient(net, 1e-6, 10e-9)
+        assert (err.value.source, err.value.node) == ("V1", "a")
 
 
 class TestNonFiniteRejected:

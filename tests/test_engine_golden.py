@@ -1,8 +1,9 @@
 """Golden-trace equivalence and KCL properties of the transient engine.
 
-The digests pin the exact bits of four reference runs: the oscillator
-rig, the XOR gate, the full adder and a half-adder row whose DC inputs
-settle into a constant tail.  A change to the engine that moves a
+The digests pin the exact bits of the reference runs: the oscillator
+rig, the XOR gate, the full adder, a half-adder row whose DC inputs
+settle into a constant tail, and three runs that settle into a bitwise
+periodic orbit long before they end.  A change to the engine that moves a
 single sample of a voltage, a current, an OTS phase or the residual fails
 here.  The property test builds random RC/diode ladders and checks
 Kirchhoff's current law over the *recorded* element currents, which are
@@ -13,7 +14,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from otsim import Dc, Netlist, PiecewiseLinear, Pulse, default_params, gates, rig, transient
@@ -37,6 +38,13 @@ def field_digests(tr) -> dict:
         "ots_on": _digest(tr.ots_on.items()),
         "kcl_residual": float(tr.kcl_residual).hex(),
     }
+
+
+def gradient_xor():
+    """The XOR netlist and the sustained levels `gradient_rate` applies to
+    it at a contrast difference of 255 (pixel a at v_high, pixel b at 0)."""
+    enc = LogicEncoding()
+    return gates.build_gate(GateKind.XOR).net, {"S_S1": Dc(enc.v_high * 255 / 255.0), "S_S2": Dc(0.0)}
 
 
 GOLDEN = {
@@ -75,6 +83,35 @@ GOLDEN = {
             "currents": "7ed21b65bc864b5cdbc49f649bd23403aecdeeb751f7a678eb0db958f64f2c57",
             "ots_on": "7267f96b8b449443bf755e73da135a53a7e9b0470bafaf80b8c0af1a3eca207f",
             "kcl_residual": "0x1.6000000000000p-55",
+        },
+    ),
+    # periodic from step 6,315 with a period of 870 steps
+    "oscillator_4v3_300us": (
+        lambda: rig.run_oscillator(4.3, 300e-6).trace,
+        {
+            "voltages": "c73780e7ef51008f29f12427a5312f4b887b927015a747864b6b053c62191597",
+            "currents": "c47ce59c7819fcec4f26d2d698f4c2cf58eb8f37298fbfbfd419e6dd4cd1097e",
+            "ots_on": "24614351e3228a0bc6c11149fa9f7cd77021671bf38227999c4c36bdbc8bb26e",
+            "kcl_residual": "0x1.0000000000000p-54",
+        },
+    ),
+    "gradient_xor_dc255_1ms": (
+        lambda: transient(gradient_xor()[0], 1e-3, 50e-9, sources=gradient_xor()[1]),
+        {
+            "voltages": "f6efe6649cc4ad5adac5623dc9f5c37fd3014b3072df3ce8d2402c35f0582e6f",
+            "currents": "615fc8670699726dfac3eb58430bfa418e57c8d151348fef7d8e65456ea0ee7e",
+            "ots_on": "4b268e68726fb606486ceec83e0b5653039f654d9972e898f26b5b325d0009a3",
+            "kcl_residual": "0x1.8000000000000p-56",
+        },
+    ),
+    # periodic with a period of 13 steps
+    "nand_row_00": (
+        lambda: gates.evaluate(GateKind.NAND, (0, 0), with_detail=True)[2],
+        {
+            "voltages": "03bc612fd41a1229eb3d3ba6c9a199be1a5b19ee28f15c549aab6b915f50c97f",
+            "currents": "626042f26c4254b81e08a3ca4a44156a18bf236c9ec052bd7fd2ba413fcfdcdd",
+            "ots_on": "6a8113dca9bb073e3c0ddec72ebef1b76f1c2545d7c79a3778ca371aa0ab429b",
+            "kcl_residual": "0x1.0000000000000p-51",
         },
     ),
 }
@@ -120,6 +157,107 @@ class TestFixedPointTail:
     def test_oscillator_solves_every_step(self):
         tr = rig.run_oscillator(4.3, 40e-6).trace
         assert tr.solved_steps == len(tr.times)
+
+
+class TestPeriodicTail:
+    """A Dc-driven run that reaches a state an earlier step left stops
+    there and repeats its last period; the same drives as constant PWL
+    sources step to the end and must give the same bits."""
+
+    @pytest.mark.parametrize("case", [
+        lambda: (rig.measurement_netlist(4.3), {}, 300e-6, 10e-9),
+        lambda: (*gradient_xor(), 1e-3, 50e-9),
+        lambda: (gates.build_gate(GateKind.NAND, bits=(0, 0)).net, {}, 100e-6, 50e-9),
+    ], ids=["oscillator_4v3_300us", "gradient_xor_dc255_1ms", "nand_row_00"])
+    def test_tail_is_the_run_it_replaces(self, case):
+        net, sources, t_stop, dt = case()
+        tail = transient(net, t_stop, dt, sources=sources)
+        twin = constant_pwl_sources(net) | {name: PiecewiseLinear(((0.0, spec.value),))
+                                            for name, spec in sources.items()}
+        full = transient(net, t_stop, dt, sources=twin)
+        assert tail.period > 1
+        assert tail.solved_steps < len(tail.times)
+        assert full.solved_steps == len(full.times) and full.period is None
+        assert field_digests(tail) == field_digests(full)
+
+    def test_pending_turn_on_is_not_a_recurrence(self):
+        # the voltages repeat bit for bit for hundreds of steps while the
+        # turn-on delay's elapsed time grows; the run recurs a cycle later
+        tr = transient(pending_turn_on_oscillator(), 40e-6, 10e-9)
+        v = tr.voltage("top")
+        assert np.count_nonzero(v[1:1000] == v[:999]) > 300
+        assert tr.period > 1000
+
+    def test_pending_switch_is_part_of_the_state(self):
+        # OTSA, with no capacitor, toggles every 5 steps from the start.
+        # OTSB charges CB to a constant voltage within 2 us and waits out a
+        # 2 us turn-on delay there, while OTSA's flip steps leave identical
+        # solution rows: only OTSB's elapsed time tells them apart.
+        net = Netlist()
+        net.add_source("VIN", "in", "0", Dc(5.0))
+        net.add_resistor("RA", "in", "a", 10e3)
+        net.add_ots("OTSA", "a", "0", default_params())
+        net.add_resistor("RB", "in", "top", 9.1e3)
+        net.add_capacitor("CB", "top", "0", 5e-12)
+        net.add_ots("OTSB", "top", "mid", default_params(tau_on=2e-6))
+        net.add_resistor("RS", "mid", "0", 100.0)
+        tr = transient(net, 40e-6, 10e-9)
+        assert tr.period == 210 and tr.ots_on["OTSB"].any()
+        assert field_digests(tr) == field_digests(transient(net, 40e-6, 10e-9, sources=constant_pwl_sources(net)))
+
+    def test_fixed_point_is_period_one(self):
+        tr = gates.evaluate(GateKind.HALF_ADDER, (1, 1), with_detail=True)[2]
+        assert (tr.period, tr.solved_steps) == (1, 735)
+
+
+@st.composite
+def relaxation_oscillators(draw):
+    """The measurement rig with random parts: a Dc bias above v_th through a
+    bias resistor onto a capacitor in parallel with an OTS, and a series
+    resistor to ground.  The bias resistor mostly keeps the on-state
+    current below i_hold, so that the switch turns off again.  Some
+    switches have a turn-on delay long enough for the capacitor to charge
+    to a constant voltage while it runs."""
+    v_th = draw(st.floats(1.5, 4.0))
+    v_hold = draw(st.floats(0.2, 0.8)) * v_th
+    i_hold = draw(st.floats(5e-4, 2e-3))
+    p = default_params(v_th=v_th, v_hold=v_hold, r_on=draw(st.floats(20.0, 500.0)),
+                       g_off=draw(st.floats(0.0, 1e-7)), i_hold=i_hold,
+                       tau_on=draw(st.one_of(st.floats(0.0, 200e-9), st.floats(1e-6, 3e-6))),
+                       tau_off=draw(st.floats(0.0, 200e-9)))
+    v_in = draw(st.floats(1.1, 2.0)) * v_th
+    net = Netlist()
+    net.add_source("VIN", "in", "0", Dc(v_in))
+    net.add_resistor("RD", "in", "top", draw(st.floats(0.7, 3.0)) * (v_in - v_hold) / i_hold)
+    net.add_capacitor("CP", "top", "0", draw(st.floats(20e-12, 200e-12)))
+    net.add_ots("OTS1", "top", "mid", p)
+    net.add_resistor("RS", "mid", "0", draw(st.floats(10.0, 200.0)))
+    return net
+
+
+def pending_turn_on_oscillator() -> Netlist:
+    # charges to a constant voltage above v_th in about 7 us and waits out a
+    # 10 us turn-on delay there, in every cycle
+    net = Netlist()
+    net.add_source("VIN", "in", "0", Dc(5.0))
+    net.add_resistor("RD", "in", "top", 9.1e3)
+    net.add_capacitor("CP", "top", "0", 20e-12)
+    net.add_ots("OTS1", "top", "mid", default_params(tau_on=10e-6))
+    net.add_resistor("RS", "mid", "0", 100.0)
+    return net
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(relaxation_oscillators())
+@example(pending_turn_on_oscillator())
+def test_random_oscillators_equal_their_stepped_twins(net):
+    tr = transient(net, 40e-6, 10e-9)
+    full = transient(net, 40e-6, 10e-9, sources=constant_pwl_sources(net))
+    assert full.period is None
+    assert field_digests(tr) == field_digests(full)
+    if tr.period:
+        assert tr.solved_steps > tr.period
+        assert np.array_equal(tr.voltages[-1], tr.voltages[-1 - tr.period])
 
 
 def scalar_switched_currents(net: Netlist, tr) -> dict:
