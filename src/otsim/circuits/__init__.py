@@ -3,7 +3,8 @@
 The templates in ``otsim.gates`` are the source of truth; this module
 renders them to the netlist text format with a short derivation note each,
 writes them to a directory on request, and locates the copies shipped with
-the package.
+the package.  The text format is exact, so a shipped file parses to the
+builder's elements bit for bit and simulates to the builder's trace.
 """
 
 from __future__ import annotations

@@ -53,10 +53,8 @@ def _build_config(args) -> RunConfig:
             cfg = load_config(args.config)
         except OSError as exc:
             raise CliError(f"cannot read config: {exc}") from None
-    for item in getattr(args, "set", None) or []:
-        key, value = parse_setting(item, f"--set {item!r}")
-        cfg = replace(cfg, **{key: value})
-    return cfg
+    items = getattr(args, "set", None) or []
+    return replace(cfg, **dict(parse_setting(item, f"--set {item!r}") for item in items))
 
 
 # ---------------------------------------------------------------------------

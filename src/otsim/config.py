@@ -4,6 +4,7 @@ knobs, and the scaling exponent.  Unknown keys are rejected."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .device import OtsParams, default_params
@@ -38,12 +39,29 @@ class RunConfig:
     # energy scaling
     exponent: float = 1.6
 
+    def __post_init__(self) -> None:
+        """Build what the settings derive, so that a bad value fails here
+        with a ConfigError naming its key."""
+        for keys, derive in (
+            (_OTS_KEYS, self.device_params),
+            (("v_high", "bit_width", "settle"), self.encoding),
+            (("count_threshold", "segment_clocks"), self.stream_settings),
+            (("dt_device", "dt_logic", "gradient_window", "settle"), self._check_times),
+        ):
+            try:
+                derive()
+            except ValueError as exc:
+                named = [k for k in keys if getattr(self, k) != _DEFAULTS[k]]
+                raise ConfigError(", ".join(f"{k} = {getattr(self, k)!r}" for k in named) + f": {exc}") from None
+
+    def _check_times(self) -> None:
+        if not (0.0 < self.dt_device < math.inf and 0.0 < self.dt_logic < math.inf):
+            raise ValueError("time steps must be positive and finite")
+        if self.gradient_window <= self.settle:
+            raise ValueError("gradient_window must exceed settle")
+
     def device_params(self) -> OtsParams:
-        overrides = {
-            f.name: getattr(self, f.name)
-            for f in fields(OtsParams)
-            if getattr(self, f.name, None) is not None
-        }
+        overrides = {k: getattr(self, k) for k in _OTS_KEYS if getattr(self, k) is not None}
         return replace(default_params(), **overrides) if overrides else default_params()
 
     def encoding(self) -> LogicEncoding:
@@ -63,6 +81,10 @@ class RunConfig:
 
 class ConfigError(ValueError):
     pass
+
+
+_OTS_KEYS = tuple(f.name for f in fields(OtsParams))
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 def load_config(path: str) -> RunConfig:
@@ -99,4 +121,7 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
         if line:
             key, value = parse_setting(line, f"{origin}:{line_no}")
             values[key] = value
-    return RunConfig(**values)
+    try:
+        return RunConfig(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{origin}: {exc}") from None

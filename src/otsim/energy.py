@@ -21,7 +21,7 @@ class EnergyRow:
     energy_per_op: float  # joules
     op_count: int
     method: str           # "XOR" or "Sobel3x3"
-    source: str           # "PaperTable" | "Simulated" | "Scaled"
+    source: str           # "PaperTable" | "Scaled"
 
     @property
     def total(self) -> float:
@@ -132,26 +132,15 @@ def sobel_op_count(width: int, height: int) -> int:
 
 def table1_report(width: int, height: int, *,
                   node: float | None = None,
-                  exponent: float = 1.6,
-                  simulated_energy: float | None = None) -> EnergyReport:
+                  exponent: float = 1.6) -> EnergyReport:
     """The published energy comparison for a width x height image, plus an
-    optional scaled projection row and an optional simulated-per-spike row.
-    """
+    optional scaled projection row."""
     n_sobel = sobel_op_count(width, height)
     n_xor = xor_op_count(width, height)
     rows = [EnergyRow(lbl, e, n_sobel, m, "PaperTable") for lbl, e, m in PROCESSOR_TABLE]
     lbl, e, m = OTS_XOR_EXPERIMENTAL
     rows.append(EnergyRow(lbl, e, n_xor, m, "PaperTable"))
     report = EnergyReport(width, height, rows)
-
-    if simulated_energy is not None:
-        report.rows.append(
-            EnergyRow("OTS-XOR (behavioral simulation)", simulated_energy, n_xor, "XOR", "Simulated")
-        )
-        report.annotations.append(
-            "the simulated per-spike energy comes from an uncalibrated behavioral device "
-            "model; the experimental 467 pJ/spike is the published figure at d = 6 um"
-        )
 
     if node is not None:
         law = ScalingLaw(exponent=exponent)

@@ -3,6 +3,9 @@
 One element per line; `#` starts a comment.  Node names are arbitrary
 tokens, `0` is ground.  All numeric fields accept SI suffixes
 (f p n u m k M G, case-sensitive where it matters: m = milli, M = mega).
+Numbers are exact both ways: a field reads as the float nearest the
+decimal written (`50n` is `50e-9`), and the writer prints each float so it
+reads back bit for bit, so a netlist survives the text unchanged.
 
     R   <name> <n+> <n-> <ohms>
     C   <name> <n+> <n-> <farads> [ic=<volts>]
@@ -17,19 +20,20 @@ tokens, `0` is ground.  All numeric fields accept SI suffixes
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import replace
+from decimal import Decimal
 
 from .device import OtsParams, default_params
-from .netlist import Capacitor, Comparator, Diode, Netlist, NetlistError, Ots, Resistor, VoltageSource
+from .netlist import Capacitor, Comparator, Diode, Netlist, Ots, Resistor, VoltageSource
 from .waveforms import Dc, PiecewiseLinear, Pulse, Triangle
 
-_SI = {
-    "f": 1e-15, "p": 1e-12, "n": 1e-9, "u": 1e-6, "m": 1e-3,
-    "k": 1e3, "K": 1e3, "M": 1e6, "G": 1e9,
-}
+# Decimal exponent of each magnitude suffix
+_SI = {"f": -15, "p": -12, "n": -9, "u": -6, "m": -3, "": 0, "k": 3, "K": 3, "M": 6, "G": 9}
+_SUFFIX = {exp: suffix for suffix, exp in _SI.items() if suffix != "K"}  # the writer's choice
 
-_NUM_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)([fpnumkKMG]?)$")
+_NUM_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+))(?:[eE]([+-]?\d+))?([fpnumkKMG]?)$")
 
 # Option keywords of each element kind and the field each one sets (on
 # OtsParams for OTS); the reader accepts them and the writer emits them.
@@ -49,29 +53,28 @@ class NetlistParseError(ValueError):
 
 
 def parse_si(token: str) -> float:
-    """Parse a number with an optional SI magnitude suffix."""
+    """Parse a number with an optional SI magnitude suffix into the float
+    nearest its decimal value (`50n` is exactly `50e-9`)."""
     m = _NUM_RE.match(token.strip())
     if not m:
         raise ValueError(f"cannot parse quantity {token!r}")
-    value = float(m.group(1))
-    suffix = m.group(2)
-    return value * _SI[suffix] if suffix else value
+    mantissa, exp, suffix = m.groups()
+    value = float(f"{mantissa}e{int(exp or 0) + _SI[suffix]}")
+    if math.isinf(value):
+        raise ValueError(f"quantity {token!r} is out of range")
+    return value
 
 
 def format_si(value: float) -> str:
-    """Compact engineering rendering used by the netlist writer."""
-    value = float(f"{value:.6g}")  # pick the suffix for the value as written
+    """Shortest text, with an SI suffix from f to G, that `parse_si` reads
+    back as exactly `value`; magnitudes outside 1f..1000G use an exponent."""
     if value == 0.0:
         return "0"
-    for suffix, scale in (("G", 1e9), ("M", 1e6), ("k", 1e3)):
-        if abs(value) >= scale:
-            return f"{value / scale:.6g}{suffix}"
-    if abs(value) >= 1.0:
-        return f"{value:.6g}"
-    for suffix, scale in (("m", 1e-3), ("u", 1e-6), ("n", 1e-9), ("p", 1e-12), ("f", 1e-15)):
-        if abs(value) >= scale:
-            return f"{value / scale:.6g}{suffix}"
-    return f"{value:.6g}"
+    digits = Decimal(repr(value)).normalize()
+    exp = 3 * (digits.adjusted() // 3)
+    if exp not in _SUFFIX:
+        return format(digits, "e")
+    return format(digits.scaleb(-exp), "f") + _SUFFIX[exp]
 
 
 def _parse_options(tokens: list[str], n_fixed: int, kind: str, line_no: int) -> dict[str, float]:
@@ -155,8 +158,9 @@ def _parse_source(tokens: list[str], line_no: int):
     if mode == "pulse":
         if len(args) not in (5, 6):
             raise NetlistParseError(line_no, "pulse takes v_low v_high delay width period [repeat]")
-        repeat = int(args[5]) if len(args) == 6 else None
-        return Pulse(args[0], args[1], args[2], args[3], args[4], repeat)
+        if len(args) == 6 and not args[5].is_integer():
+            raise NetlistParseError(line_no, f"pulse repeat must be a whole number, got {tokens[6]!r}")
+        return Pulse(*args[:5], int(args[5]) if len(args) == 6 else None)
     if mode == "tri":
         if len(args) != 3:
             raise NetlistParseError(line_no, "tri takes v_peak t_rise t_fall")
@@ -188,53 +192,14 @@ def _options_text(kind: str, values) -> str:
     return " ".join(f"{key}={format_si(getattr(values, name))}" for key, name in _OPTIONS[kind].items())
 
 
-# Fields the writer rounds to 6 significant digits, by the type holding them
-_ROUNDED: dict[type, tuple[str, ...]] = {
-    Resistor: ("ohms",),
-    Capacitor: ("farads", "ic"),
-    Diode: tuple(_OPTIONS["D"].values()),
-    Comparator: tuple(_OPTIONS["CMP"].values()),
-    OtsParams: tuple(_OPTIONS["OTS"].values()),
-    Dc: ("value",),
-    Pulse: ("v_low", "v_high", "delay", "width", "period"),
-    Triangle: ("v_peak", "t_rise", "t_fall"),
-}
-
-
-def _check_written(owner: str, obj) -> None:
-    """Raise NetlistError if `obj`, read back from its written text, would
-    break one of its constraints; names the first field whose rounding does."""
-    def fail(field: str, value: float, why: str):
-        raise NetlistError(f"{owner}: {field} {value!r} is written as {format_si(value)}, "
-                           f"which breaks: {why}")
-
-    if isinstance(obj, PiecewiseLinear):
-        times = [parse_si(format_si(t)) for t, _ in obj.points]
-        for k in range(1, len(times)):
-            if times[k] <= times[k - 1]:
-                fail(f"breakpoint {k} time", obj.points[k][0], "PWL breakpoint times must be strictly increasing")
-        return
-    written = {}
-    for name in _ROUNDED.get(type(obj), ()):
-        written[name] = parse_si(format_si(getattr(obj, name)))
-        try:
-            replace(obj, **written)
-        except ValueError as exc:
-            fail(name, getattr(obj, name), str(exc))
-
-
 def netlist_to_text(net: Netlist, header: str = "") -> str:
     """Serialize a netlist to the text format (device parameters written
-    explicitly so the file is self-contained).
-
-    Raises NetlistError naming the element and the field if a value, written
-    with 6 significant digits, would no longer satisfy a constraint that
-    `parse_netlist` checks (say, PWL times 1e-6 and 1.0000001e-6 s)."""
+    explicitly so the file is self-contained); `parse_netlist` reads it
+    back to equal elements."""
     lines = [f"# {ln}" if ln else "#" for ln in header.splitlines()] if header else []
     names = net.node_names
     for el in net.elements:
         k = el.kind
-        _check_written(k.name, k.spec if isinstance(k, VoltageSource) else k.params if isinstance(k, Ots) else k)
         t = " ".join(names[i] for i in el.terminals)
         if isinstance(k, Resistor):
             lines.append(f"R {k.name} {t} {format_si(k.ohms)}")

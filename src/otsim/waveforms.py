@@ -74,6 +74,8 @@ class Pulse:
                        width=self.width, period=self.period)
         if not (0.0 < self.width < self.period):
             raise ValueError("require 0 < width < period")
+        if self.repeat is not None and self.repeat < 0:
+            raise ValueError(f"Pulse: repeat must be non-negative, got {self.repeat!r}")
 
     def __call__(self, t: float) -> float:
         t = t - self.delay

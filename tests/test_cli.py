@@ -203,9 +203,28 @@ class TestConfigPlumbing:
         assert "--jobs" in capsys.readouterr().err
 
     def test_unparseable_set_item_named(self, capsys):
-        for item in ("#v_high=3", "v_high", "otsu=maybe", "segment_clocks=1.5", "v_high=5x"):
+        for item in ("#v_high=3", "v_high", "otsu=maybe", "segment_clocks=1.5", "v_high=5x", "v_high=1e400"):
             assert main(["energy", "--set", item]) == EXIT_USAGE
             assert repr(item) in capsys.readouterr().err
+
+    def test_set_items_are_checked_together(self):
+        from otsim.cli import _build_config, make_parser
+
+        args = make_parser().parse_args(["gate", "--kind", "xor", "--set", "v_hold=3.5", "--set", "v_th=4"])
+        assert _build_config(args).device_params().v_th == 4.0
+
+    @pytest.mark.parametrize("argv, key", [
+        (["gate", "--kind", "and", "--inputs", "11", "--set", "v_th=0.5"], "v_th"),
+        (["gate", "--kind", "and", "--inputs", "11", "--set", "v_high=-1"], "v_high"),
+        (["edge", "--in", "{pgm}", "--out", "{out}", "--set", "segment_clocks=0"], "segment_clocks"),
+        (["edge", "--in", "{pgm}", "--out", "{out}", "--count-threshold", "0"], "count_threshold"),
+        (["oscillate", "--out", "{out}", "--set", "dt_device=0"], "dt_device"),
+        (["gradient", "--sweep", "0,255", "--out", "{out}", "--set", "gradient_window=10u"], "gradient_window"),
+    ], ids=["v_th", "v_high", "segment_clocks", "count_threshold", "dt_device", "gradient_window"])
+    def test_bad_config_value_is_a_usage_error_naming_its_key(self, argv, key, uniform_pgm, tmp_path, capsys):
+        argv = [a.format(pgm=uniform_pgm, out=tmp_path / "out") for a in argv]
+        assert main(argv) == EXIT_USAGE
+        assert f"error: {key} = " in capsys.readouterr().err
 
     def test_seed_circuits(self, tmp_path, capsys):
         rc = main(["--seed-circuits", str(tmp_path / "circuits")])

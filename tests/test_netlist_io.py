@@ -1,14 +1,17 @@
 """Netlist text format, SI-suffix parsing, and the run configuration."""
 
-from dataclasses import astuple
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otsim.circuits import gate_netlist_text, shipped_path
 from otsim.config import ConfigError, RunConfig, parse_config
-from otsim.device import OtsParams
-from otsim.netlist import Capacitor, Diode, Netlist, NetlistError, Ots, Resistor, VoltageSource
+from otsim.device import OtsParams, default_params
+from otsim.engine import transient
+from otsim.gates import GateKind, build_gate, evaluate
+from otsim.netlist import Capacitor, Diode, Netlist, Ots, Resistor, VoltageSource
 from otsim.netlist_io import NetlistParseError, format_si, netlist_to_text, parse_netlist, parse_si
 from otsim.waveforms import Dc, PiecewiseLinear, Pulse, Triangle
 
@@ -28,23 +31,39 @@ class TestSiSuffixes:
             ("-4.5", -4.5),
             ("1e-9", 1e-9),
             ("2.5e3", 2.5e3),
+            ("50n", 50e-9),
+            ("700m", 0.7),
+            ("2.5e3k", 2.5e6),
+            # exactly halfway between 1 and the next float: ties to even
+            ("1.00000000000000011102230246251565404236316680908203125", 1.0),
         ],
     )
     def test_parse(self, text, value):
-        assert parse_si(text) == pytest.approx(value)
+        assert parse_si(text) == value
 
     def test_case_distinguishes_milli_mega(self):
         assert parse_si("1m") == 1e-3
         assert parse_si("1M") == 1e6
 
     def test_rejects_garbage(self):
-        for bad in ("", "k", "1.2.3", "5x", "1 k"):
+        for bad in ("", "k", "1.2.3", "5x", "1 k", "1e400", "-1e400", "1e300G"):
             with pytest.raises(ValueError):
                 parse_si(bad)
 
     def test_format_roundtrip(self):
-        for v in (9.1e3, 1e-7, 5e-6, 0.0, 467e-12, 2.5, -3.3):
-            assert parse_si(format_si(v)) == pytest.approx(v, abs=1e-18)
+        for v in (9.1e3, 1e-7, 5e-6, 0.0, 467e-12, 2.5, -3.3, 1.0000001e-6, 5e-324):
+            assert parse_si(format_si(v)) == v
+
+    @pytest.mark.parametrize("value,text", [
+        (50e-9, "50n"), (0.7, "700m"), (9.1e3, "9.1k"), (100.0, "100"), (0.9e-3, "900u"),
+        (1.0000001e-6, "1.0000001u"), (-3.3, "-3.3"), (1e-18, "1e-18"), (1.5e12, "1.5e+12"),
+    ])
+    def test_format_is_shortest_exact_text(self, value, text):
+        assert format_si(value) == text
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_every_finite_float_reads_back_exactly(self, value):
+        assert parse_si(format_si(value)) == value
 
 
 SAMPLE = """
@@ -57,15 +76,21 @@ R RS mid 0 100
 """
 
 
+def _trace_bytes(tr):
+    """Every recorded field of a trace, as bytes."""
+    return (tr.voltages.tobytes(), {k: v.tobytes() for k, v in tr.currents.items()},
+            {k: v.tobytes() for k, v in tr.ots_on.items()}, float(tr.kcl_residual).hex())
+
+
 class TestParser:
     def test_parses_sample(self):
         net = parse_netlist(SAMPLE)
         assert [e.name for e in net.elements] == ["VIN", "RD", "CP", "OTS1", "RS"]
         rd = net.element("RD").kind
-        assert isinstance(rd, Resistor) and rd.ohms == pytest.approx(9100.0)
+        assert isinstance(rd, Resistor) and rd.ohms == 9100.0
         ots = net.element("OTS1").kind
         assert isinstance(ots, Ots)
-        assert ots.params.v_th == 3.0 and ots.params.i_hold == pytest.approx(0.9e-3)
+        assert ots.params.v_th == 3.0 and ots.params.i_hold == 0.9e-3
         # unoverridden fields keep the calibrated defaults
         assert ots.params.r_on == 100.0
 
@@ -122,21 +147,45 @@ R RD d 0 1k
         assert netlist_to_text(again) == netlist_to_text(net)
 
     def test_shipped_circuit_files_match_builders(self):
-        from otsim.circuits import gate_netlist_text, shipped_path
-        from otsim.gates import GateKind
-
         for kind in GateKind:
             with open(shipped_path(kind), "r", encoding="utf-8") as fh:
                 assert fh.read() == gate_netlist_text(kind)
 
+    @pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
+    def test_shipped_circuit_file_is_the_builders_circuit(self, kind):
+        with open(shipped_path(kind), "r", encoding="utf-8") as fh:
+            net = parse_netlist(fh.read())
+        built = build_gate(kind).net
+        assert net.node_names == built.node_names
+        assert net.elements == built.elements
+        assert _trace_bytes(transient(net, 100e-6, 50e-9)) == _trace_bytes(transient(built, 100e-6, 50e-9))
 
-# Magnitudes over the whole suffix range, mantissas included that round up to
-# the next suffix at 6 significant digits (9.9999996 -> 10).
+    @pytest.mark.parametrize("repeat, match", [
+        ("2.5", "line 1: pulse repeat must be a whole number, got '2.5'"),
+        ("1e400", "line 1: quantity '1e400' is out of range"),
+        ("-3", "line 1: Pulse: repeat must be non-negative"),
+    ])
+    def test_pulse_repeat_is_a_whole_count(self, repeat, match):
+        with pytest.raises(NetlistParseError, match=match):
+            parse_netlist(f"V V1 a 0 pulse 0 1 0 1u 2u {repeat}\nR R1 a 0 1k\n")
+
+    def test_pulse_rejects_negative_repeat(self):
+        with pytest.raises(ValueError, match="repeat must be non-negative"):
+            Pulse(0.0, 1.0, 0.0, 1e-6, 2e-6, repeat=-3)
+
+
+# Magnitudes over the whole suffix range and past both ends of it
 _MAG = st.builds(lambda m, e: m * 10.0 ** e,
-                 st.floats(1.0, 10.0, exclude_max=True), st.integers(-15, 10))
+                 st.floats(1.0, 10.0, exclude_max=True), st.integers(-18, 13))
 _SIGNED = st.one_of(st.just(0.0), _MAG, _MAG.map(lambda v: -v))
-_FRAC = st.floats(1e-3, 0.999)  # keeps strict inequalities at 6-digit resolution
 _NODES = ("a", "b", "c", "n1", "out")
+
+
+def _between(lo: float, hi: float):
+    """Floats strictly between lo and hi, the nearest neighbour of each
+    bound included."""
+    return st.one_of(st.sampled_from((math.nextafter(lo, hi), math.nextafter(hi, lo))),
+                     st.floats(lo, hi, exclude_min=True, exclude_max=True))
 
 
 @st.composite
@@ -145,7 +194,7 @@ def _pwl(draw):
     points = []
     for _ in range(draw(st.integers(1, 4))):
         points.append((t, draw(_SIGNED)))
-        t += max(t * 1e-3, draw(_MAG))
+        t = draw(_between(t, 2.0 * t + 1.0))
     return PiecewiseLinear(tuple(points))
 
 
@@ -153,15 +202,15 @@ def _pwl(draw):
 def _pulse(draw):
     period = draw(_MAG)
     return Pulse(draw(_SIGNED), draw(_SIGNED), draw(st.one_of(st.just(0.0), _MAG)),
-                 period * draw(_FRAC), period, draw(st.one_of(st.none(), st.integers(1, 1000))))
+                 draw(_between(0.0, period)), period, draw(st.one_of(st.none(), st.integers(0, 1000))))
 
 
 @st.composite
 def _ots_params(draw):
     v_th, r_on = draw(_MAG), draw(_MAG)
-    g_off = draw(st.one_of(st.just(0.0), _FRAC.map(lambda f: f * 1e-3 / r_on)))
+    g_off = draw(st.one_of(st.just(0.0), _between(0.0, 1e-3 / r_on).filter(lambda g: r_on * g < 1e-3)))
     taus = st.one_of(st.just(0.0), _MAG)
-    return OtsParams(v_th, v_th * draw(_FRAC), r_on, g_off, draw(_MAG), draw(taus), draw(taus))
+    return OtsParams(v_th, draw(_between(0.0, v_th)), r_on, g_off, draw(_MAG), draw(taus), draw(taus))
 
 
 @st.composite
@@ -187,72 +236,43 @@ def _netlists(draw):
             net.add_ots(f"OTS{i}", a, b, draw(_ots_params()))
         else:
             high = draw(_SIGNED)
-            low = high - max(draw(_MAG), 1e-3 * abs(high))
-            net.add_comparator(f"CMP{i}", a, b, draw(node), v_out_high=high, v_out_low=low,
-                               r_out=draw(_MAG))
+            net.add_comparator(f"CMP{i}", a, b, draw(node), v_out_high=high,
+                               v_out_low=draw(_between(-1e300, high)), r_out=draw(_MAG))
     return net
 
 
-def _flat(values):
-    for v in values:
-        if isinstance(v, tuple):
-            yield from _flat(v)
-        else:
-            yield v
+def _reads_back_exactly(net: Netlist, header: str = "") -> None:
+    """The written text parses to the same nodes and `==` elements, so every
+    float comes back bit for bit, and writing it again gives the same text."""
+    text = netlist_to_text(net, header)
+    again = parse_netlist(text)
+    assert again.node_names == net.node_names
+    assert again.elements == net.elements
+    assert netlist_to_text(again, header) == text
 
 
 class TestTextRoundTripProperty:
     @settings(max_examples=200, deadline=None)
     @given(_netlists())
     def test_text_is_a_fixed_point(self, net):
-        text = netlist_to_text(net, header="round trip")
-        again = parse_netlist(text)
-        assert netlist_to_text(again, header="round trip") == text
-        assert len(again.elements) == len(net.elements)
-        for el, back in zip(net.elements, again.elements):
-            assert type(back.kind) is type(el.kind)
-            assert [again.node_names[i] for i in back.terminals] == [net.node_names[i] for i in el.terminals]
-            want, got = list(_flat(astuple(el.kind))), list(_flat(astuple(back.kind)))
-            assert len(got) == len(want)
-            for w, g in zip(want, got):  # names, repeat counts and values to 6 digits
-                if isinstance(w, float):
-                    assert g == pytest.approx(w, rel=1e-5, abs=0.0)
-                else:
-                    assert g == w
+        _reads_back_exactly(net, header="round trip")
 
 
-class TestWriterRejectsRoundedConstraints:
-    """A value that breaks a strict constraint once written with 6
-    significant digits is refused by the writer, which names it."""
-
-    def _net(self, add):
-        net = Netlist()
-        net.add_resistor("RL", "a", "0", 1e3)
-        add(net)
-        return net
-
-    @pytest.mark.parametrize("add, match", [
-        (lambda n: n.add_source("V1", "a", "0", PiecewiseLinear(((1e-6, 0.0), (1.0000001e-6, 1.0)))),
-         r"V1: breakpoint 1 time 1\.0000001e-06 is written as 1u"),
-        (lambda n: n.add_source("V2", "a", "0", Pulse(0.0, 1.0, 0.0, 1e-6, 1.0000001e-6)),
-         r"V2: period 1\.0000001e-06 is written as 1u, which breaks: require 0 < width < period"),
-        (lambda n: n.add_ots("OTS1", "a", "0", OtsParams(v_th=1.0000001, v_hold=1.0)),
-         r"OTS1: v_th 1\.0000001 is written as 1, which breaks: require v_th > v_hold"),
-        (lambda n: n.add_comparator("CMP1", "a", "0", "a", v_out_high=5.0000001, v_out_low=5.0),
-         r"CMP1: v_out_high 5\.0000001 is written as 5, which breaks: CMP1: require v_out_high > v_out_low"),
-    ], ids=["pwl", "pulse", "ots", "comparator"])
-    def test_rounding_that_breaks_a_constraint_is_named(self, add, match):
-        with pytest.raises(NetlistError, match=match):
-            netlist_to_text(self._net(add))
-
-    def test_found_example_no_longer_writes_unparseable_text(self):
-        net = self._net(lambda n: n.add_source("V1", "a", "0",
-                                               PiecewiseLinear(((1e-6, 0.0), (1.0000001e-6, 1.0)))))
-        with pytest.raises(NetlistError, match="V1"):
-            netlist_to_text(net)
-        # the same source with a gap the format resolves round-trips
-        net = self._net(lambda n: n.add_source("V1", "a", "0", PiecewiseLinear(((1e-6, 0.0), (1.00001e-6, 1.0)))))
-        assert netlist_to_text(parse_netlist(netlist_to_text(net))) == netlist_to_text(net)
+class TestWriterKeepsCloseValues:
+    def test_close_values_read_back_exactly(self):
+        """Values 1e-7 apart in relative terms, which a 6-digit writer
+        merged, are written and read back unchanged."""
+        for add in (
+            lambda n: n.add_source("V1", "a", "0", PiecewiseLinear(((1e-6, 0.0), (1.0000001e-6, 1.0)))),
+            lambda n: n.add_source("V1", "a", "0", PiecewiseLinear(((1e-6, 0.0), (1.00001e-6, 1.0)))),
+            lambda n: n.add_source("V2", "a", "0", Pulse(0.0, 1.0, 0.0, 1e-6, 1.0000001e-6)),
+            lambda n: n.add_ots("OTS1", "a", "0", OtsParams(v_th=1.0000001, v_hold=1.0)),
+            lambda n: n.add_comparator("CMP1", "a", "0", "a", v_out_high=5.0000001, v_out_low=5.0),
+        ):
+            net = Netlist()
+            net.add_resistor("RL", "a", "0", 1e3)
+            add(net)
+            _reads_back_exactly(net)
 
 
 class TestRunConfig:
@@ -267,12 +287,32 @@ class TestRunConfig:
         assert cfg.v_high == 4.5
         assert cfg.segment_clocks == 64
         assert cfg.otsu is True
-        assert cfg.device_params().v_th == pytest.approx(3.2)
+        assert cfg.device_params().v_th == 3.2
 
     def test_si_values_in_config(self):
         cfg = parse_config("bit_width = 50u\ni_hold = 0.8m\n")
-        assert cfg.bit_width == pytest.approx(50e-6)
-        assert cfg.device_params().i_hold == pytest.approx(0.8e-3)
+        assert cfg.bit_width == 50e-6
+        assert cfg.device_params().i_hold == 0.8e-3
+
+    def test_defaults_spelled_with_suffixes_are_the_defaults(self):
+        assert parse_config("dt_logic = 50n\nsettle = 50u\nbit_width = 50u\n") == RunConfig()
+        cfg = parse_config("tau_on = 50n\ntau_off = 50n\ni_hold = 0.9m\n")
+        assert cfg.device_params() == default_params()
+
+    def test_spelled_out_switching_delays_keep_the_and_burst_count(self):
+        p = parse_config("tau_on = 50n\ntau_off = 50n\n").device_params()
+        assert evaluate(GateKind.AND, (1, 1), p=p, with_detail=True)[1] == (398.0,)
+
+    @pytest.mark.parametrize("text, match", [
+        ("v_th = 0.5", r"run\.cfg: v_th = 0\.5: require v_th > v_hold > 0"),
+        ("v_high = -1", r"run\.cfg: v_high = -1\.0: v_high must be positive"),
+        ("segment_clocks = 0", r"run\.cfg: segment_clocks = 0: segment_clocks must be in 1\.\.4096"),
+        ("dt_logic = 0", r"run\.cfg: dt_logic = 0\.0: time steps must be positive"),
+        ("settle = 2m", r"run\.cfg: settle = 0\.002: gradient_window must exceed settle"),
+    ])
+    def test_bad_value_is_named_by_its_key(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text + "\n", origin="run.cfg")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
