@@ -259,20 +259,28 @@ class TestTextRoundTripProperty:
 
 
 class TestWriterKeepsCloseValues:
-    def test_close_values_read_back_exactly(self):
-        """Values 1e-7 apart in relative terms, which a 6-digit writer
-        merged, are written and read back unchanged."""
+    """Values 1e-7 apart in relative terms, which a 6-digit writer merged,
+    are written and read back unchanged."""
+
+    def _net(self, add):
+        net = Netlist()
+        net.add_resistor("RL", "a", "0", 1e3)
+        add(net)
+        return net
+
+    def test_close_constraint_values_read_back_exactly(self):
         for add in (
             lambda n: n.add_source("V1", "a", "0", PiecewiseLinear(((1e-6, 0.0), (1.0000001e-6, 1.0)))),
-            lambda n: n.add_source("V1", "a", "0", PiecewiseLinear(((1e-6, 0.0), (1.00001e-6, 1.0)))),
             lambda n: n.add_source("V2", "a", "0", Pulse(0.0, 1.0, 0.0, 1e-6, 1.0000001e-6)),
             lambda n: n.add_ots("OTS1", "a", "0", OtsParams(v_th=1.0000001, v_hold=1.0)),
             lambda n: n.add_comparator("CMP1", "a", "0", "a", v_out_high=5.0000001, v_out_low=5.0),
         ):
-            net = Netlist()
-            net.add_resistor("RL", "a", "0", 1e3)
-            add(net)
-            _reads_back_exactly(net)
+            _reads_back_exactly(self._net(add))
+
+    def test_found_example_reads_back_exactly(self):
+        for t1 in (1.0000001e-6, 1.00001e-6):
+            _reads_back_exactly(self._net(lambda n: n.add_source(
+                "V1", "a", "0", PiecewiseLinear(((1e-6, 0.0), (t1, 1.0))))))
 
 
 class TestRunConfig:
