@@ -1,11 +1,13 @@
 """Golden-trace equivalence and KCL properties of the transient engine.
 
 The digests pin the exact bits of the reference runs: the oscillator
-rig, the XOR gate, the full adder, a half-adder row whose DC inputs
-settle into a constant tail, and three runs that settle into a bitwise
-periodic orbit long before they end.  A change to the engine that moves a
-single sample of a voltage, a current, an OTS phase or the residual fails
-here.  The property test builds random RC/diode ladders and checks
+rig, the XOR gate, the full adder at two logic levels, a dCaAP-cascade
+row, a half-adder row whose DC inputs settle into a constant tail, and
+three runs that settle into a bitwise periodic orbit long before they end.
+Each case also pins the samples the step loop solved and the period it
+stopped at.  A change to the engine that moves a single sample of a
+voltage, a current, an OTS phase or the residual, or the step at which a
+run is found to recur, fails here.  The property test builds random RC/diode ladders and checks
 Kirchhoff's current law over the *recorded* element currents, which are
 computed apart from the linear solve.
 """
@@ -50,6 +52,7 @@ def gradient_xor():
 GOLDEN = {
     "oscillator_4v3_40us": (
         lambda: rig.run_oscillator(4.3, 40e-6).trace,
+        (4001, None),
         {
             "voltages": "3db6abcab8e9f22c57eabfe9da44b67195b5f9c47598d8ea5f262a330863d0ce",
             "currents": "4f8d7bbbd380e28c98bd10036bf2bb0f31c2dca69219fb79ac01230f32ee27c9",
@@ -59,6 +62,7 @@ GOLDEN = {
     ),
     "xor_row_10": (
         lambda: gates.evaluate(GateKind.XOR, (1, 0), with_detail=True)[2],
+        (2001, None),
         {
             "voltages": "e415361d426e6b8f45197c6a98a4c81026e7527d96fcfc4dfad688b2ab801f1c",
             "currents": "eeec31141fd413c0d24a40daba5c8a837fcf8e24c92b6a5e8aa3994f5b33b9d2",
@@ -68,6 +72,7 @@ GOLDEN = {
     ),
     "full_adder_row_111": (
         lambda: gates.evaluate(GateKind.FULL_ADDER, (1, 1, 1), with_detail=True)[2],
+        (2001, None),
         {
             "voltages": "131247295e0aec8f1858c40ce9daccbddd4b6f656e1ffd22ac23b7a32388afb5",
             "currents": "023de233be9d56e2905ece75658e908bdc90ee676753c7811b8d45bc8448ddec",
@@ -78,6 +83,7 @@ GOLDEN = {
     # settles into bitwise-identical samples from step 732 on
     "half_adder_row_11": (
         lambda: gates.evaluate(GateKind.HALF_ADDER, (1, 1), with_detail=True)[2],
+        (735, 1),
         {
             "voltages": "bd95ef8b552c62c438b4640cbe8f9e01ac0916474899019156d829f566ad97fe",
             "currents": "7ed21b65bc864b5cdbc49f649bd23403aecdeeb751f7a678eb0db958f64f2c57",
@@ -88,6 +94,7 @@ GOLDEN = {
     # periodic from step 6,315 with a period of 870 steps
     "oscillator_4v3_300us": (
         lambda: rig.run_oscillator(4.3, 300e-6).trace,
+        (7185, 870),
         {
             "voltages": "c73780e7ef51008f29f12427a5312f4b887b927015a747864b6b053c62191597",
             "currents": "c47ce59c7819fcec4f26d2d698f4c2cf58eb8f37298fbfbfd419e6dd4cd1097e",
@@ -97,6 +104,7 @@ GOLDEN = {
     ),
     "gradient_xor_dc255_1ms": (
         lambda: transient(gradient_xor()[0], 1e-3, 50e-9, sources=gradient_xor()[1]),
+        (4887, 269),
         {
             "voltages": "f6efe6649cc4ad5adac5623dc9f5c37fd3014b3072df3ce8d2402c35f0582e6f",
             "currents": "615fc8670699726dfac3eb58430bfa418e57c8d151348fef7d8e65456ea0ee7e",
@@ -107,6 +115,7 @@ GOLDEN = {
     # periodic with a period of 13 steps
     "nand_row_00": (
         lambda: gates.evaluate(GateKind.NAND, (0, 0), with_detail=True)[2],
+        (182, 13),
         {
             "voltages": "03bc612fd41a1229eb3d3ba6c9a199be1a5b19ee28f15c549aab6b915f50c97f",
             "currents": "626042f26c4254b81e08a3ca4a44156a18bf236c9ec052bd7fd2ba413fcfdcdd",
@@ -114,13 +123,37 @@ GOLDEN = {
             "kcl_residual": "0x1.0000000000000p-51",
         },
     ),
+    # the second stage of the dCaAP cascade
+    "dcaap_row_010": (
+        lambda: gates.evaluate(GateKind.DCAAP_CASCADE, (0, 1, 0), with_detail=True)[2],
+        (2001, None),
+        {
+            "voltages": "16529065a54a044b9473cfbb151e8c4afa14a8885f332ee9b79865d289ea3c79",
+            "currents": "e6a189b42c62f3141cf7baf2f197a73fd2beff40df8030fb621ba3b742b7150d",
+            "ots_on": "ac1ce0a208af1b4d551160024cf8cb53bf3ca8ecaee4801ebea04d2e86c49335",
+            "kcl_residual": "0x1.0000000000000p-36",
+        },
+    ),
+    # a full-adder row at a logic level other than the default 5 V
+    "full_adder_row_011_4v6": (
+        lambda: gates.evaluate(GateKind.FULL_ADDER, (0, 1, 1), LogicEncoding(v_high=4.6), with_detail=True)[2],
+        (2001, None),
+        {
+            "voltages": "148ef773a7a96371446432fe0c13041e5d1e1395897f3109c96dbe60285b21a0",
+            "currents": "0a076dc907047f13ffab613c72dff577f3962e6c9451fbbda415ca5d63a70a35",
+            "ots_on": "a868685a222439cb3d14049231dd9cc01779a2c20abc218a38386ac976581d82",
+            "kcl_residual": "0x1.0000000000000p-36",
+        },
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_trace_digests(case):
-    run, expected = GOLDEN[case]
-    assert field_digests(run()) == expected
+    run, (solved_steps, period), expected = GOLDEN[case]
+    tr = run()
+    assert field_digests(tr) == expected
+    assert (tr.solved_steps, tr.period) == (solved_steps, period)
 
 
 def constant_pwl_sources(net: Netlist) -> dict:
