@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -44,6 +45,12 @@ def _si(text: str) -> float:
         return parse_si(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _check_dt(key: str, dt: float, t_stop: float, what: str) -> None:
+    """Refuse a time step that does not fit in the run it steps."""
+    if dt > t_stop:
+        raise CliError(f"{key} = {dt!r}: longer than {what} ({t_stop:g} s)")
 
 
 def _build_config(args) -> RunConfig:
@@ -79,6 +86,7 @@ def cmd_iv(args) -> int:
     if len(ots) != 1:
         raise CliError(f"dynamic I-V needs exactly one OTS, netlist has {len(ots)}")
     ramp = Triangle(args.peak, args.rise, args.fall if args.fall else args.rise)
+    _check_dt("dt_device", cfg.dt_device, ramp.duration, "the ramp (--rise plus --fall)")
     pts = dynamic_iv(net, ramp, ots[0].name, dt=cfg.dt_device)
     _write_csv(args.out, "v,i", pts)
     print(f"wrote {len(pts)} (v, i) samples to {args.out}")
@@ -88,6 +96,7 @@ def cmd_iv(args) -> int:
 def cmd_oscillate(args) -> int:
     cfg = _build_config(args)
     p = cfg.device_params()
+    _check_dt("dt_device", cfg.dt_device, args.duration, "--duration")
     if args.sweep:
         try:
             v0, v1, steps = args.sweep.split(":")
@@ -110,6 +119,7 @@ def cmd_gate(args) -> int:
     cfg = _build_config(args)
     p = cfg.device_params()
     enc = cfg.encoding()
+    _check_dt("dt_logic", cfg.dt_logic, enc.settle + enc.bit_width, "settle + bit_width")
     try:
         kind = GateKind.parse(args.kind)
     except ValueError as exc:
@@ -185,6 +195,7 @@ def cmd_edge(args) -> int:
 def cmd_gradient(args) -> int:
     cfg = _build_config(args)
     p = cfg.device_params()
+    _check_dt("dt_logic", cfg.dt_logic, cfg.gradient_window, "gradient_window")
     deltas = _parse_sweep_list(args.sweep)
     samples = sweep_gradient(deltas, cfg.gradient_window, p, cfg.encoding(), dt=cfg.dt_logic)
     lines = ["delta_c,rate_hz"] + [f"{s.delta_c:g},{s.rate:.6g}" for s in samples]
@@ -206,16 +217,20 @@ def cmd_gradient(args) -> int:
 
 
 def _parse_sweep_list(text: str) -> list[float]:
+    """Values of `start:stop:step` up to the last one not above stop (stop
+    itself if it is a whole number of steps from start, within rounding),
+    or of a comma list."""
     text = text.strip()
     try:
         if ":" in text:
             start, stop, step = (float(x) for x in text.split(":"))
-            if step <= 0:
+            if not step > 0:
                 raise ValueError
-            out = list(np.arange(start, stop + step / 2, step))
+            count = math.floor((stop - start) / step + 1e-9) + 1
+            out = list(start + step * np.arange(max(count, 0)))
         else:
             out = [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
+    except (ValueError, OverflowError):
         raise CliError(f"cannot parse sweep {text!r} (use v0:v1:step or a comma list)") from None
     if not out or any(not (0 <= v <= 255) for v in out):
         raise CliError("sweep values must lie in [0, 255]")

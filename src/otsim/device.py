@@ -102,6 +102,15 @@ def ots_currents(p: OtsParams, on: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where(on, np.copysign(np.maximum(0.0, np.abs(v) - p.v_hold), v) / p.r_on, p.g_off * v)
 
 
+def ots_hold_bound(p: OtsParams, s: OtsState) -> float:
+    """A bound b such that `ots_step(p, s, v, dt)` returns `s` itself
+    whenever abs(v) < b and dt > 0: v_th for a switch that is off with no
+    transition pending and no time elapsed, and 0.0 (no voltage) for any
+    other state.  A NaN or infinite v is never below it, so it still
+    reaches `ots_step`, which rejects it."""
+    return p.v_th if s.phase is Phase.OFF and s.pending is None and s.elapsed == 0.0 else 0.0
+
+
 def ots_step(p: OtsParams, s: OtsState, v: float, dt: float) -> OtsState:
     """Advance the switching state by dt under applied voltage v.
 

@@ -20,8 +20,16 @@ extended solution vector whose entry 0 is ground, per-kind parameters,
 capacitor stamps, OTS slots and the column of every element in the current
 record.  The step loop then works on those tuples and on floats from
 ``x.tolist()`` only: it solves, advances the integrator and OTS states, and
-records each sample's solution, right-hand side and segment set.  The
-residual gate runs on batches of recorded samples: each sample's nodal
+records each sample's solution, right-hand side and segment set.  Its fixed
+cost per step is kept small, since the segment iteration solves about three
+times per step on the switching gates: ``Dc`` drives are read once per run
+into the RHS every step starts from, and only the other drives are sampled
+per step; the source and history RHS becomes one array per step, and each
+solve adds the cached dynamic RHS of its segment set (stored without the
+ground entry) and calls ``dgetrs``; and an OTS whose state ``ots_step`` would
+return unchanged (``device.ots_hold_bound``) is not stepped.
+
+The residual gate runs on batches of recorded samples: each sample's nodal
 residual ``mat @ x - z`` comes from one batched ``np.matmul`` per segment
 set, which gives the same bits as a per-step ``mat.dot(x)``.  The loop
 checks every full batch of ``_CHUNK`` samples as soon as it is solved, and
@@ -40,9 +48,10 @@ j left, the run is periodic with period P = step - j: the loop stops and the
 remaining samples copy the last P solved ones.  A fixed point is the case
 P = 1, checked at every step against the previous one; longer periods are
 looked up at the steps where an OTS phase flips, among the states the last
-(at most _FLIP_STATES) earlier flip steps left.  Every copied sample
-repeats a solved one, so the residuals checked on the solved samples cover
-it.
+(at most _FLIP_STATES) earlier flip steps left: by the bytes of the
+solution row first, and by the OTS states only among the rows that match.
+Every copied sample repeats a solved one, so the residuals checked on the
+solved samples cover it.
 
 OTS phases are device *state*, not a solver segment: they advance once per
 accepted step from the converged device voltage.
@@ -57,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .device import OtsState, Phase, ots_currents, ots_step
+from .device import OtsState, Phase, ots_currents, ots_hold_bound, ots_step
 from .netlist import Capacitor, Comparator, Diode, Netlist, NetlistError, Ots, Resistor, VoltageSource
 from .waveforms import Dc, SourceSpec, Triangle
 
@@ -378,16 +387,17 @@ class _Compiled:
                 z[b] += c
         return np.ascontiguousarray(mat[1:, 1:]), z
 
-    def solve(self, segments: tuple[int, ...], zl: list[float], pinned: bool):
-        """Solution, RHS and set id for a segment set and the extended
-        source/history RHS `zl`; `pinned` selects the step-0 system."""
+    def solve(self, segments: tuple[int, ...], zl: list[float], pinned: bool) -> np.ndarray:
+        """Solution for a segment set and the extended source/history RHS
+        `zl`; `pinned` selects the step-0 system.  The step loop inlines
+        the same operations."""
         cache = self.pin_cache if pinned else self.lu_cache
-        lu, piv, z_dyn, sid = cache.get(segments) or self.factorized(segments, pinned)
-        z = np.add(zl, z_dyn)[1:]
-        return dgetrs(lu, piv, z)[0], z, sid
+        lu, piv, zd, _ = cache.get(segments) or self.factorized(segments, pinned)
+        return dgetrs(lu, piv, np.array(zl[1:]) + zd)[0]
 
     def factorized(self, segments: tuple[int, ...], pinned: bool):
-        """(lu, piv, extended dynamic RHS, set id) for a segment set, cached.
+        """(lu, piv, dynamic RHS, set id) for a segment set, cached; the
+        dynamic RHS has no ground entry, like the matrix.
 
         A system is singular if a pivot is zero or not finite, or, after
         step 0, if the pivots span more than 14 decades.  The step-0 system
@@ -398,7 +408,7 @@ class _Compiled:
         diag = np.abs(lu.diagonal())
         if info or not np.all(np.isfinite(lu)) or (not pinned and diag.min() <= diag.max() * 1e-14):
             self.raise_singular(mat)
-        entry = (lu, piv, z, len(self.sets))
+        entry = (lu, piv, z[1:].copy(), len(self.sets))
         self.sets.append((segments, mat))
         (self.pin_cache if pinned else self.lu_cache)[segments] = entry
         return entry
@@ -478,7 +488,7 @@ def _cycle_error(c: _Compiled, select, entering: tuple[int, ...], zl: list[float
     it ends in."""
     seq = [entering]
     for _ in range(2 * (_MAX_RESELECTIONS + 1)):
-        x = c.solve(seq[-1], zl, step == 0)[0]
+        x = c.solve(seq[-1], zl, step == 0)
         seq.append(_select(select, [0.0, *x.tolist()]))
     flips = [name for name, a, b in zip(c.dyn_names, seq[-2], seq[-1]) if a != b]
     last = flips[-1] if flips else ""
@@ -529,6 +539,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
             raise NetlistError(f"no OTS named {name!r}")
     states = [given.get(name, OtsState()) for name in c.ots_names]
     on = [st.phase is Phase.ON for st in states]
+    hold = [ots_hold_bound(p, st) for (_, _, p, *_), st in zip(c.ots, states)]
 
     n_steps = int(round(t_stop / dt))
     times = np.arange(n_steps + 1) * dt
@@ -538,14 +549,29 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     set_id = np.empty(n_steps + 1, dtype=np.int32)  # c.sets entry each sample was solved with
     on_hist = np.zeros((n_steps + 1, len(states)), dtype=bool)
 
-    drives, cap_terms, ots = c.drives, c.caps, c.ots
-    constant = all(type(spec) is Dc for _, spec in drives)
+    # Dc drives are read once per run into the RHS every step starts from;
+    # step 0 starts from one that also pins every capacitor branch to its
+    # initial voltage with a stiff companion (g scaled 1e6 up).  Drives and
+    # capacitors write disjoint rows.
+    base = [0.0] * (n + 1)
+    varying = []
+    for row, spec in c.drives:
+        if type(spec) is Dc:
+            base[row] = spec(0.0)
+        else:
+            varying.append((row, spec))
+    constant = not varying
+    base_pin = base.copy()
+    for (a, b), g, v in zip(c.caps, c.cap_g_pin, c.cap_ic):
+        hist = g * v
+        base_pin[a] += hist
+        base_pin[b] -= hist
+    cap_terms = [(a, b, g) for (a, b), g in zip(c.caps, c.cap_g)]
+    ots = c.ots
     select = list(c.select)                  # per run: OTS entries follow the phase
     for (_, _, _, pos, _, on_entry), is_on in zip(ots, on):
         if is_on:
             select[pos] = on_entry
-    solve = c.solve
-    vcap = list(c.cap_ic)
     xe = [0.0] * (n + 1)
     prev = None                              # xe of the previous step
     segments = _select(select, xe)
@@ -553,28 +579,32 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     solved = checked = 0                     # samples solved, and residual-checked
     gate_at = _CHUNK                         # solved count at which the next batch is checked
     kcl_residual = 0.0
-    seen: dict[tuple, int] = {}              # state left by each OTS flip step -> that step
+    seen: dict[bytes, list] = {}             # row left by an OTS flip step -> [(OTS states, step)]
+    n_seen = 0
     period = None
 
-    # step 0 initializes node voltages consistently with the capacitor ICs by
-    # pinning each capacitor branch with a stiff companion (g scaled 1e6 up).
     try:
         for step in range(n_steps + 1):
             t = step * dt  # the same product as times[step]
-            zl = [0.0] * (n + 1)
-            for row, spec in drives:
+            zl = base.copy() if step else base_pin.copy()
+            for row, spec in varying:
                 zl[row] = spec(t)
-            for (a, b), g, v in zip(cap_terms, c.cap_g if step else c.cap_g_pin, vcap):
-                hist = g * v
-                zl[a] += hist
-                zl[b] -= hist
+            if step:  # backward-Euler history from the previous solution
+                for a, b, g in cap_terms:
+                    hist = g * (xe[a] - xe[b])
+                    zl[a] += hist
+                    zl[b] -= hist
+            za = np.fromiter(zl, float, n + 1)[1:]
+            cache = c.lu_cache if step else c.pin_cache
 
             # A segment set that rounding keeps flipping across a knee has no
             # stable assignment; once the budget is spent, a second one accepts a
             # set whose own solution contradicts it by at most _KNEE_TOL.
             entering = segments
             for attempt in range(2 * (_MAX_RESELECTIONS + 1)):
-                x, z, sid = solve(segments, zl, step == 0)
+                lu, piv, zd, sid = cache.get(segments) or c.factorized(segments, not step)
+                z = za + zd
+                x = dgetrs(lu, piv, z)[0]
                 xe = [0.0, *x.tolist()]
                 desired = _select(select, xe)
                 if desired == segments or (attempt > _MAX_RESELECTIONS
@@ -593,13 +623,15 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                 gate_at += _CHUNK
                 kcl_residual = max(kcl_residual, c.residual_gate(sol, rhs, set_id, lo, solved))
 
-            # advance integrator history and device states using converged values
-            vcap = [xe[a] - xe[b] for a, b in cap_terms]
+            # advance device states using converged values
             unchanged = True
             flipped = False
             if step and ots:  # step 0 only establishes the initial operating point
                 for slot, (a, b, p, pos, off_entry, on_entry) in enumerate(ots):
-                    st = ots_step(p, states[slot], xe[a] - xe[b], dt)
+                    v = xe[a] - xe[b]
+                    if abs(v) < hold[slot]:  # ots_step would return the state it was given
+                        continue
+                    st = ots_step(p, states[slot], v, dt)
                     if st is not states[slot]:
                         unchanged = False
                         if st.phase is not states[slot].phase:
@@ -607,6 +639,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                             select[pos] = on_entry if on[slot] else off_entry
                             flipped = True
                         states[slot] = st
+                        hold[slot] = ots_hold_bound(p, st)
                 if flipped:
                     segments = _select(select, xe)
                     on_hist[held_from:step] = held
@@ -617,19 +650,30 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
             # fixes every later step.  If an earlier step j left the same
             # state, the run repeats from there with period step - j.  The
             # state is compared with step - 1's at every step (OTS states
-            # count as unchanged only if ots_step returned the very objects
-            # it was given), and at a flip looked up among the states earlier
-            # flip steps left, keyed without the segments, which a flip
-            # selects from the solution and the OTS phases.
+            # count as unchanged only if ots_step returned, or would have
+            # returned, the very objects it was given), and at a flip looked
+            # up among the states earlier flip steps left: by solution row
+            # first, then by OTS states.  The segments are left out of that
+            # key, since a flip selects them from the solution and the OTS
+            # phases.
             if constant:
                 j = step
                 if (unchanged and segments == entering and xe == prev
                         and sol[step].tobytes() == sol[step - 1].tobytes()):
                     j = step - 1
                 elif flipped:
-                    if len(seen) == _FLIP_STATES:  # bounds the memory of a run that never recurs
+                    if n_seen == _FLIP_STATES:  # bounds the memory of a run that never recurs
                         seen.clear()
-                    j = seen.setdefault((sol[step].tobytes(), tuple(states)), step)
+                        n_seen = 0
+                    left = tuple(states)
+                    earlier = seen.setdefault(sol[step].tobytes(), [])
+                    for kept, k in earlier:
+                        if kept == left:
+                            j = k
+                            break
+                    else:
+                        earlier.append((left, step))
+                        n_seen += 1
                 if j < step:
                     period = step - j
                     break

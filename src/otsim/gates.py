@@ -402,9 +402,9 @@ def truth_table(kind: GateKind, enc: LogicEncoding | None = None,
     """Exhaustive evaluation over all input combinations.
 
     Rows are independent transients (state fully reset between rows), run
-    one after another in input order.  `n_jobs` has no effect until batched
-    lanes make it their cap (ROADMAP item 3).  With `keep_traces` each row
-    keeps its trace."""
+    one after another in input order.  `n_jobs` has no effect; it is
+    accepted for existing callers.  With `keep_traces` each row keeps its
+    trace."""
     arity = gate_arity(kind)
     combos = [tuple((i >> (arity - 1 - k)) & 1 for k in range(arity)) for i in range(2 ** arity)]
 

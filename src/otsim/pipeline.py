@@ -81,8 +81,7 @@ class LinearFit:
 @dataclass(frozen=True)
 class StreamSettings:
     """Knobs of the circuit stream decoder.  Segments run one after
-    another; `n_jobs` has no effect until batched lanes make it their cap
-    (ROADMAP item 3)."""
+    another; `n_jobs` has no effect; it is accepted for existing callers."""
 
     pulse_width: float = 5e-6
     clock_period: float = 10e-6

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from otsim.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from otsim.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _parse_sweep_list, main
 from otsim.imaging import GrayImage, load_image, save_pgm
 
 
@@ -128,6 +128,31 @@ class TestGradientCmd:
 
     def test_bad_sweep_spec(self, tmp_path):
         assert main(["gradient", "--sweep", "0:300:16", "--out", str(tmp_path / "g.csv")]) == EXIT_USAGE
+
+    def test_default_sweep(self, tmp_path):
+        out = tmp_path / "grad.csv"
+        assert main(["gradient", "--out", str(out), "--set", "gradient_window=100u"]) == EXIT_OK
+        deltas = [float(ln.split(",")[0]) for ln in out.read_text().splitlines()[1:]]
+        assert deltas == [16.0 * k for k in range(16)]
+
+    @pytest.mark.parametrize("spec, last", [("0:255:16", 240.0), ("0:1:0.25", 1.0), ("0:0.3:0.1", 0.3), ("5:5:1", 5.0)])
+    def test_range_ends_at_the_last_value_not_above_stop(self, spec, last):
+        assert _parse_sweep_list(spec)[-1] == pytest.approx(last, abs=1e-12)
+
+
+class TestTimeStepFitsTheRun:
+    @pytest.mark.parametrize("argv, key", [
+        (["iv", "--default", "--set", "dt_device=1m"], "dt_device"),
+        (["oscillate", "--set", "dt_device=1m"], "dt_device"),
+        (["gate", "--kind", "and", "--set", "dt_logic=1m"], "dt_logic"),
+        (["gradient", "--set", "dt_logic=2m"], "dt_logic"),
+    ], ids=["iv", "oscillate", "gate", "gradient"])
+    def test_step_longer_than_the_run_is_a_usage_error(self, argv, key, tmp_path, capsys):
+        if argv[0] != "gate":
+            argv = argv + ["--out", str(tmp_path / "out.csv")]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {key} = ")
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestIvOscillate:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otsim.device import OFF_STATE, ON_STATE, OtsParams, OtsState, Pending, Phase, default_params, ots_current, ots_step
+from otsim.device import (OFF_STATE, ON_STATE, OtsParams, OtsState, Pending, Phase, default_params, ots_current,
+                          ots_hold_bound, ots_step)
 
 
 def make_params(**kw):
@@ -124,6 +125,52 @@ class TestSwitchingKinetics:
                 break
             v += 0.01
         assert fired_at is not None and fired_at >= p.v_th
+
+
+@st.composite
+def valid_params(draw):
+    v_th = draw(st.floats(1e-3, 100.0))
+    r_on = draw(st.floats(1e-3, 1e6))
+    return OtsParams(v_th=v_th, v_hold=draw(st.floats(1e-3, 0.999)) * v_th,
+                     r_on=r_on, g_off=draw(st.floats(0.0, 0.999e-3 / r_on)), i_hold=draw(st.floats(1e-9, 1.0)),
+                     tau_on=draw(st.floats(0.0, 1e-3)), tau_off=draw(st.floats(0.0, 1e-3)))
+
+
+@st.composite
+def states(draw):
+    phase = draw(st.sampled_from(Phase))
+    pending = draw(st.sampled_from([None, Pending.SWITCHING_ON if phase is Phase.OFF else Pending.SWITCHING_OFF]))
+    return OtsState(phase, pending, draw(st.one_of(st.just(0.0), st.floats(min_value=0.0))))
+
+
+def voltages(v_th):
+    """Arbitrary voltages, the thresholds +-v_th and their float neighbours,
+    and the non-finite values."""
+    edges = [w for u in (v_th, -v_th) for w in (u, math.nextafter(u, 0.0), math.nextafter(u, 2 * u))]
+    return st.one_of(st.floats(), st.sampled_from(edges + [math.nan, math.inf, -math.inf]))
+
+
+class TestHoldBound:
+    @settings(max_examples=300, deadline=None)
+    @given(p=valid_params(), s=states(), data=st.data(),
+           dt=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_below_the_bound_ots_step_returns_its_state(self, p, s, data, dt):
+        v = data.draw(voltages(p.v_th))
+        keeps = abs(v) < ots_hold_bound(p, s)
+        try:
+            out = ots_step(p, s, v, dt)
+        except ValueError:
+            assert not keeps
+            return
+        if keeps:
+            assert out is s
+
+    def test_bound_is_the_threshold_only_when_off_and_idle(self):
+        p = make_params()
+        assert ots_hold_bound(p, OFF_STATE) == ots_hold_bound(p, OtsState()) == p.v_th
+        for s in (ON_STATE, OtsState(Phase.OFF, Pending.SWITCHING_ON, 1e-9), OtsState(Phase.OFF, None, 1e-9),
+                  OtsState(Phase.ON, Pending.SWITCHING_OFF, 0.0)):
+            assert ots_hold_bound(p, s) == 0.0
 
 
 class TestParams:
