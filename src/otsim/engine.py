@@ -48,10 +48,9 @@ j left, the run is periodic with period P = step - j: the loop stops and the
 remaining samples copy the last P solved ones.  A fixed point is the case
 P = 1, checked at every step against the previous one; longer periods are
 looked up at the steps where an OTS phase flips, among the states the last
-(at most _FLIP_STATES) earlier flip steps left: by the bytes of the
-solution row first, and by the OTS states only among the rows that match.
-Every copied sample repeats a solved one, so the residuals checked on the
-solved samples cover it.
+(at most _FLIP_STATES) earlier flip steps left.  Every copied sample
+repeats a solved one, so the residuals checked on the solved samples cover
+it.
 
 OTS phases are device *state*, not a solver segment: they advance once per
 accepted step from the converged device voltage.
@@ -387,14 +386,6 @@ class _Compiled:
                 z[b] += c
         return np.ascontiguousarray(mat[1:, 1:]), z
 
-    def solve(self, segments: tuple[int, ...], zl: list[float], pinned: bool) -> np.ndarray:
-        """Solution for a segment set and the extended source/history RHS
-        `zl`; `pinned` selects the step-0 system.  The step loop inlines
-        the same operations."""
-        cache = self.pin_cache if pinned else self.lu_cache
-        lu, piv, zd, _ = cache.get(segments) or self.factorized(segments, pinned)
-        return dgetrs(lu, piv, np.array(zl[1:]) + zd)[0]
-
     def factorized(self, segments: tuple[int, ...], pinned: bool):
         """(lu, piv, dynamic RHS, set id) for a segment set, cached; the
         dynamic RHS has no ground entry, like the matrix.
@@ -481,15 +472,10 @@ def _knee_gap(table, segments: tuple[int, ...], desired: tuple[int, ...], xe: li
     return gap
 
 
-def _cycle_error(c: _Compiled, select, entering: tuple[int, ...], zl: list[float],
-                 step: int, t: float) -> ConvergenceError:
-    """The error for a step whose segment iteration did not settle: replays
-    the iteration from the set it entered with and names the cycle of sets
-    it ends in."""
-    seq = [entering]
-    for _ in range(2 * (_MAX_RESELECTIONS + 1)):
-        x = c.solve(seq[-1], zl, step == 0)
-        seq.append(_select(select, [0.0, *x.tolist()]))
+def _cycle_error(c: _Compiled, seq: list[tuple[int, ...]], step: int, t: float) -> ConvergenceError:
+    """The error for a step whose segment iteration did not settle: `seq`
+    holds the segment sets it solved, in order, and the one it selected
+    last; names the cycle of sets it ends in."""
     flips = [name for name, a, b in zip(c.dyn_names, seq[-2], seq[-1]) if a != b]
     last = flips[-1] if flips else ""
     if seq[-1] not in seq[:-1]:
@@ -579,8 +565,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     solved = checked = 0                     # samples solved, and residual-checked
     gate_at = _CHUNK                         # solved count at which the next batch is checked
     kcl_residual = 0.0
-    seen: dict[bytes, list] = {}             # row left by an OTS flip step -> [(OTS states, step)]
-    n_seen = 0
+    seen: dict[tuple, int] = {}              # state left by each OTS flip step -> that step
     period = None
 
     try:
@@ -600,7 +585,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
             # A segment set that rounding keeps flipping across a knee has no
             # stable assignment; once the budget is spent, a second one accepts a
             # set whose own solution contradicts it by at most _KNEE_TOL.
-            entering = segments
+            tried = [segments]                   # the sets solved, then the last one selected
             for attempt in range(2 * (_MAX_RESELECTIONS + 1)):
                 lu, piv, zd, sid = cache.get(segments) or c.factorized(segments, not step)
                 z = za + zd
@@ -611,8 +596,9 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                                            and _knee_gap(select, segments, desired, xe) <= _KNEE_TOL):
                     break
                 segments = desired
+                tried.append(segments)
             else:
-                raise _cycle_error(c, select, entering, zl, step, t)
+                raise _cycle_error(c, tried, step, t)
 
             sol[step, 1:] = x
             rhs[step] = z
@@ -652,28 +638,18 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
             # state is compared with step - 1's at every step (OTS states
             # count as unchanged only if ots_step returned, or would have
             # returned, the very objects it was given), and at a flip looked
-            # up among the states earlier flip steps left: by solution row
-            # first, then by OTS states.  The segments are left out of that
-            # key, since a flip selects them from the solution and the OTS
+            # up among the states earlier flip steps left, keyed without the
+            # segments, which a flip selects from the solution and the OTS
             # phases.
             if constant:
                 j = step
-                if (unchanged and segments == entering and xe == prev
+                if (unchanged and segments == tried[0] and xe == prev
                         and sol[step].tobytes() == sol[step - 1].tobytes()):
                     j = step - 1
                 elif flipped:
-                    if n_seen == _FLIP_STATES:  # bounds the memory of a run that never recurs
+                    if len(seen) == _FLIP_STATES:  # bounds the memory of a run that never recurs
                         seen.clear()
-                        n_seen = 0
-                    left = tuple(states)
-                    earlier = seen.setdefault(sol[step].tobytes(), [])
-                    for kept, k in earlier:
-                        if kept == left:
-                            j = k
-                            break
-                    else:
-                        earlier.append((left, step))
-                        n_seen += 1
+                    j = seen.setdefault((sol[step].tobytes(), tuple(states)), step)
                 if j < step:
                     period = step - j
                     break
