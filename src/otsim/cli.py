@@ -23,7 +23,7 @@ from .config import ConfigError, RunConfig, load_config, parse_setting
 from .device import default_params
 from .energy import table1_report
 from .engine import SimulationError, dynamic_iv, transient
-from .gates import GateKind, build_gate, evaluate, expected_bits, gate_arity, truth_table
+from .gates import GateKind, build_gate, evaluate, gate_arity, truth_table
 from .imaging import ColorImage, ImageError, binarize, color_to_gray, load_image, otsu_threshold, reference_edges, save_pgm
 from .netlist import NetlistError
 from .netlist_io import NetlistParseError, parse_netlist, parse_si
@@ -119,7 +119,6 @@ def cmd_gate(args) -> int:
     cfg = _build_config(args)
     p = cfg.device_params()
     enc = cfg.encoding()
-    _check_dt("dt_logic", cfg.dt_logic, enc.settle + enc.bit_width, "settle + bit_width")
     try:
         kind = GateKind.parse(args.kind)
     except ValueError as exc:
@@ -129,12 +128,12 @@ def cmd_gate(args) -> int:
         bits = tuple(int(c) for c in args.inputs if c in "01")
         if len(bits) != gate_arity(kind) or len(bits) != len(args.inputs):
             raise CliError(f"{kind.value} takes {gate_arity(kind)} bits, got {args.inputs!r}")
-        measured, detail, tr = evaluate(kind, bits, enc, p, dt=cfg.dt_logic, with_detail=True)
+        row = evaluate(kind, bits, enc, p, dt=cfg.dt_logic)
         if args.waveforms:
-            tr.to_csv(args.waveforms)
+            row.trace.to_csv(args.waveforms)
         names = [out.name for out in build_gate(kind).outputs]
-        print(" ".join(f"{n}={b}" for n, b in zip(names, measured)))
-        return EXIT_OK if measured == expected_bits(kind, bits) else EXIT_CHECK_FAILED
+        print(" ".join(f"{n}={b}" for n, b in zip(names, row.measured)))
+        return EXIT_OK if row.ok else EXIT_CHECK_FAILED
 
     table = truth_table(kind, enc, p, dt=cfg.dt_logic, keep_traces=bool(args.waveforms))
     payload = table.to_json()
@@ -195,7 +194,6 @@ def cmd_edge(args) -> int:
 def cmd_gradient(args) -> int:
     cfg = _build_config(args)
     p = cfg.device_params()
-    _check_dt("dt_logic", cfg.dt_logic, cfg.gradient_window, "gradient_window")
     deltas = _parse_sweep_list(args.sweep)
     samples = sweep_gradient(deltas, cfg.gradient_window, p, cfg.encoding(), dt=cfg.dt_logic)
     lines = ["delta_c,rate_hz"] + [f"{s.delta_c:g},{s.rate:.6g}" for s in samples]

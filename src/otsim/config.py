@@ -45,8 +45,8 @@ class RunConfig:
         for keys, derive in (
             (_OTS_KEYS, self.device_params),
             (("v_high", "bit_width", "settle"), self.encoding),
-            (("count_threshold", "segment_clocks"), self.stream_settings),
-            (("dt_device", "dt_logic", "gradient_window", "settle"), self._check_times),
+            (("dt_device", "dt_logic", "gradient_window", "settle", "bit_width"), self._check_times),
+            (("count_threshold", "segment_clocks", "dt_logic"), self.stream_settings),
         ):
             try:
                 derive()
@@ -59,6 +59,9 @@ class RunConfig:
             raise ValueError("time steps must be positive and finite")
         if self.gradient_window <= self.settle:
             raise ValueError("gradient_window must exceed settle")
+        if self.dt_logic > min(self.settle + self.bit_width, self.gradient_window):
+            raise ValueError(f"dt_logic is longer than settle + bit_width ({self.settle + self.bit_width:g} s) "
+                             f"or gradient_window ({self.gradient_window:g} s)")
 
     def device_params(self) -> OtsParams:
         overrides = {k: getattr(self, k) for k in _OTS_KEYS if getattr(self, k) is not None}

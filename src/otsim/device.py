@@ -27,11 +27,6 @@ class Phase(enum.Enum):
     ON = "on"
 
 
-class Pending(enum.Enum):
-    SWITCHING_ON = "switching_on"
-    SWITCHING_OFF = "switching_off"
-
-
 @dataclass(frozen=True)
 class OtsParams:
     """Device parameters.  Voltages in volts, resistance in ohms,
@@ -63,19 +58,15 @@ class OtsParams:
 
 @dataclass(frozen=True)
 class OtsState:
-    """Phase plus bookkeeping for a pending delayed transition."""
+    """Phase plus the time a transition out of it has been pending; a
+    transition is pending exactly when `elapsed` is positive."""
 
     phase: Phase = Phase.OFF
-    pending: Pending | None = None
     elapsed: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.pending is Pending.SWITCHING_ON and self.phase is not Phase.OFF:
-            raise ValueError("SWITCHING_ON is only valid in the OFF phase")
-        if self.pending is Pending.SWITCHING_OFF and self.phase is not Phase.ON:
-            raise ValueError("SWITCHING_OFF is only valid in the ON phase")
-        if self.elapsed < 0.0:
-            raise ValueError("elapsed must be non-negative")
+        if not self.elapsed >= 0.0:
+            raise ValueError(f"elapsed must be non-negative, got {self.elapsed!r}")
 
 
 OFF_STATE = OtsState(Phase.OFF)
@@ -105,10 +96,10 @@ def ots_currents(p: OtsParams, on: np.ndarray, v: np.ndarray) -> np.ndarray:
 def ots_hold_bound(p: OtsParams, s: OtsState) -> float:
     """A bound b such that `ots_step(p, s, v, dt)` returns `s` itself
     whenever abs(v) < b and dt > 0: v_th for a switch that is off with no
-    transition pending and no time elapsed, and 0.0 (no voltage) for any
-    other state.  A NaN or infinite v is never below it, so it still
-    reaches `ots_step`, which rejects it."""
-    return p.v_th if s.phase is Phase.OFF and s.pending is None and s.elapsed == 0.0 else 0.0
+    transition pending, and 0.0 (no voltage) for any other state.  A NaN or
+    infinite v is never below it, so it still reaches `ots_step`, which
+    rejects it."""
+    return p.v_th if s.phase is Phase.OFF and s.elapsed == 0.0 else 0.0
 
 
 def ots_step(p: OtsParams, s: OtsState, v: float, dt: float) -> OtsState:
@@ -127,18 +118,18 @@ def ots_step(p: OtsParams, s: OtsState, v: float, dt: float) -> OtsState:
 
     if s.phase is Phase.OFF:
         if abs(v) >= p.v_th:
-            elapsed = s.elapsed + dt if s.pending is Pending.SWITCHING_ON else dt
+            elapsed = s.elapsed + dt
             if elapsed >= p.tau_on:
                 return ON_STATE
-            return OtsState(Phase.OFF, Pending.SWITCHING_ON, elapsed)
-        return OFF_STATE if s.pending is not None or s.elapsed else s
+            return OtsState(Phase.OFF, elapsed)
+        return OFF_STATE if s.elapsed else s
 
     if abs(ots_current(p, s, v)) < p.i_hold:
-        elapsed = s.elapsed + dt if s.pending is Pending.SWITCHING_OFF else dt
+        elapsed = s.elapsed + dt
         if elapsed >= p.tau_off:
             return OFF_STATE
-        return OtsState(Phase.ON, Pending.SWITCHING_OFF, elapsed)
-    return ON_STATE if s.pending is not None or s.elapsed else s
+        return OtsState(Phase.ON, elapsed)
+    return ON_STATE if s.elapsed else s
 
 
 def default_params(**overrides: float) -> OtsParams:

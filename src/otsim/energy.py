@@ -99,21 +99,18 @@ class ScalingLaw:
     """Energy ~ (feature size)^n with n between 1.6 and 2.1."""
 
     exponent: float = 1.6
-    d_ref: float = OTS_FEATURE_SIZE
-    reference_energy: float = 467e-12
 
     def __post_init__(self) -> None:
         if not (1.6 <= self.exponent <= 2.1):
             raise ValueError(f"scaling exponent {self.exponent} outside [1.6, 2.1]")
-        if self.d_ref <= 0.0 or self.reference_energy <= 0.0:
-            raise ValueError("reference size and energy must be positive")
 
 
 def scale_energy(law: ScalingLaw, d_target: float) -> float:
-    """Project the per-operation energy to a different feature size."""
+    """Project the experimental per-operation energy of the XOR from its
+    fabricated feature size to d_target."""
     if d_target <= 0.0:
         raise ValueError("target feature size must be positive")
-    return law.reference_energy * (d_target / law.d_ref) ** law.exponent
+    return OTS_XOR_EXPERIMENTAL[1] * (d_target / OTS_FEATURE_SIZE) ** law.exponent
 
 
 def xor_op_count(width: int, height: int) -> int:

@@ -17,17 +17,17 @@ LAPACK back-substitution (``dgetrs``).
 Each run has three phases.  A compile phase (``_Compiled``) turns the
 netlist into index arrays and plain tuples once: terminal indices into an
 extended solution vector whose entry 0 is ground, per-kind parameters,
-capacitor stamps, OTS slots and the column of every element in the current
-record.  The step loop then works on those tuples and on floats from
-``x.tolist()`` only: it solves, advances the integrator and OTS states, and
-records each sample's solution, right-hand side and segment set.  Its fixed
-cost per step is kept small, since the segment iteration solves about three
-times per step on the switching gates: ``Dc`` drives are read once per run
-into the RHS every step starts from, and only the other drives are sampled
-per step; the source and history RHS becomes one array per step, and each
-solve adds the cached dynamic RHS of its segment set (stored without the
-ground entry) and calls ``dgetrs``; and an OTS whose state ``ots_step`` would
-return unchanged (``device.ots_hold_bound``) is not stepped.
+capacitor stamps and OTS slots.  The step loop then works on those tuples
+and on floats from ``x.tolist()`` only: it solves, advances the integrator
+and OTS states, and records each sample's solution, right-hand side and
+segment set.  Its fixed cost per step is kept small, since the segment
+iteration solves about three times per step on the switching gates: ``Dc``
+drives are read once per run into the RHS every step starts from, and only
+the other drives are sampled per step; the source and history RHS becomes
+one array per step, and each solve adds the cached dynamic RHS of its
+segment set (stored without the ground entry) and calls ``dgetrs``; and an
+OTS whose state ``ots_step`` would return unchanged
+(``device.ots_hold_bound``) is not stepped.
 
 The residual gate runs on batches of recorded samples: each sample's nodal
 residual ``mat @ x - z`` comes from one batched ``np.matmul`` per segment
@@ -36,14 +36,15 @@ checks every full batch of ``_CHUNK`` samples as soon as it is solved, and
 the last, partial batch after the loop.  If the loop raises, the samples it
 solved are checked first, so a residual failure at an earlier step still
 wins.  Every element current is computed for all samples at once after the
-loop: sources, resistors and capacitors from the solution, diodes, OTSs and
-comparators from the solution, the recorded segment sets and the OTS phase
-each sample was solved with.
+loop, one array per element: a source current is a view of its column of
+the solution record, resistor and capacitor currents come from the solution,
+and diode, OTS and comparator currents from the solution, the recorded
+segment sets and the OTS phase each sample was solved with.
 
 When every drive is a ``Dc``, the state a step leaves fixes every later
 step: the bits of its solution (hence the capacitor voltages), the segment
-set the next step starts from and every OTS state (phase, pending
-transition and elapsed time).  Once a step leaves the state an earlier step
+set the next step starts from and every OTS state (phase and the time a
+transition has been pending).  Once a step leaves the state an earlier step
 j left, the run is periodic with period P = step - j: the loop stops and the
 remaining samples copy the last P solved ones.  A fixed point is the case
 P = 1, checked at every step against the previous one; longer periods are
@@ -65,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .device import OtsState, Phase, ots_currents, ots_hold_bound, ots_step
+from .device import OFF_STATE, Phase, ots_currents, ots_hold_bound, ots_step
 from .netlist import Capacitor, Comparator, Diode, Netlist, NetlistError, Ots, Resistor, VoltageSource
 from .waveforms import Dc, SourceSpec, Triangle
 
@@ -125,8 +126,9 @@ _CMP = 2
 class Trace:
     """Sampled node voltages and element currents of one transient run.
 
-    `voltages` and the arrays in `currents` and `ots_on` are views into
-    per-run record arrays, not separate copies.
+    `voltages`, the source currents in `currents` and the arrays in
+    `ots_on` are views into per-run record arrays, not separate copies;
+    every other element current is an array of its own.
     """
 
     dt: float
@@ -265,24 +267,14 @@ class _Compiled:
         # (xe row, waveform) of every source
         self.drives = [(nn + j, overrides.get(el.name, el.kind.spec)) for j, el in enumerate(src)]
 
-        # Where each current is recorded: (0, column) of the solution record
-        # for source branch currents, else (1, column) of the current record,
-        # whose first columns hold the segment-switched elements in order so
-        # that one step writes one slice.
-        dyn = [i for i, el in enumerate(els) if isinstance(el.kind, (Diode, Ots, Comparator))]
-        self.where = [(1, 0)] * len(els)
-        for col, i in enumerate(dyn):
-            self.where[i] = (1, col)
-        self.n_recorded = len(dyn)
-
         g_ext = np.zeros((n + 1, n + 1))
-        self.res: list[tuple[int, int, float, int]] = []     # (a, b, ohms, column)
+        self.res: list[tuple[str, int, int, float]] = []     # (name, a, b, ohms)
         self.caps: list[tuple[int, int]] = []                # (a, b)
         self.cap_g: list[float] = []                         # farads / dt
         self.cap_ic: list[float] = []
-        self.cap_cols: list[int] = []
+        self.cap_names: list[str] = []
         r = nn  # xe row of the next source
-        for i, el in enumerate(els):
+        for el in els:
             k = el.kind
             a, b = el.terminals[0], el.terminals[1]
             if isinstance(k, VoltageSource):
@@ -290,23 +282,17 @@ class _Compiled:
                 g_ext[r, a] += 1.0
                 g_ext[b, r] -= 1.0
                 g_ext[r, b] -= 1.0
-                self.where[i] = (0, r)
                 r += 1
-                continue
-            if isinstance(k, Resistor):
+            elif isinstance(k, Resistor):
                 _stamp(g_ext, a, b, 1.0 / k.ohms)
-                self.res.append((a, b, k.ohms, self.n_recorded))
+                self.res.append((el.name, a, b, k.ohms))
             elif isinstance(k, Capacitor):
                 g = k.farads / dt
                 _stamp(g_ext, a, b, g)
                 self.caps.append((a, b))
                 self.cap_g.append(g)
                 self.cap_ic.append(k.ic)
-                self.cap_cols.append(self.n_recorded)
-            else:
-                continue
-            self.where[i] = (1, self.n_recorded)
-            self.n_recorded += 1
+                self.cap_names.append(el.name)
         self.g_ext = g_ext
 
         # Step 0 pins every capacitor branch to its initial voltage with a
@@ -326,15 +312,15 @@ class _Compiled:
         # r_series), OTS (n+, n-, slot, params, -), comparator (out, -,
         # v_out_high, v_out_low, r_out).  Stamps: segment -> (a, b, g,
         # g * offset), or None for no stamp.
-        self.dyn_names = [els[i].name for i in dyn]
+        dyn = [el for el in els if isinstance(el.kind, (Diode, Ots, Comparator))]
+        self.dyn_names = [el.name for el in dyn]
         self.select: list[tuple] = []
         self.laws: list[tuple] = []
         self.stamps: list[dict[int, tuple | None]] = []
         # per OTS slot: (n+, n-, params, position, off and on selection entries)
         self.ots: list[tuple] = []
         self.ots_names: list[str] = []
-        for i in dyn:
-            el = els[i]
+        for el in dyn:
             k = el.kind
             t = el.terminals
             if isinstance(k, Diode):
@@ -432,26 +418,25 @@ class _Compiled:
             raise SimulationError(f"nodal residual {float(res[k]):.3g} A exceeds {_RESIDUAL_TOL:g} A at step {lo + k}")
         return float(res.max(initial=0.0))
 
-    def currents(self, sol: np.ndarray, set_id: np.ndarray, on_hist: np.ndarray) -> np.ndarray:
-        """Current record of every sample: the segment-switched elements in
-        its first columns, then resistors and capacitors."""
-        cur = np.empty((len(sol), self.n_recorded))
+    def currents(self, sol: np.ndarray, set_id: np.ndarray, on_hist: np.ndarray) -> dict[str, np.ndarray]:
+        """Every element current over all samples, by element name; a source
+        current is a view of its column of `sol`."""
+        cur = {name: sol[:, row] for name, (row, _) in zip(self.source_names, self.drives)}
         segs = np.array([segments for segments, _ in self.sets])[set_id]
         # a sample is solved with the OTS phases the previous step left
         on = np.concatenate((on_hist[:1], on_hist[:-1]))
-        for col, (kind, a, b, p, q, r) in enumerate(self.laws):
-            seg = segs[:, col]
+        for name, (kind, a, b, p, q, r), seg in zip(self.dyn_names, self.laws, segs.T):
             if kind == _DIODE:
                 v = sol[:, a] - sol[:, b]
-                cur[:, col] = np.where(seg == _SEG_FWD, (v - p) / r, np.where(seg == _SEG_REV, (v + q) / r, 0.0))
+                cur[name] = np.where(seg == _SEG_FWD, (v - p) / r, np.where(seg == _SEG_REV, (v + q) / r, 0.0))
             elif kind == _OTS:
-                cur[:, col] = ots_currents(q, on[:, p], sol[:, a] - sol[:, b])
+                cur[name] = ots_currents(q, on[:, p], sol[:, a] - sol[:, b])
             else:
-                cur[:, col] = (np.where(seg == _CMP_HIGH, p, q) - sol[:, a]) / r
-        for a, b, ohms, col in self.res:
-            cur[:, col] = (sol[:, a] - sol[:, b]) / ohms
-        for (a, b), g, ic, col in zip(self.caps, self.cap_g, self.cap_ic, self.cap_cols):
-            cur[:, col] = g * np.diff(sol[:, a] - sol[:, b], prepend=ic)
+                cur[name] = (np.where(seg == _CMP_HIGH, p, q) - sol[:, a]) / r
+        for name, a, b, ohms in self.res:
+            cur[name] = (sol[:, a] - sol[:, b]) / ohms
+        for name, (a, b), g, ic in zip(self.cap_names, self.caps, self.cap_g, self.cap_ic):
+            cur[name] = g * np.diff(sol[:, a] - sol[:, b], prepend=ic)
         return cur
 
 
@@ -495,15 +480,14 @@ def _repeat(a: np.ndarray, start: int, stop: int) -> None:
 
 
 def transient(net: Netlist, t_stop: float, dt: float, *,
-              sources: Mapping[str, SourceSpec] | None = None,
-              ots_states: dict[str, OtsState] | None = None) -> Trace:
+              sources: Mapping[str, SourceSpec] | None = None) -> Trace:
     """Integrate the netlist from its initial conditions to t_stop.
 
-    Capacitors start at their declared initial voltages and OTS devices in
-    the given (default off) states.  `sources` replaces the waveforms of
-    the named voltage sources for this run.
+    Capacitors start at their declared initial voltages and every OTS
+    device off.  `sources` replaces the waveforms of the named voltage
+    sources for this run.
 
-    Raises NetlistError for an unknown source or OTS name, ConvergenceError if the
+    Raises NetlistError for an unknown source name, ConvergenceError if the
     segment iteration does not settle (after _MAX_RESELECTIONS
     re-selections, a second round accepts an element that rounding keeps
     flipping across a knee; the error names the cycle of segment sets the
@@ -519,13 +503,9 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     if dt <= 0.0 or t_stop < dt:
         raise ValueError("require 0 < dt <= t_stop")
     c = _Compiled(net, dt, sources)
-    given = dict(ots_states) if ots_states else {}
-    for name in given:
-        if name not in c.ots_names:
-            raise NetlistError(f"no OTS named {name!r}")
-    states = [given.get(name, OtsState()) for name in c.ots_names]
-    on = [st.phase is Phase.ON for st in states]
-    hold = [ots_hold_bound(p, st) for (_, _, p, *_), st in zip(c.ots, states)]
+    states = [OFF_STATE] * len(c.ots)
+    on = [False] * len(c.ots)
+    hold = [ots_hold_bound(p, OFF_STATE) for _, _, p, *_ in c.ots]
 
     n_steps = int(round(t_stop / dt))
     times = np.arange(n_steps + 1) * dt
@@ -555,9 +535,6 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     cap_terms = [(a, b, g) for (a, b), g in zip(c.caps, c.cap_g)]
     ots = c.ots
     select = list(c.select)                  # per run: OTS entries follow the phase
-    for (_, _, _, pos, _, on_entry), is_on in zip(ots, on):
-        if is_on:
-            select[pos] = on_entry
     xe = [0.0] * (n + 1)
     prev = None                              # xe of the previous step
     segments = _select(select, xe)
@@ -659,20 +636,20 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
         raise
 
     kcl_residual = max(kcl_residual, c.residual_gate(sol, rhs, set_id, checked, solved))
-    del rhs  # not needed for the current record
+    del rhs  # not needed for the currents
     on_hist[held_from:solved] = held
     if period:
         # later samples repeat the last `period` solved ones
         for a in (sol, set_id, on_hist):
             _repeat(a, solved - period, solved)
 
-    record = (sol, c.currents(sol, set_id, on_hist))
+    currents = c.currents(sol, set_id, on_hist)
     return Trace(
         dt=dt,
         times=times,
         node_names=net.node_names,
         voltages=sol[:, : net.node_count],
-        currents={el.name: record[k][:, col] for el, (k, col) in zip(net.elements, c.where)},
+        currents={el.name: currents[el.name] for el in net.elements},
         ots_on={name: on_hist[:, slot] for slot, name in enumerate(c.ots_names)},
         kcl_residual=kcl_residual,
         solved_steps=solved,

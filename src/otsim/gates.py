@@ -342,17 +342,16 @@ def decode_output(tr: Trace, out: OutputSpec, enc: LogicEncoding) -> tuple[int, 
 def evaluate(kind: GateKind, bits: tuple[int, ...],
              enc: LogicEncoding | None = None,
              p: OtsParams | None = None, *,
-             dt: float = 50e-9,
-             with_detail: bool = False):
-    """Simulate one input combination and decode every output bit."""
+             dt: float = 50e-9) -> TruthRow:
+    """Simulate one input combination and decode every output bit: the row
+    holds the expected and measured bits, each output's raw measurement
+    (event count or mean level) and the trace."""
     enc = enc or LogicEncoding()
     circuit = build_gate(kind, p, enc, bits)
     tr = transient(circuit.net, enc.settle + enc.bit_width, dt)
     decoded = [decode_output(tr, out, enc) for out in circuit.outputs]
-    bits_out = tuple(b for b, _ in decoded)
-    if with_detail:
-        return bits_out, tuple(m for _, m in decoded), tr
-    return bits_out
+    return TruthRow(bits, expected_bits(kind, bits), tuple(b for b, _ in decoded),
+                    tuple(m for _, m in decoded), tr)
 
 
 @dataclass
@@ -409,7 +408,9 @@ def truth_table(kind: GateKind, enc: LogicEncoding | None = None,
     combos = [tuple((i >> (arity - 1 - k)) & 1 for k in range(arity)) for i in range(2 ** arity)]
 
     def run(bits: tuple[int, ...]) -> TruthRow:
-        measured, detail, tr = evaluate(kind, bits, enc, p, dt=dt, with_detail=True)
-        return TruthRow(bits, expected_bits(kind, bits), measured, detail, tr if keep_traces else None)
+        row = evaluate(kind, bits, enc, p, dt=dt)
+        if not keep_traces:
+            row.trace = None
+        return row
 
     return TruthTable(kind, [run(bits) for bits in combos])

@@ -27,35 +27,33 @@ from .imaging import BinaryImage, ShiftDirection, reference_edges, shift
 from .waveforms import Dc, require_finite
 
 _BURST_CURRENT = 3e-4  # A, switch current that marks a conduction burst, in streams and gradients
+PULSE_WIDTH = 5e-6     # s, length of a stream's pulse for a 1 bit
+CLOCK_PERIOD = 10e-6   # s, one stream bit per clock period
 
 
 @dataclass(frozen=True)
 class PulseTrain:
-    """Return-to-zero pulse encoding of a bit sequence: one clock period per
-    bit, pulsing from ground to v_high for `width` when the bit is 1."""
+    """Return-to-zero pulse encoding of a bit sequence: one CLOCK_PERIOD per
+    bit, pulsing from ground to v_high for PULSE_WIDTH when the bit is 1."""
 
     bits: tuple[int, ...]
-    width: float = 5e-6
-    period: float = 10e-6
     v_high: float = 5.0
 
     def __post_init__(self) -> None:
-        require_finite("PulseTrain", width=self.width, period=self.period, v_high=self.v_high)
-        if not (0.0 < self.width < self.period):
-            raise ValueError("require 0 < width < period")
+        require_finite("PulseTrain", v_high=self.v_high)
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("bits must be 0/1")
         object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
 
     @property
     def duration(self) -> float:
-        return len(self.bits) * self.period
+        return len(self.bits) * CLOCK_PERIOD
 
     def __call__(self, t: float) -> float:
-        k = int(t // self.period)
+        k = int(t // CLOCK_PERIOD)
         if k < 0 or k >= len(self.bits):
             return 0.0
-        if self.bits[k] and (t - k * self.period) < self.width:
+        if self.bits[k] and (t - k * CLOCK_PERIOD) < PULSE_WIDTH:
             return self.v_high
         return 0.0
 
@@ -83,14 +81,15 @@ class StreamSettings:
     """Knobs of the circuit stream decoder.  Segments run one after
     another; `n_jobs` has no effect; it is accepted for existing callers."""
 
-    pulse_width: float = 5e-6
-    clock_period: float = 10e-6
-    dt: float = 50e-9
+    clock_period = CLOCK_PERIOD    # not a field: every stream uses it
+    dt: float = 50e-9              # below PULSE_WIDTH
     count_threshold: int = 1       # spikes per clock period for an output 1
     segment_clocks: int = 256      # state reset between segments (<= 4096)
     n_jobs: int = 1
 
     def __post_init__(self) -> None:
+        if not (0.0 < self.dt < PULSE_WIDTH):
+            raise ValueError(f"dt must be positive and below the pulse width {PULSE_WIDTH:g} s, got {self.dt!r}")
         if not (0 < self.segment_clocks <= 4096):
             raise ValueError("segment_clocks must be in 1..4096")
         if self.count_threshold < 1:
@@ -108,7 +107,7 @@ def _count_bursts_per_clock(times: np.ndarray, current: np.ndarray,
     events = count_crossings(times, np.abs(current), _BURST_CURRENT, burst_refractory(settings.dt))
     counts = [0] * n_clocks
     for ts in events:
-        k = int(ts // settings.clock_period)
+        k = int(ts // CLOCK_PERIOD)
         if 0 <= k < n_clocks:
             counts[k] += 1
         elif k == n_clocks:  # event exactly at the final sample
@@ -119,8 +118,8 @@ def _count_bursts_per_clock(times: np.ndarray, current: np.ndarray,
 def _run_segment(bits_a: tuple[int, ...], bits_b: tuple[int, ...],
                  enc: LogicEncoding, p: OtsParams,
                  settings: StreamSettings) -> list[int]:
-    spec_a = PulseTrain(bits_a, settings.pulse_width, settings.clock_period, enc.v_high)
-    spec_b = PulseTrain(bits_b, settings.pulse_width, settings.clock_period, enc.v_high)
+    spec_a = PulseTrain(bits_a, enc.v_high)
+    spec_b = PulseTrain(bits_b, enc.v_high)
     tr = _xor_stream(spec_a, spec_b, p, spec_a.duration, settings.dt)
     counts = _count_bursts_per_clock(tr.times, tr.currents["OTS1"], len(bits_a), settings)
     return [1 if c >= settings.count_threshold else 0 for c in counts]

@@ -15,6 +15,9 @@ from .waveforms import Dc, SourceSpec
 R_BIAS = 9.1e3    # bias resistor
 C_PAR = 1e-9      # capacitor in parallel with the switch
 R_SERIES = 100.0  # ground-side series resistor
+SPIKE_THRESHOLD = 0.5    # V at the sense node, upward crossings count as spikes
+SPIKE_REFRACTORY = 1e-6  # shortest gap between two counted spikes
+CHARGE_UP = 20e-6        # initial interval skipped before spikes are counted
 
 IN_NODE = "in"
 TOP_NODE = "top"   # switch + capacitor node
@@ -45,15 +48,12 @@ class OscillationResult:
 
 
 def run_oscillator(v_in: float, duration: float = 300e-6, *,
-                   p: OtsParams | None = None, dt: float = 10e-9,
-                   detect_threshold: float = 0.5,
-                   refractory: float = 1e-6,
-                   skip: float = 20e-6) -> OscillationResult:
+                   p: OtsParams | None = None, dt: float = 10e-9) -> OscillationResult:
     """Constant-bias run; spikes are upward crossings at the sense node
-    after an initial charge-up interval is skipped."""
+    after the initial charge-up interval is skipped."""
     net = measurement_netlist(v_in, p)
     tr = transient(net, duration, dt)
-    st = extract_spikes(tr, MID_NODE, detect_threshold, refractory, window=(skip, duration))
+    st = extract_spikes(tr, MID_NODE, SPIKE_THRESHOLD, SPIKE_REFRACTORY, window=(CHARGE_UP, duration))
     return OscillationResult(v_in, st, firing_rate(st), tr)
 
 

@@ -146,8 +146,11 @@ class TestTimeStepFitsTheRun:
         (["oscillate", "--set", "dt_device=1m"], "dt_device"),
         (["gate", "--kind", "and", "--set", "dt_logic=1m"], "dt_logic"),
         (["gradient", "--set", "dt_logic=2m"], "dt_logic"),
-    ], ids=["iv", "oscillate", "gate", "gradient"])
-    def test_step_longer_than_the_run_is_a_usage_error(self, argv, key, tmp_path, capsys):
+        (["edge", "--in", "{pgm}", "--set", "dt_logic=1"], "dt_logic"),
+        (["edge", "--in", "{pgm}", "--set", "dt_logic=10u"], "dt_logic"),  # fits the run, not a 5 us pulse
+    ], ids=["iv", "oscillate", "gate", "gradient", "edge", "edge_pulse"])
+    def test_step_longer_than_the_run_is_a_usage_error(self, argv, key, uniform_pgm, tmp_path, capsys):
+        argv = [a.format(pgm=uniform_pgm) for a in argv]
         if argv[0] != "gate":
             argv = argv + ["--out", str(tmp_path / "out.csv")]
         assert main(argv) == EXIT_USAGE

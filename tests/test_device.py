@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otsim.device import (OFF_STATE, ON_STATE, OtsParams, OtsState, Pending, Phase, default_params, ots_current,
+from otsim.device import (OFF_STATE, ON_STATE, OtsParams, OtsState, Phase, default_params, ots_current,
                           ots_hold_bound, ots_step)
 
 
@@ -54,7 +54,7 @@ class TestSwitchingKinetics:
     def test_below_threshold_stays_off(self):
         p = make_params()
         s = ots_step(p, OFF_STATE, p.v_th - 0.1, 1e-9)
-        assert s.phase is Phase.OFF and s.pending is None
+        assert s.phase is Phase.OFF and s.elapsed == 0.0
 
     def test_zero_delay_switches_in_one_step(self):
         p = make_params(tau_on=0.0)
@@ -67,7 +67,7 @@ class TestSwitchingKinetics:
         v = p.v_hold + 0.5 * p.i_hold * p.r_on  # on-state current = i_hold/2
         s = ON_STATE
         s = ots_step(p, s, v, 4e-9)
-        assert s.phase is Phase.ON and s.pending is Pending.SWITCHING_OFF
+        assert s.phase is Phase.ON
         assert s.elapsed == pytest.approx(4e-9)
         s = ots_step(p, s, v, 4e-9)
         assert s.phase is Phase.ON and s.elapsed == pytest.approx(8e-9)
@@ -77,9 +77,9 @@ class TestSwitchingKinetics:
     def test_condition_lapse_clears_pending(self):
         p = make_params(tau_on=100e-9)
         s = ots_step(p, OFF_STATE, p.v_th + 1.0, 10e-9)
-        assert s.pending is Pending.SWITCHING_ON
+        assert s.phase is Phase.OFF and s.elapsed == 10e-9
         s = ots_step(p, s, 0.0, 10e-9)
-        assert s.pending is None and s.elapsed == 0.0
+        assert s == OFF_STATE
 
     def test_hysteresis_window(self):
         # on-state persists below v_th while the current stays above i_hold
@@ -89,7 +89,7 @@ class TestSwitchingKinetics:
         i = ots_current(p, ON_STATE, v)
         assert abs(i) >= p.i_hold
         s = ots_step(p, ON_STATE, v, 1e-9)
-        assert s.phase is Phase.ON and s.pending is None
+        assert s.phase is Phase.ON and s.elapsed == 0.0
 
     def test_volatility(self):
         # holding v = 0 for tau_off always turns the device off
@@ -138,9 +138,7 @@ def valid_params(draw):
 
 @st.composite
 def states(draw):
-    phase = draw(st.sampled_from(Phase))
-    pending = draw(st.sampled_from([None, Pending.SWITCHING_ON if phase is Phase.OFF else Pending.SWITCHING_OFF]))
-    return OtsState(phase, pending, draw(st.one_of(st.just(0.0), st.floats(min_value=0.0))))
+    return OtsState(draw(st.sampled_from(Phase)), draw(st.one_of(st.just(0.0), st.floats(min_value=0.0))))
 
 
 def voltages(v_th):
@@ -168,8 +166,7 @@ class TestHoldBound:
     def test_bound_is_the_threshold_only_when_off_and_idle(self):
         p = make_params()
         assert ots_hold_bound(p, OFF_STATE) == ots_hold_bound(p, OtsState()) == p.v_th
-        for s in (ON_STATE, OtsState(Phase.OFF, Pending.SWITCHING_ON, 1e-9), OtsState(Phase.OFF, None, 1e-9),
-                  OtsState(Phase.ON, Pending.SWITCHING_OFF, 0.0)):
+        for s in (ON_STATE, OtsState(Phase.OFF, 1e-9), OtsState(Phase.ON, 1e-9)):
             assert ots_hold_bound(p, s) == 0.0
 
 
@@ -198,9 +195,9 @@ class TestParams:
 
     def test_state_invariants(self):
         with pytest.raises(ValueError):
-            OtsState(Phase.ON, Pending.SWITCHING_ON, 0.0)
+            OtsState(Phase.OFF, math.nan)
         with pytest.raises(ValueError):
-            OtsState(Phase.OFF, Pending.SWITCHING_OFF, 0.0)
+            OtsState(Phase.ON, -1e-9)
 
     def test_overrides(self):
         p = default_params(v_th=3.5)

@@ -41,12 +41,12 @@ class TestOpCounts:
 
 class TestScaling:
     def test_identity(self):
-        law = ScalingLaw(exponent=1.6, d_ref=6e-6, reference_energy=467e-12)
+        law = ScalingLaw(exponent=1.6)
         assert scale_energy(law, 6e-6) == pytest.approx(467e-12)
 
     def test_square_law_halving(self):
-        law = ScalingLaw(exponent=2.0, d_ref=1e-6, reference_energy=4e-12)
-        assert scale_energy(law, 0.5e-6) == pytest.approx(1e-12)
+        law = ScalingLaw(exponent=2.0)
+        assert scale_energy(law, 3e-6) == pytest.approx(467e-12 / 4)
 
     def test_16nm_projection(self):
         # direct evaluation: 467 pJ / (6 um / 16 nm)^1.6 = 467 pJ / 375^1.6

@@ -22,9 +22,8 @@ from otsim import (
     firing_rate,
     transient,
 )
-from otsim.device import ON_STATE
 from otsim.engine import SpikeTrain, count_crossings
-from otsim.rig import OTS_NAME, measurement_netlist
+from otsim.rig import measurement_netlist
 
 
 def rc_lowpass(r=1e3, c=1e-9, v=1.0):
@@ -348,17 +347,6 @@ class TestSourceOverride:
     def test_unknown_source_rejected(self):
         with pytest.raises(NetlistError, match="'R1'"):
             transient(rc_lowpass(), 1e-6, 10e-9, sources={"R1": Dc(1.0)})
-
-
-class TestOtsStateOverride:
-    def test_initial_state_applies(self):
-        tr = transient(measurement_netlist(0.0), 1e-6, 10e-9, ots_states={OTS_NAME: ON_STATE})
-        assert tr.ots_on[OTS_NAME][0]
-
-    def test_unknown_ots_rejected(self):
-        for name in ("NO_SUCH", "RS"):  # absent, and present but not an OTS
-            with pytest.raises(NetlistError, match=f"'{name}'"):
-                transient(measurement_netlist(4.0), 1e-6, 10e-9, ots_states={name: ON_STATE})
 
 
 class TestSpikes:

@@ -61,7 +61,7 @@ GOLDEN = {
         },
     ),
     "xor_row_10": (
-        lambda: gates.evaluate(GateKind.XOR, (1, 0), with_detail=True)[2],
+        lambda: gates.evaluate(GateKind.XOR, (1, 0)).trace,
         (2001, None),
         {
             "voltages": "e415361d426e6b8f45197c6a98a4c81026e7527d96fcfc4dfad688b2ab801f1c",
@@ -71,7 +71,7 @@ GOLDEN = {
         },
     ),
     "full_adder_row_111": (
-        lambda: gates.evaluate(GateKind.FULL_ADDER, (1, 1, 1), with_detail=True)[2],
+        lambda: gates.evaluate(GateKind.FULL_ADDER, (1, 1, 1)).trace,
         (2001, None),
         {
             "voltages": "131247295e0aec8f1858c40ce9daccbddd4b6f656e1ffd22ac23b7a32388afb5",
@@ -82,7 +82,7 @@ GOLDEN = {
     ),
     # settles into bitwise-identical samples from step 732 on
     "half_adder_row_11": (
-        lambda: gates.evaluate(GateKind.HALF_ADDER, (1, 1), with_detail=True)[2],
+        lambda: gates.evaluate(GateKind.HALF_ADDER, (1, 1)).trace,
         (735, 1),
         {
             "voltages": "bd95ef8b552c62c438b4640cbe8f9e01ac0916474899019156d829f566ad97fe",
@@ -114,7 +114,7 @@ GOLDEN = {
     ),
     # periodic with a period of 13 steps
     "nand_row_00": (
-        lambda: gates.evaluate(GateKind.NAND, (0, 0), with_detail=True)[2],
+        lambda: gates.evaluate(GateKind.NAND, (0, 0)).trace,
         (182, 13),
         {
             "voltages": "03bc612fd41a1229eb3d3ba6c9a199be1a5b19ee28f15c549aab6b915f50c97f",
@@ -125,7 +125,7 @@ GOLDEN = {
     ),
     # the second stage of the dCaAP cascade
     "dcaap_row_010": (
-        lambda: gates.evaluate(GateKind.DCAAP_CASCADE, (0, 1, 0), with_detail=True)[2],
+        lambda: gates.evaluate(GateKind.DCAAP_CASCADE, (0, 1, 0)).trace,
         (2001, None),
         {
             "voltages": "16529065a54a044b9473cfbb151e8c4afa14a8885f332ee9b79865d289ea3c79",
@@ -136,7 +136,7 @@ GOLDEN = {
     ),
     # a full-adder row at a logic level other than the default 5 V
     "full_adder_row_011_4v6": (
-        lambda: gates.evaluate(GateKind.FULL_ADDER, (0, 1, 1), LogicEncoding(v_high=4.6), with_detail=True)[2],
+        lambda: gates.evaluate(GateKind.FULL_ADDER, (0, 1, 1), LogicEncoding(v_high=4.6)).trace,
         (2001, None),
         {
             "voltages": "148ef773a7a96371446432fe0c13041e5d1e1395897f3109c96dbe60285b21a0",
@@ -239,7 +239,7 @@ class TestPeriodicTail:
         assert field_digests(tr) == field_digests(transient(net, 40e-6, 10e-9, sources=constant_pwl_sources(net)))
 
     def test_fixed_point_is_period_one(self):
-        tr = gates.evaluate(GateKind.HALF_ADDER, (1, 1), with_detail=True)[2]
+        tr = gates.evaluate(GateKind.HALF_ADDER, (1, 1)).trace
         assert (tr.period, tr.solved_steps) == (1, 735)
 
 
@@ -320,7 +320,7 @@ def scalar_switched_currents(net: Netlist, tr) -> dict:
 @pytest.mark.parametrize("run", [
     lambda: (rig.measurement_netlist(4.3), rig.run_oscillator(4.3, 40e-6).trace),
     lambda: (gates.build_gate(GateKind.FULL_ADDER, bits=(1, 1, 0)).net,
-             gates.evaluate(GateKind.FULL_ADDER, (1, 1, 0), with_detail=True)[2]),
+             gates.evaluate(GateKind.FULL_ADDER, (1, 1, 0)).trace),
 ], ids=["oscillator", "full_adder_row_110"])
 def test_switched_currents_equal_their_scalar_laws(run):
     net, tr = run()

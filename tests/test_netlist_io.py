@@ -309,7 +309,7 @@ class TestRunConfig:
 
     def test_spelled_out_switching_delays_keep_the_and_burst_count(self):
         p = parse_config("tau_on = 50n\ntau_off = 50n\n").device_params()
-        assert evaluate(GateKind.AND, (1, 1), p=p, with_detail=True)[1] == (398.0,)
+        assert evaluate(GateKind.AND, (1, 1), p=p).detail == (398.0,)
 
     @pytest.mark.parametrize("text, match", [
         ("v_th = 0.5", r"run\.cfg: v_th = 0\.5: require v_th > v_hold > 0"),

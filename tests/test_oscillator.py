@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from otsim import Triangle, default_params, dynamic_iv
-from otsim.rig import C_PAR, R_BIAS, R_SERIES, measurement_netlist, rate_sweep, run_oscillator
+from otsim.rig import C_PAR, CHARGE_UP, R_BIAS, R_SERIES, measurement_netlist, rate_sweep, run_oscillator
 
 
 def oracle_period(v_in: float, p) -> float:
@@ -48,7 +48,7 @@ class TestOscillator:
         v_in = 4.0
         t_oracle = oracle_period(v_in, p)
         window = 12.0 * t_oracle
-        res = run_oscillator(v_in, window + 20e-6, p=p, skip=20e-6)
+        res = run_oscillator(v_in, window + CHARGE_UP, p=p)
         expect = window / t_oracle
         assert abs(res.spikes.count - expect) <= 1.0 + 1e-9
 

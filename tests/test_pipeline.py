@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otsim.imaging import BinaryImage, reference_edges
 from otsim.pipeline import (
@@ -16,7 +18,7 @@ from otsim.pipeline import (
 
 class TestPulseTrain:
     def test_waveform_values(self):
-        pt = PulseTrain((1, 0, 1), width=5e-6, period=10e-6, v_high=5.0)
+        pt = PulseTrain((1, 0, 1), v_high=5.0)
         assert pt(1e-6) == 5.0
         assert pt(6e-6) == 0.0
         assert pt(11e-6) == 0.0
@@ -25,8 +27,6 @@ class TestPulseTrain:
         assert pt.duration == pytest.approx(30e-6)
 
     def test_invariants(self):
-        with pytest.raises(ValueError):
-            PulseTrain((1,), width=10e-6, period=10e-6)
         with pytest.raises(ValueError):
             PulseTrain((2,))
 
@@ -56,6 +56,16 @@ class TestXorStream:
         whole = xor_stream_circuit(a, b, settings=StreamSettings(segment_clocks=256))
         split = xor_stream_circuit(a, b, settings=StreamSettings(segment_clocks=8))
         assert whole == split == [x ^ y for x, y in zip(a, b)]
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_any_segment_length_gives_the_bitwise_xor(self, data):
+        n = data.draw(st.integers(1, 12))
+        a = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        b = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        split = xor_stream_circuit(a, b, settings=StreamSettings(segment_clocks=data.draw(st.integers(1, n))))
+        whole = xor_stream_circuit(a, b, settings=StreamSettings(segment_clocks=n))
+        assert split == whole == [x ^ y for x, y in zip(a, b)]
 
     def test_parallel_segments_identical(self):
         rng = np.random.default_rng(5)
