@@ -22,7 +22,7 @@ import numpy as np
 from .device import OtsParams, default_params
 from .engine import Trace, burst_refractory, count_crossings, transient
 from .netlist import Netlist
-from .waveforms import Dc
+from .waveforms import Dc, require_finite
 
 
 class GateKind(enum.Enum):
@@ -53,6 +53,7 @@ class LogicEncoding:
     settle: float = 50e-6     # guard time before the decode window opens
 
     def __post_init__(self) -> None:
+        require_finite("LogicEncoding", v_high=self.v_high, bit_width=self.bit_width, settle=self.settle)
         if self.v_high <= 0.0:
             raise ValueError("v_high must be positive")
         if self.bit_width <= 0.0 or self.settle < 0.0:

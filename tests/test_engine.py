@@ -18,11 +18,13 @@ from otsim import (
     SingularSystemError,
     Triangle,
     default_params,
+    engine,
     extract_spikes,
     firing_rate,
     transient,
 )
 from otsim.engine import SpikeTrain, count_crossings
+from otsim.gates import GateKind, truth_table
 from otsim.rig import measurement_netlist
 
 
@@ -305,6 +307,11 @@ class TestNonFiniteRejected:
         with pytest.raises(ValueError, match="Triangle: v_peak must be finite"):
             Triangle(math.nan, 1e-6, 1e-6)
 
+    @pytest.mark.parametrize("t_stop, dt, field", [(math.nan, 10e-9, "t_stop"), (1e-6, math.inf, "dt")])
+    def test_transient_times(self, t_stop, dt, field):
+        with pytest.raises(ValueError, match=f"transient: {field} must be finite"):
+            transient(rc_lowpass(), t_stop, dt)
+
     def test_residual_gate_catches_nan(self):
         net = rc_lowpass()
         with pytest.raises(SimulationError, match="nodal residual nan"):
@@ -329,6 +336,28 @@ class TestNonFiniteRejected:
         with pytest.raises(SimulationError, match=r"at step 50$"):
             transient(rc_lowpass(), 1e-3, 10e-9, sources={"VIN": late_nan})
         assert len(calls) <= 4096  # one residual batch; a run to t_stop takes 100,001
+
+
+class TestSolveCounts:
+    """A step after an OTS flip first solves the set that the last step
+    starting from the same segment set accepted, so the full adder, whose
+    flips ripple through comparator chains, solves about once per step
+    (40,820 solves for 14,009 solved steps without that shortcut)."""
+
+    @pytest.mark.parametrize("kind, solves", [(GateKind.FULL_ADDER, 14612), (GateKind.DCAAP_CASCADE, 14279)],
+                             ids=lambda v: getattr(v, "value", v))
+    def test_truth_table_solves(self, monkeypatch, kind, solves):
+        count = 0
+        dgetrs = engine.dgetrs
+
+        def counting(*args):
+            nonlocal count
+            count += 1
+            return dgetrs(*args)
+
+        monkeypatch.setattr(engine, "dgetrs", counting)
+        truth_table(kind)
+        assert count == solves
 
 
 class TestSourceOverride:

@@ -1,5 +1,7 @@
 """Truth tables and logic-level properties of the gate circuits."""
 
+import math
+
 import pytest
 
 from otsim.gates import (
@@ -145,6 +147,13 @@ class TestHarness:
                     caps[el.kind.farads] = caps.get(el.kind.farads, 0) + 1
             assert res == res_expect, f"{kind.value}: resistors {res}"
             assert caps == cap_expect, f"{kind.value}: capacitors {caps}"
+
+    @pytest.mark.parametrize("field", ["v_high", "bit_width", "settle"])
+    def test_encoding_rejects_non_finite(self, field):
+        with pytest.raises(ValueError, match=f"LogicEncoding: {field} must be finite"):
+            LogicEncoding(**{field: math.nan})
+        with pytest.raises(ValueError, match=f"LogicEncoding: {field} must be finite"):
+            LogicEncoding(**{field: math.inf})
 
     def test_evaluate_validates_arity(self):
         with pytest.raises(ValueError):
