@@ -2,8 +2,10 @@
 
 The digests pin the exact bits of the reference runs: the oscillator
 rig, the XOR gate, the full adder at two logic levels, a dCaAP-cascade
-row, a half-adder row whose DC inputs settle into a constant tail, and
-three runs that settle into a bitwise periodic orbit long before they end.
+row, a half-adder row whose DC inputs settle into a constant tail, three
+runs that settle into a bitwise periodic orbit long before they end, and
+three runs driven by time-varying sources (an edge-detection stream
+segment, a pulsed RC/diode ladder and the dynamic I-V ramp).
 Each case also pins the samples the step loop solved and the period it
 stopped at.  A change to the engine that moves a single sample of a
 voltage, a current, an OTS phase or the residual, or the step at which a
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from otsim import Dc, Netlist, PiecewiseLinear, Pulse, default_params, gates, rig, transient
+from otsim import Dc, Netlist, PiecewiseLinear, Pulse, Triangle, default_params, engine, gates, pipeline, rig, transient
 from otsim.device import OFF_STATE, ON_STATE, ots_current
 from otsim.gates import GateKind, LogicEncoding
 from otsim.netlist import Comparator, Diode, Ots, VoltageSource
@@ -47,6 +49,44 @@ def gradient_xor():
     it at a contrast difference of 255 (pixel a at v_high, pixel b at 0)."""
     enc = LogicEncoding()
     return gates.build_gate(GateKind.XOR).net, {"S_S1": Dc(enc.v_high * 255 / 255.0), "S_S2": Dc(0.0)}
+
+
+def xor_stream_segment():
+    """A 16-clock segment of the edge-detection stream: the XOR gate driven
+    by two seeded pulse trains at the stream's dt."""
+    rng = np.random.default_rng(13)
+    a, b = (pipeline.PulseTrain(tuple(rng.integers(0, 2, 16).tolist())) for _ in range(2))
+    return pipeline._xor_stream(a, b, default_params(), a.duration, 50e-9)
+
+
+def pulse_ladder():
+    """A three-pulse drive through a resistor, a diode and a reverse diode
+    into capacitors, over 10,001 samples (three residual batches)."""
+    net = Netlist()
+    net.add_source("VIN", "n0", "0", Pulse(-0.5, 4.0, delay=3.3e-6, width=7e-6, period=20e-6, repeat=3))
+    net.add_resistor("RS1", "n0", "n1", 1e3)
+    net.add_capacitor("C1", "n1", "0", 2e-9)
+    net.add_diode("D2", "n1", "n2", v_f=0.6, v_z=5.0, r_series=20.0)
+    net.add_capacitor("C2", "n2", "0", 1e-9, ic=0.25)
+    net.add_resistor("RP2", "n2", "0", 2e4)
+    net.add_diode("D3", "n3", "n2", v_f=0.4, v_z=3.0, r_series=50.0)
+    net.add_capacitor("C3", "n3", "0", 5e-10, ic=-0.5)
+    return transient(net, 100e-6, 10e-9)
+
+
+def dynamic_iv_trace():
+    """The transient that `dynamic_iv` runs on the rig under a triangular
+    ramp to twice the threshold, as acceptance c4 drives it."""
+    traces = []
+    run = engine.transient
+    engine.transient = lambda *a, **kw: traces.append(run(*a, **kw)) or traces[-1]
+    try:
+        p = default_params()
+        engine.dynamic_iv(rig.measurement_netlist(0.0, p), Triangle(2.0 * p.v_th, 50e-6, 50e-6), "OTS1")
+    finally:
+        engine.transient = run
+    (tr,) = traces
+    return tr
 
 
 GOLDEN = {
@@ -143,6 +183,37 @@ GOLDEN = {
             "currents": "0a076dc907047f13ffab613c72dff577f3962e6c9451fbbda415ca5d63a70a35",
             "ots_on": "a868685a222439cb3d14049231dd9cc01779a2c20abc218a38386ac976581d82",
             "kcl_residual": "0x1.0000000000000p-36",
+        },
+    ),
+    # pulse-driven runs: every sample is solved
+    "xor_stream_16_clocks": (
+        xor_stream_segment,
+        (3201, None),
+        {
+            "voltages": "026f2ae6e0939d625adc9a06b5218a4d664ecacc5188f3fe339fc2a85de7c245",
+            "currents": "186f5a00b32bda4a37bc3b920ca8cc9397c32678e435ee5de5daaf07e0a6916f",
+            "ots_on": "e1a067ee38298ddb78ad84602aad2536d63caeac6702cdd1fc15557f0cf11fc1",
+            "kcl_residual": "0x1.0000000000000p-36",
+        },
+    ),
+    "pulse_ladder_repeat_3": (
+        pulse_ladder,
+        (10001, None),
+        {
+            "voltages": "fc35438ab133c0fc6f3cec4309cadfd698d22c65333f6aaac3badfbb96ea2554",
+            "currents": "5717467b9c94802a4d1e9eb5e85374de9ad9fb8147368f2dbe7e54b475b0ccfb",
+            "ots_on": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "kcl_residual": "0x1.0000000000000p-52",
+        },
+    ),
+    "dynamic_iv_triangle": (
+        dynamic_iv_trace,
+        (10001, None),
+        {
+            "voltages": "e126329271a410ac8006358c157734d6ce50bbf56b52486e5d31dc7e79c63dd3",
+            "currents": "940d5198306f29154da7a06aef5bd514f6462e17c9efa9248a2cada8fa86acec",
+            "ots_on": "fc148c46f54220c33115ce4e993b1e460550fd6ae421cfb613c57b90f69b9c04",
+            "kcl_residual": "0x1.0000000000000p-54",
         },
     ),
 }
