@@ -21,12 +21,13 @@ capacitor stamps and OTS slots.  The step loop then works on those tuples
 and on floats from ``x.tolist()`` only: it solves, advances the integrator
 and OTS states, and records each sample's solution, right-hand side and
 segment set.  Its fixed cost per step is kept small: ``Dc`` drives are
-read once per run into the RHS every step starts from, and only the other
-drives are sampled per step; the source and history RHS becomes one array
-per step, and each solve adds the cached dynamic RHS of its segment set
-(stored without the ground entry) and calls ``dgetrs``; and an OTS whose
-state ``ots_step`` would return unchanged (``device.ots_hold_bound``) is not
-stepped.
+read once per run into the RHS every step starts from, and every other
+drive is called once per batch of _CHUNK steps, on the array of that
+batch's sample times, so a step reads its value from a list; the source and
+history RHS becomes one array per step, and each solve adds the cached
+dynamic RHS of its segment set (stored without the ground entry) and calls
+``dgetrs``; and an OTS whose state ``ots_step`` would return unchanged
+(``device.ots_hold_bound``) is not stepped.
 
 A step after an OTS flip starts from the segment set selected at the
 flipped phases, and its iteration can walk a chain of comparators one stage
@@ -46,7 +47,9 @@ set, which gives the same bits as a per-step ``mat.dot(x)``.  The loop
 checks every full batch of ``_CHUNK`` samples as soon as it is solved, and
 the last, partial batch after the loop.  If the loop raises, the samples it
 solved are checked first, so a residual failure at an earlier step still
-wins.  Every element current is computed for all samples at once after the
+wins.  The drives are sampled over the same batches, when a batch's first
+step starts, so no drive is called for times beyond the batch being
+solved.  Every element current is computed for all samples at once after the
 loop, one array per element: a source current is a view of its column of
 the solution record, resistor and capacitor currents come from the solution,
 and diode, OTS and comparator currents from the solution, the recorded
@@ -490,15 +493,28 @@ def _repeat(a: np.ndarray, start: int, stop: int) -> None:
         i += m
 
 
+def _samples(name: str, spec, ts: np.ndarray) -> list[float]:
+    """The values of drive `name` at times `ts`, as floats; `spec` may give
+    one value for all of them."""
+    v = np.asarray(spec(ts), dtype=float)
+    if v.shape not in ((), ts.shape):
+        raise ValueError(f"source {name!r}: {'x'.join(map(str, v.shape))} values for {len(ts)} sample times")
+    return np.broadcast_to(v, ts.shape).tolist()
+
+
 def transient(net: Netlist, t_stop: float, dt: float, *,
               sources: Mapping[str, SourceSpec] | None = None) -> Trace:
     """Integrate the netlist from its initial conditions to t_stop.
 
     Capacitors start at their declared initial voltages and every OTS
     device off.  `sources` replaces the waveforms of the named voltage
-    sources for this run.
+    sources for this run.  A source waveform is a callable that maps an
+    ndarray of times to volts: an array of the same shape, or a scalar for
+    all of them.  A `Dc` is called once per run; any other waveform once per
+    batch of _CHUNK sample times, as the loop reaches the batch.
 
-    Raises NetlistError for an unknown source name, ConvergenceError if the
+    Raises NetlistError for an unknown source name, ValueError naming the
+    source if a waveform returns values of another shape, ConvergenceError if the
     segment iteration does not settle (after _MAX_RESELECTIONS
     re-selections, a second round accepts an element that rounding keeps
     flipping across a knee; the error names the cycle of segment sets the
@@ -538,12 +554,13 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     # capacitors write disjoint rows.
     base = [0.0] * (n + 1)
     varying = []
-    for row, spec in c.drives:
+    for name, (row, spec) in zip(c.source_names, c.drives):
         if type(spec) is Dc:
             base[row] = spec(0.0)
         else:
-            varying.append((row, spec))
+            varying.append((name, row, spec))
     constant = not varying
+    batch = []                               # (row, samples) of each varying drive over the current batch
     base_pin = base.copy()
     for (a, b), g, v in zip(c.caps, c.cap_g_pin, c.cap_ic):
         hist = g * v
@@ -568,10 +585,11 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
 
     try:
         for step in range(n_steps + 1):
-            t = step * dt  # the same product as times[step]
             zl = base.copy() if step else base_pin.copy()
-            for row, spec in varying:
-                zl[row] = spec(t)
+            if step == checked:  # a batch starts: sample the varying drives over it
+                batch = [(row, _samples(name, spec, times[step:step + _CHUNK])) for name, row, spec in varying]
+            for row, col in batch:
+                zl[row] = col[step - checked]
             if step:  # backward-Euler history from the previous solution
                 for a, b, g in cap_terms:
                     hist = g * (xe[a] - xe[b])
@@ -606,7 +624,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                 segments = desired
                 tried.append(segments)
             else:
-                raise _cycle_error(c, tried, step, t)
+                raise _cycle_error(c, tried, step, step * dt)
             if flipped:
                 landing[tried[0]] = segments
 

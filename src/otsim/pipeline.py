@@ -49,13 +49,12 @@ class PulseTrain:
     def duration(self) -> float:
         return len(self.bits) * CLOCK_PERIOD
 
-    def __call__(self, t: float) -> float:
-        k = int(t // CLOCK_PERIOD)
-        if k < 0 or k >= len(self.bits):
-            return 0.0
-        if self.bits[k] and (t - k * CLOCK_PERIOD) < PULSE_WIDTH:
-            return self.v_high
-        return 0.0
+    def __call__(self, t: float | np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        k = t // CLOCK_PERIOD
+        # index -1 (before the first bit) and len(bits) (after the last) read the appended 0
+        bit = np.append(self.bits, 0)[np.clip(k, -1, len(self.bits)).astype(np.intp)]
+        return np.where((bit == 1) & ((t - k * CLOCK_PERIOD) < PULSE_WIDTH), self.v_high, 0.0)[()]
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,19 @@
 """Source waveform specifications: DC, piecewise-linear, pulse trains, and
-a single triangular ramp.  Each spec evaluates to a voltage at time t."""
+a single triangular ramp.
+
+Calling a spec on a time, or on an ndarray of times, gives the voltage at
+each: an array of the same shape (a numpy scalar for a float time), or, for
+a `Dc`, its value, which broadcasts over any times.  Each element is
+computed with the IEEE operations of the scalar law written in the method,
+so a time gives the same bits whether it comes alone or in an array; the
+engine samples every time-varying drive once per batch of steps."""
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 def require_finite(owner: str, error: type[ValueError] = ValueError, **values: float) -> None:
@@ -22,7 +30,7 @@ class Dc:
     def __post_init__(self) -> None:
         require_finite("Dc", value=self.value)
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t: float | np.ndarray) -> float:
         return self.value
 
 
@@ -32,7 +40,8 @@ class PiecewiseLinear:
     ends.  Times must be strictly increasing."""
 
     points: tuple[tuple[float, float], ...]
-    _times: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _times: np.ndarray = field(init=False, repr=False, compare=False)
+    _volts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = tuple((float(t), float(v)) for t, v in self.points)
@@ -44,17 +53,19 @@ class PiecewiseLinear:
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("PWL breakpoint times must be strictly increasing")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_times", times)
+        object.__setattr__(self, "_times", np.array(times))
+        object.__setattr__(self, "_volts", np.array([v for _, v in pts]))
 
-    def __call__(self, t: float) -> float:
-        pts = self.points
-        if t <= pts[0][0]:
-            return pts[0][1]
-        if t >= pts[-1][0]:
-            return pts[-1][1]
-        i = bisect.bisect_right(self._times, t)
-        (t0, v0), (t1, v1) = pts[i - 1], pts[i]
-        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+    def __call__(self, t: float | np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        times, volts = self._times, self._volts
+        v = np.where(t <= times[0], volts[0], volts[-1])
+        inside = (t > times[0]) & (t < times[-1])
+        ti = t[inside]
+        i = np.searchsorted(times, ti, side="right")
+        t0, v0 = times[i - 1], volts[i - 1]
+        v[inside] = v0 + (volts[i] - v0) * (ti - t0) / (times[i] - t0)
+        return v[()]
 
 
 @dataclass(frozen=True)
@@ -77,14 +88,13 @@ class Pulse:
         if self.repeat is not None and self.repeat < 0:
             raise ValueError(f"Pulse: repeat must be non-negative, got {self.repeat!r}")
 
-    def __call__(self, t: float) -> float:
-        t = t - self.delay
-        if t < 0.0:
-            return self.v_low
-        n = int(t // self.period)
-        if self.repeat is not None and n >= self.repeat:
-            return self.v_low
-        return self.v_high if (t - n * self.period) < self.width else self.v_low
+    def __call__(self, t: float | np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float) - self.delay
+        n = t // self.period
+        high = (t >= 0.0) & ((t - n * self.period) < self.width)
+        if self.repeat is not None:
+            high &= n < self.repeat
+        return np.where(high, self.v_high, self.v_low)[()]
 
 
 @dataclass(frozen=True)
@@ -104,12 +114,11 @@ class Triangle:
     def duration(self) -> float:
         return self.t_rise + self.t_fall
 
-    def __call__(self, t: float) -> float:
-        if t <= 0.0 or t >= self.duration:
-            return 0.0
-        if t < self.t_rise:
-            return self.v_peak * t / self.t_rise
-        return self.v_peak * (1.0 - (t - self.t_rise) / self.t_fall)
+    def __call__(self, t: float | np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        ramp = np.where(t < self.t_rise, self.v_peak * t / self.t_rise,
+                        self.v_peak * (1.0 - (t - self.t_rise) / self.t_fall))
+        return np.where((t <= 0.0) | (t >= self.duration), 0.0, ramp)[()]
 
 
 SourceSpec = Dc | PiecewiseLinear | Pulse | Triangle

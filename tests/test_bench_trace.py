@@ -4,7 +4,14 @@ standard output is strict JSON, its outputs match their oracles, and it
 holds every per-layer metric that ``BENCHMARK.json`` declares, each finite
 and non-zero.  A binding of the tracer that no longer runs drops or zeroes
 its metric, and fails here.  The step, switch-step and source-sample counts
-are pinned as well."""
+are pinned as well.
+
+The tracer counts source samples as calls of the waveforms' ``__call__``.
+The engine calls each time-varying drive once per residual batch of up to
+4,096 steps, on all of that batch's sample times, so ``edge_stream`` counts
+32 calls (16 transients of 3,201 samples, two pulse trains each), not one
+call per drive and step (102,432).  The count being non-zero is what shows
+that the samples still pass through ``__call__``."""
 
 import json
 import math
@@ -19,7 +26,7 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 # engine.steps, device.ots_step_calls, waveforms.source_evals
 COUNTS = {
-    "edge_stream": (51200, 4367, 102432),
+    "edge_stream": (51200, 4367, 32),
     "logic_tables": (80000, 29879, 168),
     "osc_long": (120000, 2115, 4),
 }

@@ -321,7 +321,7 @@ class TestNonFiniteRejected:
     def test_residual_gate_names_first_nan_step(self, net):
         # on the rig the NaN also reaches ots_step, whose error must not hide the residual one
         def late_nan(t):
-            return math.nan if t >= 0.5e-6 else 4.0
+            return np.where(t >= 0.5e-6, math.nan, 4.0)
 
         with pytest.raises(SimulationError, match=r"nodal residual nan A exceeds 1e-09 A at step 50$"):
             transient(net, 1e-6, 10e-9, sources={"VIN": late_nan})
@@ -330,12 +330,38 @@ class TestNonFiniteRejected:
         calls = []
 
         def late_nan(t):
-            calls.append(t)
-            return math.nan if t >= 0.5e-6 else 1.0
+            calls.extend(t)
+            return np.where(t >= 0.5e-6, math.nan, 1.0)
 
         with pytest.raises(SimulationError, match=r"at step 50$"):
             transient(rc_lowpass(), 1e-3, 10e-9, sources={"VIN": late_nan})
         assert len(calls) <= 4096  # one residual batch; a run to t_stop takes 100,001
+
+
+class TestDriveSampling:
+    """A time-varying drive is called once per residual batch, on the
+    sample times of that batch, never further ahead."""
+
+    def test_one_call_per_batch(self):
+        sizes = []
+
+        def ramp(t):
+            sizes.append(len(t))
+            return t * 1e6
+
+        tr = transient(rc_lowpass(), 100e-6, 10e-9, sources={"VIN": ramp})
+        assert len(tr.times) == 10001
+        assert sizes == [4096, 4096, 1809]
+        assert np.array_equal(tr.voltage("in"), tr.times * 1e6)
+
+    def test_scalar_drive_broadcasts(self):
+        tr = transient(rc_lowpass(), 1e-6, 10e-9, sources={"VIN": lambda t: 2.0})
+        ref = transient(rc_lowpass(v=2.0), 1e-6, 10e-9)
+        assert np.array_equal(tr.voltages, ref.voltages)
+
+    def test_wrong_sample_count_names_the_source(self):
+        with pytest.raises(ValueError, match=r"^source 'VIN': 3 values for 4096 sample times$"):
+            transient(rc_lowpass(), 100e-6, 10e-9, sources={"VIN": lambda t: np.zeros(3)})
 
 
 class TestSolveCounts:
