@@ -449,8 +449,11 @@ class _Compiled:
                 cur[name] = (np.where(seg == _CMP_HIGH, p, q) - sol[:, a]) / r
         for name, a, b, ohms in self.res:
             cur[name] = (sol[:, a] - sol[:, b]) / ohms
-        for name, (a, b), g, ic in zip(self.cap_names, self.caps, self.cap_g, self.cap_ic):
-            cur[name] = g * np.diff(sol[:, a] - sol[:, b], prepend=ic)
+        # sample 0 is solved with the pinned companion of _PIN times the conductance
+        for name, (a, b), g, g_pin, ic in zip(self.cap_names, self.caps, self.cap_g, self.cap_g_pin, self.cap_ic):
+            v = sol[:, a] - sol[:, b]
+            cur[name] = i = g * np.diff(v, prepend=ic)
+            i[0] = g_pin * (v[0] - ic)
         return cur
 
 

@@ -95,7 +95,7 @@ GOLDEN = {
         (4001, None),
         {
             "voltages": "3db6abcab8e9f22c57eabfe9da44b67195b5f9c47598d8ea5f262a330863d0ce",
-            "currents": "4f8d7bbbd380e28c98bd10036bf2bb0f31c2dca69219fb79ac01230f32ee27c9",
+            "currents": "26b3613032d1cd9b0ceccd60d6b4906f59c012bdf1ddd2ee87c9c9dfd1508579",
             "ots_on": "50c0026220703f5d493813bca770b3cdd684748a44b2117e6ce42c208e9249c3",
             "kcl_residual": "0x1.0000000000000p-54",
         },
@@ -105,7 +105,7 @@ GOLDEN = {
         (2001, None),
         {
             "voltages": "e415361d426e6b8f45197c6a98a4c81026e7527d96fcfc4dfad688b2ab801f1c",
-            "currents": "eeec31141fd413c0d24a40daba5c8a837fcf8e24c92b6a5e8aa3994f5b33b9d2",
+            "currents": "9a8a5a6634178b9b870eb5c9ea0505d24599aa7948267e545bce0ccde61ae1e5",
             "ots_on": "20c590791d2fbc0a8f4b01497e5effd3c8abea1796c2201923a762a9d1e4a3b9",
             "kcl_residual": "0x1.8000000000000p-56",
         },
@@ -115,7 +115,7 @@ GOLDEN = {
         (2001, None),
         {
             "voltages": "131247295e0aec8f1858c40ce9daccbddd4b6f656e1ffd22ac23b7a32388afb5",
-            "currents": "023de233be9d56e2905ece75658e908bdc90ee676753c7811b8d45bc8448ddec",
+            "currents": "07d072b5937c48ce9741e1ad6b3abdfa848e11424fade8b24b9d48a115d2c693",
             "ots_on": "a8c71fb5f56577f13240dc6b2ad26be8019984bb546f458e5357fee68dc73163",
             "kcl_residual": "0x1.0000000000000p-36",
         },
@@ -126,7 +126,7 @@ GOLDEN = {
         (735, 1),
         {
             "voltages": "bd95ef8b552c62c438b4640cbe8f9e01ac0916474899019156d829f566ad97fe",
-            "currents": "7ed21b65bc864b5cdbc49f649bd23403aecdeeb751f7a678eb0db958f64f2c57",
+            "currents": "587f75257ad77fdaa018f89f63d259c8699e21f820d59889cc77eaa849a2f458",
             "ots_on": "7267f96b8b449443bf755e73da135a53a7e9b0470bafaf80b8c0af1a3eca207f",
             "kcl_residual": "0x1.6000000000000p-55",
         },
@@ -137,7 +137,7 @@ GOLDEN = {
         (7185, 870),
         {
             "voltages": "c73780e7ef51008f29f12427a5312f4b887b927015a747864b6b053c62191597",
-            "currents": "c47ce59c7819fcec4f26d2d698f4c2cf58eb8f37298fbfbfd419e6dd4cd1097e",
+            "currents": "7d5d3bf98b0ce100c75791f296360cf88e84cf3ebb9519f9e0a1ab05aed543c9",
             "ots_on": "24614351e3228a0bc6c11149fa9f7cd77021671bf38227999c4c36bdbc8bb26e",
             "kcl_residual": "0x1.0000000000000p-54",
         },
@@ -147,7 +147,7 @@ GOLDEN = {
         (4887, 269),
         {
             "voltages": "f6efe6649cc4ad5adac5623dc9f5c37fd3014b3072df3ce8d2402c35f0582e6f",
-            "currents": "615fc8670699726dfac3eb58430bfa418e57c8d151348fef7d8e65456ea0ee7e",
+            "currents": "6d4014994542ee71f9c9b1c8c2d1342824eeadbe4a6bb546585e55908b3d77a6",
             "ots_on": "4b268e68726fb606486ceec83e0b5653039f654d9972e898f26b5b325d0009a3",
             "kcl_residual": "0x1.8000000000000p-56",
         },
@@ -158,7 +158,7 @@ GOLDEN = {
         (182, 13),
         {
             "voltages": "03bc612fd41a1229eb3d3ba6c9a199be1a5b19ee28f15c549aab6b915f50c97f",
-            "currents": "626042f26c4254b81e08a3ca4a44156a18bf236c9ec052bd7fd2ba413fcfdcdd",
+            "currents": "8b035cacbf3b1dfda824c1a86e5cbc42e39301baa0f03efc9ee820a043c7a1fc",
             "ots_on": "6a8113dca9bb073e3c0ddec72ebef1b76f1c2545d7c79a3778ca371aa0ab429b",
             "kcl_residual": "0x1.0000000000000p-51",
         },
@@ -169,7 +169,7 @@ GOLDEN = {
         (2001, None),
         {
             "voltages": "16529065a54a044b9473cfbb151e8c4afa14a8885f332ee9b79865d289ea3c79",
-            "currents": "e6a189b42c62f3141cf7baf2f197a73fd2beff40df8030fb621ba3b742b7150d",
+            "currents": "26b83e102b17c7edff147185f9f22535ac351ed048825dc22df1b6d6ce17b10e",
             "ots_on": "ac1ce0a208af1b4d551160024cf8cb53bf3ca8ecaee4801ebea04d2e86c49335",
             "kcl_residual": "0x1.0000000000000p-36",
         },
@@ -180,7 +180,7 @@ GOLDEN = {
         (2001, None),
         {
             "voltages": "148ef773a7a96371446432fe0c13041e5d1e1395897f3109c96dbe60285b21a0",
-            "currents": "0a076dc907047f13ffab613c72dff577f3962e6c9451fbbda415ca5d63a70a35",
+            "currents": "fdb0ff12bd54294a38e3b90a05acf97ed3abaf689cb31e1dfe43d1d628bd99e6",
             "ots_on": "a868685a222439cb3d14049231dd9cc01779a2c20abc218a38386ac976581d82",
             "kcl_residual": "0x1.0000000000000p-36",
         },
@@ -191,7 +191,7 @@ GOLDEN = {
         (3201, None),
         {
             "voltages": "026f2ae6e0939d625adc9a06b5218a4d664ecacc5188f3fe339fc2a85de7c245",
-            "currents": "186f5a00b32bda4a37bc3b920ca8cc9397c32678e435ee5de5daaf07e0a6916f",
+            "currents": "478f8000d2391755962e41f8d306d6b9e764ed3fc9c0b959448bef20c3e80fc2",
             "ots_on": "e1a067ee38298ddb78ad84602aad2536d63caeac6702cdd1fc15557f0cf11fc1",
             "kcl_residual": "0x1.0000000000000p-36",
         },
@@ -201,7 +201,7 @@ GOLDEN = {
         (10001, None),
         {
             "voltages": "fc35438ab133c0fc6f3cec4309cadfd698d22c65333f6aaac3badfbb96ea2554",
-            "currents": "5717467b9c94802a4d1e9eb5e85374de9ad9fb8147368f2dbe7e54b475b0ccfb",
+            "currents": "a2156d62bfc2757ffd49291737eb796a4b9c6f3a21ad99a8f774e5eb4c608061",
             "ots_on": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
             "kcl_residual": "0x1.0000000000000p-52",
         },
@@ -228,10 +228,12 @@ def test_golden_trace_digests(case):
 
 
 # One SHA-256 over every row of all 8 truth tables at three logic levels:
-# each row's field digests, solved steps and period.  The value was made
-# before post-flip steps solved their remembered landing set first, so it
-# pins that this shortcut moves no bit.
-TRUTH_TABLE_SPACE = "d3bfea116ce5aa0ac74c5a0964623b5f86cac04884c24498c951e49fd77516fb"
+# each row's field digests, solved steps and period.  The value was first
+# made before post-flip steps solved their remembered landing set first, so
+# it pins that this shortcut moves no bit; it was re-made only when step-0
+# capacitor currents took the pinned companion's conductance, which moved
+# no other bit.
+TRUTH_TABLE_SPACE = "c804818d07499a5f0383b8db33e132d14db58895f4a464ef2b86135b39dd9b8a"
 
 
 def test_truth_table_space_digest():
@@ -467,10 +469,8 @@ def kcl_imbalance(net: Netlist, tr) -> np.ndarray:
 def test_random_ladders_satisfy_kcl_over_recorded_currents(net):
     tr = transient(net, 10e-6, 50e-9)
     assert tr.kcl_residual < 1e-9
-    # Step 0 is the initial operating point, solved with the capacitor
-    # companions pinned 1e6 times stiffer than the currents recorded for
-    # it, so KCL over the recorded currents holds from step 1 on.
-    assert np.max(np.abs(kcl_imbalance(net, tr)[1:])) <= 1e-9
+    # step 0 included: its capacitor currents are those of the pinned companions it was solved with
+    assert np.max(np.abs(kcl_imbalance(net, tr))) <= 1e-9
     again = transient(net, 10e-6, 50e-9)
     assert field_digests(again) == field_digests(tr)
     # a Dc drive may end the run at a fixed point; the same drive as a PWL may not
