@@ -496,7 +496,7 @@ def _repeat(a: np.ndarray, start: int, stop: int) -> None:
         i += m
 
 
-def _samples(name: str, spec, ts: np.ndarray) -> list[float]:
+def _drive_values(name: str, spec, ts: np.ndarray) -> list[float]:
     """The values of drive `name` at times `ts`, as floats; `spec` may give
     one value for all of them."""
     v = np.asarray(spec(ts), dtype=float)
@@ -590,7 +590,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
         for step in range(n_steps + 1):
             zl = base.copy() if step else base_pin.copy()
             if step == checked:  # a batch starts: sample the varying drives over it
-                batch = [(row, _samples(name, spec, times[step:step + _CHUNK])) for name, row, spec in varying]
+                batch = [(row, _drive_values(name, spec, times[step:step + _CHUNK])) for name, row, spec in varying]
             for row, col in batch:
                 zl[row] = col[step - checked]
             if step:  # backward-Euler history from the previous solution
