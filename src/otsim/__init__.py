@@ -1,6 +1,6 @@
 """Behavioral simulation of Ovonic-threshold-switch dendrite-like circuits."""
 
-from .device import OtsParams, OtsState, Phase, default_params, ots_current, ots_step
+from .device import OtsParams, OtsState, default_params, ots_current, ots_step
 from .engine import (
     ConvergenceError,
     SimulationError,
@@ -22,7 +22,6 @@ __all__ = [
     "NetlistError",
     "OtsParams",
     "OtsState",
-    "Phase",
     "PiecewiseLinear",
     "Pulse",
     "SimulationError",

@@ -13,18 +13,13 @@ instances can be shared freely between concurrent simulations.
 
 from __future__ import annotations
 
-import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .waveforms import require_finite
-
-
-class Phase(enum.Enum):
-    OFF = "off"
-    ON = "on"
 
 
 @dataclass(frozen=True)
@@ -56,21 +51,25 @@ class OtsParams:
             raise ValueError("switching delays must be non-negative")
 
 
-@dataclass(frozen=True)
-class OtsState:
-    """Phase plus the time a transition out of it has been pending; a
-    transition is pending exactly when `elapsed` is positive."""
+class OtsState(namedtuple("OtsState", "on elapsed")):
+    """Whether the switch is on, plus the time a transition out of that phase
+    has been pending; a transition is pending exactly when `elapsed` is
+    positive.  Every way of making one (`_make`, `_replace`) checks `elapsed`."""
 
-    phase: Phase = Phase.OFF
-    elapsed: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.elapsed >= 0.0:
-            raise ValueError(f"elapsed must be non-negative, got {self.elapsed!r}")
+    def __new__(cls, on: bool = False, elapsed: float = 0.0) -> OtsState:
+        if not elapsed >= 0.0:
+            raise ValueError(f"elapsed must be non-negative, got {elapsed!r}")
+        return super().__new__(cls, on, elapsed)
+
+    @classmethod
+    def _make(cls, iterable) -> OtsState:
+        return cls(*iterable)
 
 
-OFF_STATE = OtsState(Phase.OFF)
-ON_STATE = OtsState(Phase.ON)
+OFF_STATE = OtsState(False)
+ON_STATE = OtsState(True)
 
 
 def ots_current(p: OtsParams, s: OtsState, v: float) -> float:
@@ -81,7 +80,7 @@ def ots_current(p: OtsParams, s: OtsState, v: float) -> float:
     """
     if not math.isfinite(v):
         raise ValueError(f"non-finite device voltage: {v!r}")
-    if s.phase is Phase.OFF:
+    if not s.on:
         return p.g_off * v
     return math.copysign(max(0.0, abs(v) - p.v_hold), v) / p.r_on
 
@@ -99,7 +98,7 @@ def ots_hold_bound(p: OtsParams, s: OtsState) -> float:
     transition pending, and 0.0 (no voltage) for any other state.  A NaN or
     infinite v is never below it, so it still reaches `ots_step`, which
     rejects it."""
-    return p.v_th if s.phase is Phase.OFF and s.elapsed == 0.0 else 0.0
+    return p.v_th if s == OFF_STATE else 0.0
 
 
 def ots_step(p: OtsParams, s: OtsState, v: float, dt: float) -> OtsState:
@@ -116,19 +115,19 @@ def ots_step(p: OtsParams, s: OtsState, v: float, dt: float) -> OtsState:
     if not math.isfinite(v):
         raise ValueError(f"non-finite device voltage: {v!r}")
 
-    if s.phase is Phase.OFF:
+    if not s.on:
         if abs(v) >= p.v_th:
             elapsed = s.elapsed + dt
             if elapsed >= p.tau_on:
                 return ON_STATE
-            return OtsState(Phase.OFF, elapsed)
+            return OtsState(False, elapsed)
         return OFF_STATE if s.elapsed else s
 
     if abs(ots_current(p, s, v)) < p.i_hold:
         elapsed = s.elapsed + dt
         if elapsed >= p.tau_off:
             return OFF_STATE
-        return OtsState(Phase.ON, elapsed)
+        return OtsState(True, elapsed)
     return ON_STATE if s.elapsed else s
 
 

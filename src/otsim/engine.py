@@ -80,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .device import OFF_STATE, Phase, ots_currents, ots_hold_bound, ots_step
+from .device import OFF_STATE, ots_currents, ots_hold_bound, ots_step
 from .netlist import Capacitor, Comparator, Diode, Netlist, NetlistError, Ots, Resistor, VoltageSource
 from .waveforms import Dc, SourceSpec, Triangle, require_finite
 
@@ -540,7 +540,6 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
         raise ValueError("require 0 < dt <= t_stop")
     c = _Compiled(net, dt, sources)
     states = [OFF_STATE] * len(c.ots)
-    on = [False] * len(c.ots)
     hold = [ots_hold_bound(p, OFF_STATE) for _, _, p, *_ in c.ots]
 
     n_steps = int(round(t_stop / dt))
@@ -575,7 +574,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     xe = [0.0] * (n + 1)
     prev = None                              # xe of the previous step
     segments = _select(select, xe)
-    held, held_from = tuple(on), 0           # OTS phases recorded from sample held_from on
+    held, held_from = (False,) * len(states), 0  # OTS phases recorded from sample held_from on
     solved = checked = 0                     # samples solved, and residual-checked
     gate_at = _CHUNK                         # solved count at which the next batch is checked
     kcl_residual = 0.0
@@ -649,29 +648,26 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                     if abs(v) < hold[slot]:  # ots_step would return the state it was given
                         continue
                     st = ots_step(p, states[slot], v, dt)
-                    if st is not states[slot]:
+                    if st != states[slot]:
                         unchanged = False
-                        if st.phase is not states[slot].phase:
-                            on[slot] = st.phase is Phase.ON
-                            select[pos] = on_entry if on[slot] else off_entry
+                        if st.on != states[slot].on:
+                            select[pos] = on_entry if st.on else off_entry
                             flipped = True
                         states[slot] = st
                         hold[slot] = ots_hold_bound(p, st)
                 if flipped:
                     segments = _select(select, xe)
                     on_hist[held_from:step] = held
-                    held, held_from = tuple(on), step
+                    held, held_from = tuple([s.on for s in states]), step
 
             # With constant drives, the state a step leaves (solution bits,
             # the segments the next step starts from, OTS states by value)
             # fixes every later step.  If an earlier step j left the same
             # state, the run repeats from there with period step - j.  The
-            # state is compared with step - 1's at every step (OTS states
-            # count as unchanged only if ots_step returned, or would have
-            # returned, the very objects it was given), and at a flip looked
-            # up among the states earlier flip steps left, keyed without the
-            # segments, which a flip selects from the solution and the OTS
-            # phases.
+            # state is compared with step - 1's at every step, and at a flip
+            # looked up among the states earlier flip steps left, keyed
+            # without the segments, which a flip selects from the solution
+            # and the OTS phases.
             if constant:
                 j = step
                 if (unchanged and segments == tried[0] and xe == prev
@@ -680,7 +676,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                 elif flipped:
                     if len(seen) == _FLIP_STATES:  # bounds the memory of a run that never recurs
                         seen.clear()
-                    j = seen.setdefault((sol[step].tobytes(), held, tuple([s.elapsed for s in states])), step)
+                    j = seen.setdefault((sol[step].tobytes(), tuple(states)), step)
                 if j < step:
                     period = step - j
                     break

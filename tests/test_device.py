@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otsim.device import (OFF_STATE, ON_STATE, OtsParams, OtsState, Phase, default_params, ots_current,
+from otsim.device import (OFF_STATE, ON_STATE, OtsParams, OtsState, default_params, ots_current,
                           ots_hold_bound, ots_step)
 
 
@@ -54,12 +54,12 @@ class TestSwitchingKinetics:
     def test_below_threshold_stays_off(self):
         p = make_params()
         s = ots_step(p, OFF_STATE, p.v_th - 0.1, 1e-9)
-        assert s.phase is Phase.OFF and s.elapsed == 0.0
+        assert not s.on and s.elapsed == 0.0
 
     def test_zero_delay_switches_in_one_step(self):
         p = make_params(tau_on=0.0)
         s = ots_step(p, OFF_STATE, p.v_th + 0.1, 1e-9)
-        assert s.phase is Phase.ON
+        assert s.on
 
     def test_turn_off_accumulates_elapsed(self):
         # |i| = i_hold/2 held for 3 steps of 4 ns against tau_off = 10 ns
@@ -67,17 +67,17 @@ class TestSwitchingKinetics:
         v = p.v_hold + 0.5 * p.i_hold * p.r_on  # on-state current = i_hold/2
         s = ON_STATE
         s = ots_step(p, s, v, 4e-9)
-        assert s.phase is Phase.ON
+        assert s.on
         assert s.elapsed == pytest.approx(4e-9)
         s = ots_step(p, s, v, 4e-9)
-        assert s.phase is Phase.ON and s.elapsed == pytest.approx(8e-9)
+        assert s.on and s.elapsed == pytest.approx(8e-9)
         s = ots_step(p, s, v, 4e-9)
-        assert s.phase is Phase.OFF
+        assert not s.on
 
     def test_condition_lapse_clears_pending(self):
         p = make_params(tau_on=100e-9)
         s = ots_step(p, OFF_STATE, p.v_th + 1.0, 10e-9)
-        assert s.phase is Phase.OFF and s.elapsed == 10e-9
+        assert not s.on and s.elapsed == 10e-9
         s = ots_step(p, s, 0.0, 10e-9)
         assert s == OFF_STATE
 
@@ -89,7 +89,7 @@ class TestSwitchingKinetics:
         i = ots_current(p, ON_STATE, v)
         assert abs(i) >= p.i_hold
         s = ots_step(p, ON_STATE, v, 1e-9)
-        assert s.phase is Phase.ON and s.elapsed == 0.0
+        assert s.on and s.elapsed == 0.0
 
     def test_volatility(self):
         # holding v = 0 for tau_off always turns the device off
@@ -99,7 +99,7 @@ class TestSwitchingKinetics:
         while total < p.tau_off:
             s = ots_step(p, s, 0.0, dt)
             total += dt
-        assert s.phase is Phase.OFF
+        assert not s.on
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -120,7 +120,7 @@ class TestSwitchingKinetics:
         v = 0.0
         while v < p.v_th + 1.0:
             s = ots_step(p, s, v, 1e-9)
-            if s.phase is Phase.ON:
+            if s.on:
                 fired_at = v
                 break
             v += 0.01
@@ -138,7 +138,7 @@ def valid_params(draw):
 
 @st.composite
 def states(draw):
-    return OtsState(draw(st.sampled_from(Phase)), draw(st.one_of(st.just(0.0), st.floats(min_value=0.0))))
+    return OtsState(draw(st.booleans()), draw(st.one_of(st.just(0.0), st.floats(min_value=0.0))))
 
 
 def voltages(v_th):
@@ -166,7 +166,7 @@ class TestHoldBound:
     def test_bound_is_the_threshold_only_when_off_and_idle(self):
         p = make_params()
         assert ots_hold_bound(p, OFF_STATE) == ots_hold_bound(p, OtsState()) == p.v_th
-        for s in (ON_STATE, OtsState(Phase.OFF, 1e-9), OtsState(Phase.ON, 1e-9)):
+        for s in (ON_STATE, OtsState(False, 1e-9), OtsState(True, 1e-9)):
             assert ots_hold_bound(p, s) == 0.0
 
 
@@ -195,9 +195,17 @@ class TestParams:
 
     def test_state_invariants(self):
         with pytest.raises(ValueError):
-            OtsState(Phase.OFF, math.nan)
+            OtsState(False, math.nan)
         with pytest.raises(ValueError):
-            OtsState(Phase.ON, -1e-9)
+            OtsState(True, -1e-9)
+
+    def test_every_way_of_making_a_state_checks_elapsed(self):
+        makers = (lambda: OtsState(True, math.nan), lambda: OtsState(False, -1e-9),
+                  lambda: ON_STATE._replace(elapsed=math.nan), lambda: OtsState._make((True, -1.0)))
+        for make in makers:
+            with pytest.raises(ValueError, match="elapsed"):
+                make()
+        assert OFF_STATE._replace(elapsed=1e-9) == OtsState._make((False, 1e-9)) == (False, 1e-9)
 
     def test_overrides(self):
         p = default_params(v_th=3.5)

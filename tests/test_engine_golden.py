@@ -9,9 +9,10 @@ segment, a pulsed RC/diode ladder and the dynamic I-V ramp).
 Each case also pins the samples the step loop solved and the period it
 stopped at.  A change to the engine that moves a single sample of a
 voltage, a current, an OTS phase or the residual, or the step at which a
-run is found to recur, fails here.  The property test builds random RC/diode ladders and checks
+run is found to recur, fails here.  The property tests build random RC/diode ladders and check
 Kirchhoff's current law over the *recorded* element currents, which are
-computed apart from the linear solve.
+computed apart from the linear solve, and that each capacitor's recorded
+currents integrate to the charge its voltage change holds.
 """
 
 import hashlib
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from otsim import Dc, Netlist, PiecewiseLinear, Pulse, Triangle, default_params, engine, gates, pipeline, rig, transient
 from otsim.device import OFF_STATE, ON_STATE, ots_current
 from otsim.gates import GateKind, LogicEncoding
-from otsim.netlist import Comparator, Diode, Ots, VoltageSource
+from otsim.netlist import Capacitor, Comparator, Diode, Ots, VoltageSource
 
 
 def _digest(arrays) -> str:
@@ -476,3 +477,19 @@ def test_random_ladders_satisfy_kcl_over_recorded_currents(net):
     # a Dc drive may end the run at a fixed point; the same drive as a PWL may not
     stepped = transient(net, 10e-6, 50e-9, sources=constant_pwl_sources(net))
     assert field_digests(stepped) == field_digests(tr)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rc_diode_ladders())
+def test_random_ladders_recorded_capacitor_currents_move_their_charge(net):
+    # backward Euler: the currents after sample 0 integrate to C times the voltage change
+    dt = 50e-9
+    tr = transient(net, 10e-6, dt)
+    caps = [el for el in net.elements if isinstance(el.kind, Capacitor)]
+    assert caps
+    for el in caps:
+        a, b = el.terminals
+        v = tr.voltages[:, a] - tr.voltages[:, b]
+        farads = el.kind.farads
+        charge = dt * np.sum(tr.currents[el.name][1:])
+        assert charge == pytest.approx(farads * (v[-1] - v[0]), rel=1e-9, abs=farads * 1e-12), el.name
