@@ -2,7 +2,7 @@
 
 Subcommands: iv, oscillate, gate, edge, gradient, energy.  All physical
 quantities accept SI suffixes (e.g. 9.1k, 100n, 5u).  Configuration
-precedence: command-line flags > --config file > built-in defaults.
+precedence: --set items > --config file > built-in defaults.
 
 Exit codes: 0 success and all checks passed; 1 a check failed (truth-table
 or oracle mismatch); 2 usage or input error.
@@ -20,15 +20,14 @@ import numpy as np
 
 from . import circuits as circuit_files
 from .config import ConfigError, RunConfig, load_config, parse_setting
-from .device import default_params
 from .energy import table1_report
-from .engine import SimulationError, dynamic_iv, transient
+from .engine import SimulationError, dynamic_iv
 from .gates import GateKind, build_gate, evaluate, gate_arity, truth_table
 from .imaging import ColorImage, ImageError, binarize, color_to_gray, load_image, otsu_threshold, reference_edges, save_pgm
 from .netlist import NetlistError
-from .netlist_io import NetlistParseError, parse_netlist, parse_si
+from .netlist_io import NetlistParseError, format_si, parse_netlist, parse_si
 from .pipeline import detect_edges, fit_linear, mismatch_report, sweep_gradient
-from .rig import MID_NODE, OTS_NAME, measurement_netlist, rate_sweep, run_oscillator
+from .rig import OSC_DURATION, measurement_netlist, rate_sweep, run_oscillator
 from .waveforms import Triangle
 
 EXIT_OK = 0
@@ -167,15 +166,13 @@ def _write_table_waveforms(table, enc, path) -> None:
 
 def cmd_edge(args) -> int:
     cfg = _build_config(args)
-    cfg = cfg.merged(binarize_threshold=args.threshold, segment_clocks=args.segment_clocks,
-                     count_threshold=args.count_threshold)
     p = cfg.device_params()
     try:
         img = load_image(args.input)
     except (OSError, ImageError) as exc:
         raise CliError(f"{args.input}: {exc}") from None
     gray = color_to_gray(img) if isinstance(img, ColorImage) else img
-    threshold = otsu_threshold(gray) if (args.otsu or cfg.otsu) else cfg.binarize_threshold
+    threshold = otsu_threshold(gray) if cfg.otsu else cfg.binarize_threshold
     binary = binarize(gray, threshold)
     edges = detect_edges(binary, cfg.encoding(), p, cfg.stream_settings())
     save_pgm(edges, args.out)
@@ -237,7 +234,6 @@ def _parse_sweep_list(text: str) -> list[float]:
 
 def cmd_energy(args) -> int:
     cfg = _build_config(args)
-    cfg = cfg.merged(exponent=args.exponent)
     try:
         report = table1_report(args.width, args.height, node=args.node, exponent=cfg.exponent)
     except ValueError as exc:
@@ -286,9 +282,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("iv", help="dynamic I-V under a triangular ramp")
     _add_common(sp)
-    g = sp.add_mutually_exclusive_group()
-    g.add_argument("--netlist", help="netlist file (default: built-in measurement rig)")
-    g.add_argument("--default", action="store_true", help="use the built-in measurement rig")
+    sp.add_argument("--netlist", help="netlist file (default: built-in measurement rig)")
     sp.add_argument("--peak", type=_si, default=6.0, help="ramp peak voltage (default 6)")
     sp.add_argument("--rise", type=_si, default=50e-6, help="ramp rise time (default 50u)")
     sp.add_argument("--fall", type=_si, default=None, help="ramp fall time (default = rise)")
@@ -298,7 +292,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oscillate", help="self-oscillation of the measurement rig")
     _add_common(sp)
     sp.add_argument("--vin", type=_si, default=4.0, help="DC bias (default 4)")
-    sp.add_argument("--duration", type=_si, default=300e-6, help="simulated time (default 300u)")
+    sp.add_argument("--duration", type=_si, default=OSC_DURATION, help=f"simulated time (default {format_si(OSC_DURATION)})")
     sp.add_argument("--sweep", metavar="V0:V1:STEPS", help="rate-vs-bias sweep instead of a trace")
     sp.add_argument("--out", required=True, help="output CSV")
     sp.set_defaults(func=cmd_oscillate)
@@ -307,9 +301,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--kind", required=True,
                     help="and|or|nor|nand|xor|halfadder|fulladder|dcaap")
-    g = sp.add_mutually_exclusive_group()
-    g.add_argument("--table", action="store_true", help="full truth table (default)")
-    g.add_argument("--inputs", help="one combination as a bit string, e.g. 10")
+    sp.add_argument("--inputs", help="one combination as a bit string, e.g. 10 (default: the full truth table)")
     sp.add_argument("--json", help="write the truth table as JSON here")
     sp.add_argument("--waveforms", help="write waveform CSV here")
     sp.set_defaults(func=cmd_gate)
@@ -318,13 +310,9 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--in", dest="input", required=True, help="input PGM (P5) or PPM (P6)")
     sp.add_argument("--out", required=True, help="output edge map (PGM, 0/255)")
-    sp.add_argument("--threshold", type=int, default=None, help="binarize threshold (default 128)")
-    sp.add_argument("--otsu", action="store_true", help="choose the threshold automatically")
     sp.add_argument("--oracle-check", action="store_true",
                     help="also run the software XOR reference and compare")
     sp.add_argument("--report", help="write the mismatch report JSON here")
-    sp.add_argument("--segment-clocks", type=int, default=None, help="stream segment length")
-    sp.add_argument("--count-threshold", type=int, default=None, help="spikes per clock for a 1")
     sp.set_defaults(func=cmd_edge)
 
     sp = sub.add_parser("gradient", help="rate-coded contrast-difference estimation")
@@ -339,7 +327,6 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--width", type=int, default=512)
     sp.add_argument("--height", type=int, default=512)
     sp.add_argument("--node", type=_si, default=None, help="scaled feature size, e.g. 16n")
-    sp.add_argument("--exponent", type=float, default=None, help="scaling exponent in [1.6, 2.1]")
     sp.add_argument("--json", help="write the report as JSON here")
     sp.set_defaults(func=cmd_energy)
 

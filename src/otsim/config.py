@@ -1,16 +1,19 @@
-"""Run configuration: a flat key=value file merged under command-line
-flags, covering device overrides, solver settings, logic encoding, pipeline
-knobs, and the scaling exponent.  Unknown keys are rejected."""
+"""Run configuration: a flat key=value file, with `--set` items applied over
+it, covering device overrides, solver settings, logic encoding, pipeline
+knobs, and the scaling exponent.  Unknown keys are rejected.  Each default
+is the one of the type or function the setting feeds."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
 
-from .device import OtsParams, default_params
-from .gates import LogicEncoding
+from .device import DT_DEVICE, OtsParams, default_params
+from .energy import ScalingLaw
+from .gates import DT_LOGIC, LogicEncoding
+from .imaging import BINARIZE_THRESHOLD, check_threshold
 from .netlist_io import parse_si
-from .pipeline import StreamSettings
+from .pipeline import GRADIENT_WINDOW, StreamSettings
 
 
 @dataclass(frozen=True)
@@ -24,20 +27,19 @@ class RunConfig:
     tau_on: float | None = None
     tau_off: float | None = None
     # solver
-    dt_device: float = 10e-9   # device-physics runs (I-V, oscillator)
-    dt_logic: float = 50e-9    # logic and pipeline runs
+    dt_device: float = DT_DEVICE   # device-physics runs (I-V, oscillator)
+    dt_logic: float = DT_LOGIC     # logic and pipeline runs
     # logic encoding
-    v_high: float = 5.0
-    bit_width: float = 50e-6
-    settle: float = 50e-6
+    v_high: float = LogicEncoding.v_high
+    bit_width: float = LogicEncoding.bit_width
+    settle: float = LogicEncoding.settle
     # pipeline
-    binarize_threshold: int = 128
+    binarize_threshold: int = BINARIZE_THRESHOLD
     otsu: bool = False
-    count_threshold: int = 1
-    segment_clocks: int = 256
-    gradient_window: float = 1e-3
+    segment_clocks: int = StreamSettings.segment_clocks
+    gradient_window: float = GRADIENT_WINDOW
     # energy scaling
-    exponent: float = 1.6
+    exponent: float = ScalingLaw.exponent
 
     def __post_init__(self) -> None:
         """Build what the settings derive, so that a bad value fails here
@@ -46,7 +48,9 @@ class RunConfig:
             (_OTS_KEYS, self.device_params),
             (("v_high", "bit_width", "settle"), self.encoding),
             (("dt_device", "dt_logic", "gradient_window", "settle", "bit_width"), self._check_times),
-            (("count_threshold", "segment_clocks", "dt_logic"), self.stream_settings),
+            (("segment_clocks", "dt_logic"), self.stream_settings),
+            (("binarize_threshold",), lambda: check_threshold(self.binarize_threshold)),
+            (("exponent",), lambda: ScalingLaw(self.exponent)),
         ):
             try:
                 derive()
@@ -71,15 +75,7 @@ class RunConfig:
         return LogicEncoding(v_high=self.v_high, bit_width=self.bit_width, settle=self.settle)
 
     def stream_settings(self) -> StreamSettings:
-        return StreamSettings(
-            dt=self.dt_logic,
-            count_threshold=self.count_threshold,
-            segment_clocks=self.segment_clocks,
-        )
-
-    def merged(self, **overrides) -> "RunConfig":
-        clean = {k: v for k, v in overrides.items() if v is not None}
-        return replace(self, **clean) if clean else self
+        return StreamSettings(dt=self.dt_logic, segment_clocks=self.segment_clocks)
 
 
 class ConfigError(ValueError):

@@ -21,6 +21,8 @@ import numpy as np
 
 from .waveforms import require_finite
 
+DT_DEVICE = 10e-9  # s, default time step of device-physics runs (I-V, oscillator)
+
 
 @dataclass(frozen=True)
 class OtsParams:

@@ -6,13 +6,12 @@ published comparison table reproduced from its cited per-operation figures.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .engine import Trace
-from .netlist import Netlist, Ots
+from .netlist import Netlist
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ def sobel_op_count(width: int, height: int) -> int:
 
 def table1_report(width: int, height: int, *,
                   node: float | None = None,
-                  exponent: float = 1.6) -> EnergyReport:
+                  exponent: float = ScalingLaw.exponent) -> EnergyReport:
     """The published energy comparison for a width x height image, plus an
     optional scaled projection row."""
     n_sobel = sobel_op_count(width, height)

@@ -80,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .device import OFF_STATE, ots_currents, ots_hold_bound, ots_step
+from .device import DT_DEVICE, OFF_STATE, ots_currents, ots_hold_bound, ots_step
 from .netlist import Capacitor, Comparator, Diode, Netlist, NetlistError, Ots, Resistor, VoltageSource
 from .waveforms import Dc, SourceSpec, Triangle, require_finite
 
@@ -708,7 +708,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
 
 
 def dynamic_iv(net: Netlist, ramp: SourceSpec, ots_name: str, *,
-               dt: float = 10e-9) -> list[tuple[float, float]]:
+               dt: float = DT_DEVICE) -> list[tuple[float, float]]:
     """Device voltage/current trajectory under a triangular input ramp,
     sampled without waiting for steady state at any bias point."""
     if not isinstance(ramp, Triangle):

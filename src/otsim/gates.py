@@ -24,6 +24,8 @@ from .engine import Trace, burst_refractory, count_crossings, transient
 from .netlist import Netlist
 from .waveforms import Dc, require_finite
 
+DT_LOGIC = 50e-9  # s, default time step of logic and pipeline runs
+
 
 class GateKind(enum.Enum):
     AND = "and"
@@ -343,7 +345,7 @@ def decode_output(tr: Trace, out: OutputSpec, enc: LogicEncoding) -> tuple[int, 
 def evaluate(kind: GateKind, bits: tuple[int, ...],
              enc: LogicEncoding | None = None,
              p: OtsParams | None = None, *,
-             dt: float = 50e-9) -> TruthRow:
+             dt: float = DT_LOGIC) -> TruthRow:
     """Simulate one input combination and decode every output bit: the row
     holds the expected and measured bits, each output's raw measurement
     (event count or mean level) and the trace."""
@@ -397,7 +399,7 @@ class TruthTable:
 
 
 def truth_table(kind: GateKind, enc: LogicEncoding | None = None,
-                p: OtsParams | None = None, *, dt: float = 50e-9,
+                p: OtsParams | None = None, *, dt: float = DT_LOGIC,
                 n_jobs: int = 1, keep_traces: bool = False) -> TruthTable:
     """Exhaustive evaluation over all input combinations.
 

@@ -8,9 +8,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+BINARIZE_THRESHOLD = 128  # default intensity at and above which a pixel binarizes to 1
+
 
 class ImageError(ValueError):
     pass
+
+
+def _pixels(px: np.ndarray) -> np.ndarray:
+    """`px` as uint8, refusing values outside [0, 255]."""
+    if px.min() < 0 or px.max() > 255:
+        raise ImageError("pixel values must lie in [0, 255]")
+    return px.astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -23,9 +32,7 @@ class GrayImage:
         px = np.asarray(self.pixels)
         if px.ndim != 2 or px.size == 0:
             raise ImageError("grayscale image must be a non-empty 2-D array")
-        if px.min() < 0 or px.max() > 255:
-            raise ImageError("pixel values must lie in [0, 255]")
-        object.__setattr__(self, "pixels", px.astype(np.uint8))
+        object.__setattr__(self, "pixels", _pixels(px))
 
     @property
     def width(self) -> int:
@@ -46,7 +53,7 @@ class ColorImage:
         px = np.asarray(self.pixels)
         if px.ndim != 3 or px.shape[2] != 3 or px.size == 0:
             raise ImageError("color image must be a non-empty (h, w, 3) array")
-        object.__setattr__(self, "pixels", px.astype(np.uint8))
+        object.__setattr__(self, "pixels", _pixels(px))
 
     @property
     def width(self) -> int:
@@ -180,10 +187,15 @@ def color_to_gray(img: ColorImage) -> GrayImage:
     return GrayImage(np.clip(np.floor(y + 0.5), 0, 255).astype(np.uint8))
 
 
-def binarize(img: GrayImage, threshold: int = 128) -> BinaryImage:
-    """Bit = 1 wherever intensity >= threshold."""
+def check_threshold(threshold: int) -> None:
+    """Refuse a binarize threshold outside [0, 255]."""
     if not (0 <= threshold <= 255):
         raise ImageError(f"threshold {threshold} outside [0, 255]")
+
+
+def binarize(img: GrayImage, threshold: int = BINARIZE_THRESHOLD) -> BinaryImage:
+    """Bit = 1 wherever intensity >= threshold."""
+    check_threshold(threshold)
     return BinaryImage((img.pixels >= threshold).astype(np.uint8))
 
 

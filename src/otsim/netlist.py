@@ -156,15 +156,15 @@ class Netlist:
         return self._add(VoltageSource(name, spec), np, nn)
 
     def add_diode(self, name: str, anode: str | int, cathode: str | int, *,
-                  v_f: float = 0.7, v_z: float = 15.0, r_series: float = 1.0) -> Element:
+                  v_f: float = Diode.v_f, v_z: float = Diode.v_z, r_series: float = Diode.r_series) -> Element:
         return self._add(Diode(name, v_f, v_z, r_series), anode, cathode)
 
     def add_ots(self, name: str, np: str | int, nn: str | int, params: OtsParams) -> Element:
         return self._add(Ots(name, params), np, nn)
 
     def add_comparator(self, name: str, vp: str | int, vn: str | int, out: str | int,
-                       *, v_out_high: float = 5.0, v_out_low: float = 0.0,
-                       r_out: float = 50.0) -> Element:
+                       *, v_out_high: float = Comparator.v_out_high, v_out_low: float = Comparator.v_out_low,
+                       r_out: float = Comparator.r_out) -> Element:
         return self._add(Comparator(name, v_out_high, v_out_low, r_out), vp, vn, out)
 
     def element(self, name: str) -> Element:

@@ -22,13 +22,14 @@ import numpy as np
 
 from .device import OtsParams, default_params
 from .engine import Trace, burst_refractory, count_crossings, transient
-from .gates import GateKind, LogicEncoding, build_gate
+from .gates import DT_LOGIC, GateKind, LogicEncoding, build_gate
 from .imaging import BinaryImage, ShiftDirection, reference_edges, shift
 from .waveforms import Dc, require_finite
 
 _BURST_CURRENT = 3e-4  # A, switch current that marks a conduction burst, in streams and gradients
 PULSE_WIDTH = 5e-6     # s, length of a stream's pulse for a 1 bit
 CLOCK_PERIOD = 10e-6   # s, one stream bit per clock period
+GRADIENT_WINDOW = 1e-3  # s, default length of a gradient-rate run
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class PulseTrain:
     bit, pulsing from ground to v_high for PULSE_WIDTH when the bit is 1."""
 
     bits: tuple[int, ...]
-    v_high: float = 5.0
+    v_high: float = LogicEncoding.v_high
 
     def __post_init__(self) -> None:
         require_finite("PulseTrain", v_high=self.v_high)
@@ -81,18 +82,20 @@ class StreamSettings:
     another; `n_jobs` has no effect; it is accepted for existing callers."""
 
     clock_period = CLOCK_PERIOD    # not a field: every stream uses it
-    dt: float = 50e-9              # below PULSE_WIDTH
-    count_threshold: int = 1       # spikes per clock period for an output 1
+    dt: float = DT_LOGIC           # below PULSE_WIDTH, which it divides
     segment_clocks: int = 256      # state reset between segments (<= 4096)
     n_jobs: int = 1
 
     def __post_init__(self) -> None:
         if not (0.0 < self.dt < PULSE_WIDTH):
             raise ValueError(f"dt must be positive and below the pulse width {PULSE_WIDTH:g} s, got {self.dt!r}")
+        # relative tolerance: 5e-6 / 50e-9 is 100.00000000000001
+        steps = [span / self.dt for span in (PULSE_WIDTH, CLOCK_PERIOD)]
+        if not all(math.isfinite(n) and math.isclose(n, round(n), rel_tol=1e-9) for n in steps):
+            raise ValueError(f"dt must divide the pulse width {PULSE_WIDTH:g} s and the clock period "
+                             f"{CLOCK_PERIOD:g} s, got {self.dt!r}")
         if not (0 < self.segment_clocks <= 4096):
             raise ValueError("segment_clocks must be in 1..4096")
-        if self.count_threshold < 1:
-            raise ValueError("count_threshold must be >= 1")
 
 
 def _xor_stream(spec_a, spec_b, p: OtsParams, t_stop: float, dt: float) -> Trace:
@@ -121,7 +124,7 @@ def _run_segment(bits_a: tuple[int, ...], bits_b: tuple[int, ...],
     spec_b = PulseTrain(bits_b, enc.v_high)
     tr = _xor_stream(spec_a, spec_b, p, spec_a.duration, settings.dt)
     counts = _count_bursts_per_clock(tr.times, tr.currents["OTS1"], len(bits_a), settings)
-    return [1 if c >= settings.count_threshold else 0 for c in counts]
+    return [1 if c else 0 for c in counts]
 
 
 def xor_stream_circuit(bits_a, bits_b, enc: LogicEncoding | None = None,
@@ -190,10 +193,10 @@ def verify_against_oracle(img: BinaryImage, enc: LogicEncoding | None = None,
 # ---------------------------------------------------------------------------
 
 
-def gradient_rate(c_a: float, c_b: float, window: float = 1e-3,
+def gradient_rate(c_a: float, c_b: float, window: float = GRADIENT_WINDOW,
                   p: OtsParams | None = None,
                   enc: LogicEncoding | None = None, *,
-                  dt: float = 50e-9) -> GradientSample:
+                  dt: float = DT_LOGIC) -> GradientSample:
     """Firing rate of the XOR circuit when the two pixels are applied as
     sustained analog levels v_high*(c/255); the rate encodes the contrast
     difference.  Bursts are counted from `enc.settle` to the end of the
@@ -213,7 +216,7 @@ def gradient_rate(c_a: float, c_b: float, window: float = 1e-3,
     return GradientSample(abs(c_a - c_b), rate)
 
 
-def sweep_gradient(deltas, window: float = 1e-3, p: OtsParams | None = None,
+def sweep_gradient(deltas, window: float = GRADIENT_WINDOW, p: OtsParams | None = None,
                    enc: LogicEncoding | None = None, **kw) -> list[GradientSample]:
     return [gradient_rate(float(d), 0.0, window, p, enc, **kw) for d in deltas]
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .device import OtsParams, default_params
+from .device import DT_DEVICE, OtsParams, default_params
 from .engine import SpikeTrain, Trace, extract_spikes, firing_rate, transient
 from .netlist import Netlist
 from .waveforms import Dc, SourceSpec
@@ -18,6 +18,7 @@ R_SERIES = 100.0  # ground-side series resistor
 SPIKE_THRESHOLD = 0.5    # V at the sense node, upward crossings count as spikes
 SPIKE_REFRACTORY = 1e-6  # shortest gap between two counted spikes
 CHARGE_UP = 20e-6        # initial interval skipped before spikes are counted
+OSC_DURATION = 300e-6    # default simulated time of an oscillator run
 
 IN_NODE = "in"
 TOP_NODE = "top"   # switch + capacitor node
@@ -47,8 +48,8 @@ class OscillationResult:
     trace: Trace
 
 
-def run_oscillator(v_in: float, duration: float = 300e-6, *,
-                   p: OtsParams | None = None, dt: float = 10e-9) -> OscillationResult:
+def run_oscillator(v_in: float, duration: float = OSC_DURATION, *,
+                   p: OtsParams | None = None, dt: float = DT_DEVICE) -> OscillationResult:
     """Constant-bias run; spikes are upward crossings at the sense node
     after the initial charge-up interval is skipped."""
     net = measurement_netlist(v_in, p)
@@ -57,6 +58,6 @@ def run_oscillator(v_in: float, duration: float = 300e-6, *,
     return OscillationResult(v_in, st, firing_rate(st), tr)
 
 
-def rate_sweep(v_values, duration: float = 300e-6, *,
-               p: OtsParams | None = None, dt: float = 10e-9) -> list[tuple[float, float]]:
+def rate_sweep(v_values, duration: float = OSC_DURATION, *,
+               p: OtsParams | None = None, dt: float = DT_DEVICE) -> list[tuple[float, float]]:
     return [(v, run_oscillator(v, duration, p=p, dt=dt).rate) for v in v_values]

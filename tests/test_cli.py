@@ -35,13 +35,17 @@ class TestEnergyCmd:
         assert "scaled" in capsys.readouterr().out
 
     def test_bad_exponent(self, capsys):
-        assert main(["energy", "--node", "16n", "--exponent", "3.0"]) == EXIT_USAGE
+        assert main(["energy", "--node", "16n", "--set", "exponent=3.0"]) == EXIT_USAGE
+
+    def test_exponent_is_set_through_the_config(self, capsys):
+        assert main(["energy", "--node", "16n", "--set", "exponent=2.0"]) == EXIT_OK
+        assert "scaled n=2)" in capsys.readouterr().out
 
 
 class TestGateCmd:
     def test_xor_table_ok(self, tmp_path):
         out = tmp_path / "xor.json"
-        rc = main(["gate", "--kind", "xor", "--table", "--json", str(out)])
+        rc = main(["gate", "--kind", "xor", "--json", str(out)])
         assert rc == EXIT_OK
         payload = json.loads(out.read_text())
         assert payload["ok"] is True
@@ -108,6 +112,19 @@ class TestEdgeCmd:
         assert rc == EXIT_USAGE
         assert "truncated" in capsys.readouterr().err
 
+    def test_threshold_settings_come_from_the_config(self, tmp_path, capsys):
+        img = np.zeros((4, 4), dtype=np.uint8)
+        img[:, 2:] = 200
+        path = tmp_path / "halves.pgm"
+        save_pgm(GrayImage(img), str(path))
+        out = str(tmp_path / "o.pgm")
+        assert main(["edge", "--in", str(path), "--out", out, "--set", "binarize_threshold=201"]) == EXIT_OK
+        assert "binarize threshold 201" in capsys.readouterr().out
+        assert not load_image(out).pixels.any()
+        assert main(["edge", "--in", str(path), "--out", out, "--set", "otsu=true"]) == EXIT_OK
+        assert "binarize threshold 1" in capsys.readouterr().out
+        assert load_image(out).pixels[:, 2].all()
+
 
 class TestGradientCmd:
     def test_sweep_with_fit(self, tmp_path):
@@ -142,7 +159,7 @@ class TestGradientCmd:
 
 class TestTimeStepFitsTheRun:
     @pytest.mark.parametrize("argv, key", [
-        (["iv", "--default", "--set", "dt_device=1m"], "dt_device"),
+        (["iv", "--set", "dt_device=1m"], "dt_device"),
         (["oscillate", "--set", "dt_device=1m"], "dt_device"),
         (["gate", "--kind", "and", "--set", "dt_logic=1m"], "dt_logic"),
         (["gradient", "--set", "dt_logic=2m"], "dt_logic"),
@@ -161,7 +178,7 @@ class TestTimeStepFitsTheRun:
 class TestIvOscillate:
     def test_iv_default_circuit(self, tmp_path):
         out = tmp_path / "iv.csv"
-        rc = main(["iv", "--default", "--peak", "6", "--rise", "20u", "--out", str(out)])
+        rc = main(["iv", "--peak", "6", "--rise", "20u", "--out", str(out)])
         assert rc == EXIT_OK
         rows = np.loadtxt(str(out), delimiter=",", skiprows=1)
         # snap-back: some consecutive pair with di > 0 and dv < 0
@@ -214,9 +231,9 @@ class TestConfigPlumbing:
         args = make_parser().parse_args(
             ["gate", "--kind", "xor", "--config", str(cfg), "--set", "v_high=5.0"]
         )
-        merged = _build_config(args)
-        assert merged.v_high == 5.0          # flag wins
-        assert merged.segment_clocks == 32   # file survives
+        cfg = _build_config(args)
+        assert cfg.v_high == 5.0          # --set wins
+        assert cfg.segment_clocks == 32   # file survives
 
     def test_removed_key_rejected_by_set(self, capsys):
         for key in ("max_newton", "n_jobs"):
@@ -229,6 +246,22 @@ class TestConfigPlumbing:
             main(["edge", "--in", uniform_pgm, "--out", str(tmp_path / "o.pgm"), "--jobs", "2"])
         assert exc.value.code == EXIT_USAGE
         assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["edge", "--in", "{pgm}", "--out", "{out}", "--threshold", "100"], "--threshold"),
+        (["edge", "--in", "{pgm}", "--out", "{out}", "--otsu"], "--otsu"),
+        (["edge", "--in", "{pgm}", "--out", "{out}", "--segment-clocks", "32"], "--segment-clocks"),
+        (["edge", "--in", "{pgm}", "--out", "{out}", "--count-threshold", "1"], "--count-threshold"),
+        (["energy", "--exponent", "2.0"], "--exponent"),
+        (["iv", "--default", "--out", "{out}"], "--default"),
+        (["gate", "--kind", "xor", "--table"], "--table"),
+    ], ids=["threshold", "otsu", "segment_clocks", "count_threshold", "exponent", "default", "table"])
+    def test_removed_flags_rejected(self, argv, flag, uniform_pgm, tmp_path, capsys):
+        argv = [a.format(pgm=uniform_pgm, out=tmp_path / "out") for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert flag in capsys.readouterr().err
 
     def test_unparseable_set_item_named(self, capsys):
         for item in ("#v_high=3", "v_high", "otsu=maybe", "segment_clocks=1.5", "v_high=5x", "v_high=1e400"):
@@ -245,10 +278,14 @@ class TestConfigPlumbing:
         (["gate", "--kind", "and", "--inputs", "11", "--set", "v_th=0.5"], "v_th"),
         (["gate", "--kind", "and", "--inputs", "11", "--set", "v_high=-1"], "v_high"),
         (["edge", "--in", "{pgm}", "--out", "{out}", "--set", "segment_clocks=0"], "segment_clocks"),
-        (["edge", "--in", "{pgm}", "--out", "{out}", "--count-threshold", "0"], "count_threshold"),
+        (["energy", "--set", "exponent=3"], "exponent"),
         (["oscillate", "--out", "{out}", "--set", "dt_device=0"], "dt_device"),
         (["gradient", "--sweep", "0,255", "--out", "{out}", "--set", "gradient_window=10u"], "gradient_window"),
-    ], ids=["v_th", "v_high", "segment_clocks", "count_threshold", "dt_device", "gradient_window"])
+        (["gate", "--kind", "xor", "--inputs", "10", "--set", "binarize_threshold=-4"], "binarize_threshold"),
+        (["edge", "--in", "{pgm}", "--out", "{out}", "--set", "binarize_threshold=300"], "binarize_threshold"),
+        (["edge", "--in", "{pgm}", "--out", "{out}", "--set", "dt_logic=30n"], "dt_logic"),  # 166.7 steps per pulse
+    ], ids=["v_th", "v_high", "segment_clocks", "exponent", "dt_device", "gradient_window",
+            "binarize_threshold_gate", "binarize_threshold_edge", "dt_logic_off_the_pulse_grid"])
     def test_bad_config_value_is_a_usage_error_naming_its_key(self, argv, key, uniform_pgm, tmp_path, capsys):
         argv = [a.format(pgm=uniform_pgm, out=tmp_path / "out") for a in argv]
         assert main(argv) == EXIT_USAGE

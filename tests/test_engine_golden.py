@@ -22,7 +22,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from otsim import Dc, Netlist, PiecewiseLinear, Pulse, Triangle, default_params, engine, gates, pipeline, rig, transient
+from otsim import (ConvergenceError, Dc, Netlist, PiecewiseLinear, Pulse, Triangle, default_params, engine, gates,
+                   pipeline, rig, transient)
 from otsim.device import OFF_STATE, ON_STATE, ots_current
 from otsim.gates import GateKind, LogicEncoding
 from otsim.netlist import Capacitor, Comparator, Diode, Ots, VoltageSource
@@ -423,12 +424,18 @@ def test_switched_currents_equal_their_scalar_laws(run):
 
 
 @st.composite
-def rc_diode_ladders(draw):
+def rc_diode_ladders(draw, switched=False):
     """A source driving a chain of series resistors or diodes, with a
-    capacitor (and optionally a resistor) from every chain node to ground."""
+    capacitor (and optionally a resistor) from every chain node to ground.
+    With `switched`, the drive may also be piecewise linear, and comparators
+    that read two nodes of the ladder feed their outputs back into it
+    through resistors."""
     net = Netlist()
     v = draw(st.floats(-8.0, 8.0))
-    if draw(st.booleans()):
+    if switched and draw(st.booleans()):
+        times = sorted(draw(st.lists(st.floats(0.0, 10e-6), min_size=2, max_size=5, unique=True)))
+        spec = PiecewiseLinear(tuple((t, draw(st.floats(-8.0, 8.0))) for t in times))
+    elif draw(st.booleans()):
         spec = Dc(v)
     else:
         period = draw(st.floats(2e-6, 5e-6))
@@ -448,7 +455,28 @@ def rc_diode_ladders(draw):
                           ic=draw(st.floats(-1.0, 1.0)))
         if draw(st.booleans()):
             net.add_resistor(f"RP{i}", b, "0", draw(st.floats(1e3, 1e5)))
+    if switched:
+        nodes = net.node_names
+        for j in range(draw(st.integers(1, 3))):
+            net.add_comparator(f"CMP{j}", draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes)), f"q{j}",
+                               v_out_high=draw(st.floats(0.5, 8.0)), v_out_low=draw(st.floats(-2.0, 0.0)),
+                               r_out=draw(st.floats(10.0, 1e3)))
+            net.add_resistor(f"RF{j}", f"q{j}", draw(st.sampled_from(nodes[1:])), draw(st.floats(100.0, 1e4)))
     return net
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rc_diode_ladders(switched=True))
+def test_random_switched_ladders_converge_or_name_their_cycle(net):
+    # the segment iteration either settles every step or names a cycle of
+    # at least two segment sets among the switched elements
+    switched = {el.name for el in net.elements if isinstance(el.kind, (Comparator, Diode, Ots))}
+    try:
+        transient(net, 10e-6, 50e-9)
+    except ConvergenceError as exc:
+        assert exc.element in switched
+        assert set(exc.cycle_elements) <= switched
+        assert exc.cycle_length is None or exc.cycle_length >= 2
 
 
 def kcl_imbalance(net: Netlist, tr) -> np.ndarray:

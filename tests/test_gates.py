@@ -34,6 +34,12 @@ class TestTruthTables:
                 f"(detail {row.detail})"
             )
 
+    def test_tables_hold_at_half_the_step(self):
+        # the decoded tables are a property of the circuits, not of the step size
+        for kind in GateKind:
+            table = truth_table(kind, dt=DT / 2)
+            assert table.ok, [(r.inputs, r.measured, r.detail) for r in table.rows if not r.ok]
+
     def test_dcaap_quoted_rows(self, tables):
         rows = {r.inputs: r.measured for r in tables[GateKind.DCAAP_CASCADE].rows}
         assert rows[(1, 1, 0)] == (0, 0)

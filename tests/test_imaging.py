@@ -112,6 +112,11 @@ class TestGrayscale:
         with pytest.raises(ImageError):
             to_gray(256, 0, 0)
 
+    @pytest.mark.parametrize("px", [[[[300, 0, 0]]], [[[0, -5, 0]]]], ids=["above", "below"])
+    def test_color_image_rejects_out_of_range_pixels(self, px):
+        with pytest.raises(ImageError, match=r"pixel values must lie in \[0, 255\]"):
+            ColorImage(np.array(px))
+
     def test_color_image_conversion_matches_scalar(self):
         rng = np.random.default_rng(11)
         px = rng.integers(0, 256, (4, 5, 3), dtype=np.uint8)

@@ -317,6 +317,10 @@ class TestRunConfig:
         ("segment_clocks = 0", r"run\.cfg: segment_clocks = 0: segment_clocks must be in 1\.\.4096"),
         ("dt_logic = 0", r"run\.cfg: dt_logic = 0\.0: time steps must be positive"),
         ("settle = 2m", r"run\.cfg: settle = 0\.002: gradient_window must exceed settle"),
+        ("exponent = 3", r"run\.cfg: exponent = 3\.0: scaling exponent 3\.0 outside \[1\.6, 2\.1\]"),
+        ("binarize_threshold = 300", r"run\.cfg: binarize_threshold = 300: threshold 300 outside \[0, 255\]"),
+        ("binarize_threshold = -4", r"run\.cfg: binarize_threshold = -4: threshold -4 outside \[0, 255\]"),
+        ("dt_logic = 30n", r"run\.cfg: dt_logic = 3e-08: dt must divide the pulse width"),
     ])
     def test_bad_value_is_named_by_its_key(self, text, match):
         with pytest.raises(ConfigError, match=match):
@@ -338,8 +342,3 @@ class TestRunConfig:
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# comment\n\nv_high = 5.0  # trailing\n")
         assert cfg.v_high == 5.0
-
-    def test_merged_precedence(self):
-        cfg = parse_config("v_high = 4.5\n")
-        assert cfg.merged(v_high=5.5).v_high == 5.5
-        assert cfg.merged(v_high=None).v_high == 4.5

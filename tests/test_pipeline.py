@@ -43,6 +43,14 @@ class TestXorStream:
     def test_reference_pattern(self):
         assert xor_stream_circuit([0, 1, 1, 0], [0, 1, 0, 1]) == [0, 0, 1, 1]
 
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_half_step_gives_the_bitwise_xor(self, data):
+        # the result holds at dt/2, not only at the default step
+        bits = st.lists(st.integers(0, 1), min_size=32, max_size=32)
+        a, b = data.draw(bits), data.draw(bits)
+        assert xor_stream_circuit(a, b, settings=StreamSettings(dt=25e-9)) == [x ^ y for x, y in zip(a, b)]
+
     def test_random_64_bits_exact(self):
         rng = np.random.default_rng(2024)
         a = rng.integers(0, 2, 64).tolist()
@@ -145,5 +153,11 @@ class TestStreamSettings:
             StreamSettings(segment_clocks=0)
         with pytest.raises(ValueError):
             StreamSettings(segment_clocks=5000)
-        with pytest.raises(ValueError):
-            StreamSettings(count_threshold=0)
+
+    @pytest.mark.parametrize("dt", [50e-9, 25e-9, 12.5e-9, 10e-9])
+    def test_whole_steps_per_pulse_accepted(self, dt):
+        assert StreamSettings(dt=dt).dt == dt
+
+    def test_step_off_the_pulse_grid_rejected(self):
+        with pytest.raises(ValueError, match=r"^dt must divide the pulse width 5e-06 s and the clock period 1e-05 s, got 3e-08$"):
+            StreamSettings(dt=30e-9)
