@@ -300,7 +300,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gate", help="evaluate a logic gate through circuit simulation")
     _add_common(sp)
     sp.add_argument("--kind", required=True,
-                    help="and|or|nor|nand|xor|halfadder|fulladder|dcaap")
+                    help="|".join(kind.value for kind in GateKind))
     sp.add_argument("--inputs", help="one combination as a bit string, e.g. 10 (default: the full truth table)")
     sp.add_argument("--json", help="write the truth table as JSON here")
     sp.add_argument("--waveforms", help="write waveform CSV here")

@@ -11,8 +11,8 @@ solution, and repeat until the choice is stable (at most a fixed number of
 re-selections per step, after which a tie at a knee, where rounding flips an
 element back and forth, is accepted).  The system matrix depends only on the segment
 choice and on whether it is step 0, whose capacitor companions are stiffer,
-so every step, step 0 included, solves cached LU factors with a single
-LAPACK back-substitution (``dgetrs``).
+so every later step solves cached LU factors with a single LAPACK
+back-substitution (``dgetrs``); step 0, which runs once, keeps none.
 
 Each run has three phases.  A compile phase (``_Compiled``) turns the
 netlist into index arrays and plain tuples once: terminal indices into an
@@ -31,15 +31,20 @@ dynamic RHS of its segment set (stored without the ground entry) and calls
 
 A step after an OTS flip starts from the segment set selected at the
 flipped phases, and its iteration can walk a chain of comparators one stage
-per solve.  Each run remembers, per such start set, the set the last step
-from it accepted (the landing), and the next step from the same start set
-solves that landing first, with its cached LU.  If the landing's own
-solution selects it again, the step accepts it after one solve; otherwise
-the step runs the usual iteration from the start set with its whole budget,
-and its result becomes the new landing.  A set that selects itself gives
-the same solution bits whichever path reached it, so where the iteration
-from the start set would settle on the same set, the trace is unchanged.
-On the full adder's truth table this cuts 40,820 solves to 14,612.
+per solve.  Each run remembers (``_Compiled.landing``), per such start set,
+the set the last step from it accepted (the landing), and the next step
+from the same start set begins its one segment iteration there instead,
+with the landing's cached LU.  If the landing's own solution selects it
+again, the step accepts it after one solve; otherwise the iteration goes on
+from the set that solution selects, and its result becomes the new landing.
+A set that selects itself gives the same solution bits whichever path
+reached it, so where the iteration from the start set would settle on the
+same set, the trace is unchanged.  Where a later stage feeds back into an
+earlier one, as a comparator driving its own input does, a step can have
+two sets that select themselves; the landing may then be the other one,
+and the trace differs from a run without the memo, though both solve every
+step.  On the full adder's truth table the memo cuts 40,820 solves to
+14,538.
 
 The residual gate runs on batches of recorded samples: each sample's nodal
 residual ``mat @ x - z`` comes from one batched ``np.matmul`` per segment
@@ -366,9 +371,10 @@ class _Compiled:
                 self.stamps.append({_CMP_HIGH: (t[2], 0, g, g * -k.v_out_high),
                                     _CMP_LOW: (t[2], 0, g, g * -k.v_out_low)})
 
-        # factorizations by segment set, after step 0 and at step 0 (pinned)
+        # per-run memos keyed by segment set: the factorizations after step 0,
+        # and for each post-flip start set the set the last step from it accepted
         self.lu_cache: dict[tuple[int, ...], tuple] = {}
-        self.pin_cache: dict[tuple[int, ...], tuple] = {}
+        self.landing: dict[tuple[int, ...], tuple[int, ...]] = {}
         # (segments, matrix) of every system solved, indexed by set id
         self.sets: list[tuple[tuple[int, ...], np.ndarray]] = []
 
@@ -387,8 +393,9 @@ class _Compiled:
         return np.ascontiguousarray(mat[1:, 1:]), z
 
     def factorized(self, segments: tuple[int, ...], pinned: bool):
-        """(lu, piv, dynamic RHS, set id) for a segment set, cached; the
-        dynamic RHS has no ground entry, like the matrix.
+        """(lu, piv, dynamic RHS, set id) for a segment set, cached after
+        step 0 (which runs once); the dynamic RHS has no ground entry, like
+        the matrix.
 
         A system is singular if a pivot is zero or not finite, or, after
         step 0, if the pivots span more than 14 decades.  The step-0 system
@@ -401,7 +408,8 @@ class _Compiled:
             self.raise_singular(mat)
         entry = (lu, piv, z[1:].copy(), len(self.sets))
         self.sets.append((segments, mat))
-        (self.pin_cache if pinned else self.lu_cache)[segments] = entry
+        if not pinned:
+            self.lu_cache[segments] = entry
         return entry
 
     def raise_singular(self, mat: np.ndarray):
@@ -530,10 +538,9 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     repeats that period; `Trace.solved_steps` counts the samples the loop
     solved and `Trace.period` is the period (None if it solved them all).
 
-    A step after an OTS flip first solves the set that the last step from
-    the same start set accepted, and keeps it if that solution selects it
-    again; if not, it falls back to the segment iteration from the start
-    set, budget and cycle report included.
+    A step after an OTS flip starts its segment iteration, budget and
+    cycle report included, from the set that the last step from the same
+    start set accepted.
     """
     require_finite("transient", t_stop=t_stop, dt=dt)
     if dt <= 0.0 or t_stop < dt:
@@ -579,10 +586,9 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     gate_at = _CHUNK                         # solved count at which the next batch is checked
     kcl_residual = 0.0
     seen: dict[tuple, int] = {}              # state left by each OTS flip step -> that step
-    landing: dict[tuple, tuple] = {}         # post-flip start set -> the set its last step accepted
+    landing = c.landing
     flipped = False                          # whether the previous step flipped an OTS phase
     budget = range(2 * (_MAX_RESELECTIONS + 1))  # attempts of one step's segment iteration
-    landing_budget = range(-1, budget.stop)      # attempt -1 solves a remembered landing
     period = None
 
     try:
@@ -598,20 +604,18 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                     zl[a] += hist
                     zl[b] -= hist
             za = np.fromiter(zl, float, n + 1)[1:]
-            cache = c.lu_cache if step else c.pin_cache
+            cache = c.lu_cache if step else {}
 
-            # A segment set that rounding keeps flipping across a knee has no
-            # stable assignment; once the budget is spent, a second one accepts a
-            # set whose own solution contradicts it by at most _KNEE_TOL.
-            # After a flip, the set the last step from the same start set
-            # landed on is solved first, as attempt -1: it is accepted if its
-            # own solution selects it, else the loop starts over from the
-            # start set with its whole budget.
-            tried = [segments]                   # the sets solved from the start set, then the last one selected
-            attempts = budget
-            if flipped and (landed := landing.get(segments, segments)) != segments:
-                segments, attempts = landed, landing_budget
-            for attempt in attempts:
+            # After a flip the iteration starts from the set the last step
+            # from the same start set accepted.  A segment set that rounding
+            # keeps flipping across a knee has no stable assignment; once the
+            # budget is spent, a second one accepts a set whose own solution
+            # contradicts it by at most _KNEE_TOL.
+            start = segments
+            if flipped:
+                segments = landing.get(start, start)
+            tried = [segments]                   # the sets solved, then the last one selected
+            for attempt in budget:
                 lu, piv, zd, sid = cache.get(segments) or c.factorized(segments, not step)
                 z = za + zd
                 x = dgetrs(lu, piv, z)[0]
@@ -620,15 +624,12 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                 if desired == segments or (attempt > _MAX_RESELECTIONS
                                            and _knee_gap(select, segments, desired, xe) <= _KNEE_TOL):
                     break
-                if attempt < 0:  # the remembered set missed
-                    segments = tried[0]
-                    continue
                 segments = desired
                 tried.append(segments)
             else:
                 raise _cycle_error(c, tried, step, step * dt)
             if flipped:
-                landing[tried[0]] = segments
+                landing[start] = segments
 
             sol[step, 1:] = x
             rhs[step] = z
@@ -670,7 +671,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
             # and the OTS phases.
             if constant:
                 j = step
-                if (unchanged and segments == tried[0] and xe == prev
+                if (unchanged and segments == start and xe == prev
                         and sol[step].tobytes() == sol[step - 1].tobytes()):
                     j = step - 1
                 elif flipped:

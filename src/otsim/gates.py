@@ -91,7 +91,6 @@ class OutputSpec:
 class GateCircuit:
     kind: GateKind
     net: Netlist
-    input_sources: list[str]       # source element names, in input order
     input_nodes: list[str]
     outputs: list[OutputSpec]
 
@@ -227,11 +226,8 @@ def build_gate(kind: GateKind, p: OtsParams | None = None,
         raise ValueError(f"{kind.value} takes {len(names)} bits, got {bits!r}")
 
     net = Netlist()
-    sources = []
     for nm, b in zip(names, bits):
-        src = f"S_{nm.upper()}"
-        net.add_source(src, nm, "0", Dc(enc.v_high * b))
-        sources.append(src)
+        net.add_source(f"S_{nm.upper()}", nm, "0", Dc(enc.v_high * b))
 
     if kind in (GateKind.AND, GateKind.OR):
         core = _and_core if kind is GateKind.AND else _or_core
@@ -315,7 +311,7 @@ def build_gate(kind: GateKind, p: OtsParams | None = None,
         raise ValueError(f"unhandled gate kind {kind}")
 
     net.validate()
-    return GateCircuit(kind, net, sources, list(names), outputs)
+    return GateCircuit(kind, net, list(names), outputs)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 from .device import OtsParams, default_params
 from .engine import Trace, burst_refractory, count_crossings, transient
 from .gates import DT_LOGIC, GateKind, LogicEncoding, build_gate
-from .imaging import BinaryImage, ShiftDirection, reference_edges, shift
+from .imaging import BinaryImage, ShiftDirection, shift
 from .waveforms import Dc, require_finite
 
 _BURST_CURRENT = 3e-4  # A, switch current that marks a conduction burst, in streams and gradients
@@ -177,15 +177,6 @@ def mismatch_report(result: BinaryImage, reference: BinaryImage) -> dict:
         "total": int(len(xs)),
         "mismatches": [(int(x), int(y)) for x, y in zip(xs, ys)],
     }
-
-
-def verify_against_oracle(img: BinaryImage, enc: LogicEncoding | None = None,
-                          p: OtsParams | None = None,
-                          settings: StreamSettings | None = None) -> dict:
-    """Run both detectors and report their disagreement (must be empty)."""
-    circuit = detect_edges(img, enc, p, settings)
-    oracle = reference_edges(img)
-    return mismatch_report(circuit, oracle)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from otsim.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _parse_sweep_list, main
+from otsim.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _parse_sweep_list, main, make_parser
+from otsim.gates import GateKind
 from otsim.imaging import GrayImage, load_image, save_pgm
 
 
@@ -84,6 +85,12 @@ class TestGateCmd:
 
     def test_unknown_kind(self, capsys):
         assert main(["gate", "--kind", "xnor"]) == EXIT_USAGE
+
+    def test_kind_help_names_every_kind(self, capsys):
+        with pytest.raises(SystemExit):
+            make_parser().parse_args(["gate", "--help"])
+        listed = re.search(r"^\s+--kind KIND\s+(\S+)", capsys.readouterr().out, re.M).group(1)
+        assert listed.split("|") == [kind.value for kind in GateKind]
 
     def test_bad_inputs(self, capsys):
         assert main(["gate", "--kind", "and", "--inputs", "101"]) == EXIT_USAGE

@@ -33,6 +33,14 @@ class TestGradientRate:
         with pytest.raises(ValueError):
             gradient_rate(300, 0)
 
+    @pytest.mark.parametrize("delta_c", [224, 255])
+    def test_rate_converges_as_dt_halves(self, delta_c):
+        # backward Euler's time-step error is first order: the rate falls at
+        # each halving of dt, by about half as much as at the halving before
+        r50, r25, r12 = (gradient_rate(delta_c, 0, dt=dt).rate for dt in (50e-9, 25e-9, 12.5e-9))
+        assert r50 > r25 > r12 > 0.0
+        assert r25 - r12 < r50 - r25
+
 
 class TestFitLinear:
     def test_exact_line(self):
