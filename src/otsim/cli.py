@@ -21,7 +21,7 @@ import numpy as np
 from . import circuits as circuit_files
 from .config import ConfigError, RunConfig, load_config, parse_setting
 from .energy import table1_report
-from .engine import SimulationError, dynamic_iv
+from .engine import SimulationError, dynamic_iv, whole_steps
 from .gates import GateKind, build_gate, evaluate, gate_arity, truth_table
 from .imaging import ColorImage, ImageError, binarize, color_to_gray, load_image, otsu_threshold, reference_edges, save_pgm
 from .netlist import NetlistError
@@ -47,9 +47,12 @@ def _si(text: str) -> float:
 
 
 def _check_dt(key: str, dt: float, t_stop: float, what: str) -> None:
-    """Refuse a time step that does not fit in the run it steps."""
+    """Refuse a time step that does not fit in the run it steps, or a run
+    that is not a whole number of such steps."""
     if dt > t_stop:
         raise CliError(f"{key} = {dt!r}: longer than {what} ({t_stop:g} s)")
+    if whole_steps(t_stop, dt) is None:
+        raise CliError(f"{what} ({t_stop:g} s) is not a whole number of steps of {key} = {dt!r}")
 
 
 def _build_config(args) -> RunConfig:

@@ -10,6 +10,7 @@ from dataclasses import dataclass, fields, replace
 
 from .device import DT_DEVICE, OtsParams, default_params
 from .energy import ScalingLaw
+from .engine import whole_steps
 from .gates import DT_LOGIC, LogicEncoding
 from .imaging import BINARIZE_THRESHOLD, check_threshold
 from .netlist_io import parse_si
@@ -49,6 +50,7 @@ class RunConfig:
             (("v_high", "bit_width", "settle"), self.encoding),
             (("dt_device", "dt_logic", "gradient_window", "settle", "bit_width"), self._check_times),
             (("segment_clocks", "dt_logic"), self.stream_settings),
+            (("dt_logic", "settle", "bit_width", "gradient_window"), self._check_grid),
             (("binarize_threshold",), lambda: check_threshold(self.binarize_threshold)),
             (("exponent",), lambda: ScalingLaw(self.exponent)),
         ):
@@ -66,6 +68,11 @@ class RunConfig:
         if self.dt_logic > min(self.settle + self.bit_width, self.gradient_window):
             raise ValueError(f"dt_logic is longer than settle + bit_width ({self.settle + self.bit_width:g} s) "
                              f"or gradient_window ({self.gradient_window:g} s)")
+
+    def _check_grid(self) -> None:
+        for name, span in (("settle + bit_width", self.settle + self.bit_width), ("gradient_window", self.gradient_window)):
+            if whole_steps(span, self.dt_logic) is None:
+                raise ValueError(f"{name} ({span:g} s) is not a whole number of steps of dt_logic")
 
     def device_params(self) -> OtsParams:
         overrides = {k: getattr(self, k) for k in _OTS_KEYS if getattr(self, k) is not None}

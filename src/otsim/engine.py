@@ -11,23 +11,35 @@ solution, and repeat until the choice is stable (at most a fixed number of
 re-selections per step, after which a tie at a knee, where rounding flips an
 element back and forth, is accepted).  The system matrix depends only on the segment
 choice and on whether it is step 0, whose capacitor companions are stiffer,
-so every later step solves cached LU factors with a single LAPACK
-back-substitution (``dgetrs``); step 0, which runs once, keeps none.
+so every later step solves cached LU factors (``dgetrf``); step 0, which
+runs once, keeps none.
 
 Each run has three phases.  A compile phase (``_Compiled``) turns the
 netlist into index arrays and plain tuples once: terminal indices into an
 extended solution vector whose entry 0 is ground, per-kind parameters,
 capacitor stamps and OTS slots.  The step loop then works on those tuples
-and on floats from ``x.tolist()`` only: it solves, advances the integrator
-and OTS states, and records each sample's solution, right-hand side and
-segment set.  Its fixed cost per step is kept small: ``Dc`` drives are
-read once per run into the RHS every step starts from, and every other
-drive is called once per batch of _CHUNK steps, on the array of that
-batch's sample times, so a step reads its value from a list; the source and
-history RHS becomes one array per step, and each solve adds the cached
-dynamic RHS of its segment set (stored without the ground entry) and calls
-``dgetrs``; and an OTS whose state ``ots_step`` would return unchanged
-(``device.ots_hold_bound``) is not stepped.
+and on floats in lists only: it solves, advances the integrator and OTS
+states, and records each sample's solution, right-hand side and segment
+set.  Its fixed cost per step is kept small: ``Dc`` drives are read once
+per run into the RHS list every step starts from, and every other drive is
+called once per batch of _CHUNK steps, on the array of that batch's sample
+times, so a step reads its value from a list; and an OTS whose state
+``ots_step`` would return unchanged (``device.ots_hold_bound``) is not
+stepped.
+
+The solve takes one of two paths.  A system of at most _OWNED_MAX unknowns
+(the oscillator rig and the gates up to the NAND) solves every step after
+step 0 in a Python function generated from its segment set's factors
+(``_straight_line``, after Gustavson's straight-line code for a fixed
+sparsity pattern): forward and back substitution over the nonzero factors
+only, loading only the RHS rows a step can write and adding the set's
+dynamic RHS as constants.  It takes the RHS list and returns the solution
+as lists, with no array built per step.  Its rounding differs from the
+fused multiply-adds of OpenBLAS's ``dgetrs`` by about one ulp, so these
+runs depend on ``dgetrf``'s bits only.  Step 0 and the larger circuits,
+whose many segment sets are each solved too few times to repay compiling
+their code, turn the RHS into an array, add the cached dynamic RHS of the
+set (stored without the ground entry) and call LAPACK's ``dgetrs``.
 
 A step after an OTS flip starts from the segment set selected at the
 flipped phases, and its iteration can walk a chain of comparators one stage
@@ -79,6 +91,7 @@ accepted step from the converged device voltage.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -161,14 +174,20 @@ class Trace:
     period: int | None                     # later samples repeat the last `period` solved ones
 
     def node_index(self, node: str | int) -> int:
-        if isinstance(node, int):
-            if not (0 <= node < len(self.node_names)):
-                raise IndexError(f"node index {node} out of range")
-            return node
+        """Column of `node`, given by name or by any integer index; a bool
+        is neither and raises TypeError."""
+        if isinstance(node, (bool, np.bool_)):
+            raise TypeError(f"node {node!r} is a bool, not a node name or index")
         try:
-            return self.node_names.index(str(node))
-        except ValueError:
-            raise IndexError(f"no node named {node!r}") from None
+            k = operator.index(node)
+        except TypeError:
+            try:
+                return self.node_names.index(str(node))
+            except ValueError:
+                raise IndexError(f"no node named {node!r}") from None
+        if not (0 <= k < len(self.node_names)):
+            raise IndexError(f"node index {k} out of range")
+        return k
 
     def voltage(self, node: str | int) -> np.ndarray:
         return self.voltages[:, self.node_index(node)]
@@ -246,6 +265,84 @@ _KNEE_TOL = 1e-12        # V, knee ties accepted once the reselection budget is 
 _RESIDUAL_TOL = 1e-9     # A, largest nodal-current residual of an accepted step
 _CHUNK = 4096            # samples per batch of residuals
 _FLIP_STATES = 128       # flip-step states remembered; a period with more flips is not found
+# Largest system (unknowns) whose segment sets after step 0 are solved by
+# generated straight-line code.  Compiling a set's code takes 0.2-0.4 ms at
+# n <= 11, which its faster solves repay after 50-120 solves; the oscillator
+# rig and the gates up to the NAND solve each set hundreds to thousands of
+# times.  At n = 29 (dCaAP) and 45 (full adder) it takes 0.9-1.6 ms, repaid
+# after 190-500 solves, but those circuits factorize about 60 sets per
+# truth-table row at about 30 solves each.  16 lies between the two groups.
+_OWNED_MAX = 16
+
+
+def whole_steps(span: float, dt: float) -> int | None:
+    """The number of steps of dt that make up span, or None if span is not
+    a whole number of them to a relative tolerance of 1e-9 (so that, say,
+    5e-6 / 50e-9 = 100.00000000000001 is 100 steps)."""
+    steps = span / dt
+    if not (math.isfinite(steps) and math.isclose(steps, round(steps), rel_tol=1e-9)):
+        return None
+    return round(steps)
+
+
+def _straight_line(lu: np.ndarray, piv: np.ndarray, zd: np.ndarray, rows: tuple[int, ...]):
+    """A function solving one segment set's system from its dgetrf factors.
+
+    It takes the extended source and history RHS `zl` (a list, entry 0
+    ground), reads only the entries at `rows` (extended indices of the rows
+    any step can write: source rows and capacitor terminals), adds the set's
+    dynamic RHS `zd`, and returns the extended solution list ``xe``, the
+    solution list without ground and the full RHS list it solved.  Forward
+    substitution on unit L and back substitution on U subtract in column
+    order (ascending in L, descending in U), skipping zero factors and
+    operands that are always zero.  The source holds only indices and
+    ``repr`` floats."""
+    n = len(piv)
+    lu, zd = lu.tolist(), zd.tolist()
+    lines = []
+
+    def assign(name: str, start: str | None, terms, pivot: float = 1.0) -> str | None:
+        # name = (start - c1 * v1 - c2 * v2 ...) / pivot, evaluated left to
+        # right; returns the name holding the value, None if it is always 0
+        expr = start
+        for c, v in terms:
+            term = v if abs(c) == 1.0 else f"{abs(c)!r} * {v}"  # a product with 1.0 is exact
+            if expr is None:
+                expr = term if c < 0 else f"-{term}"
+            else:
+                expr += f" - {term}" if c > 0 else f" + {term}"
+        if expr is None or (pivot == 1.0 and not terms):
+            return expr
+        if pivot != 1.0:
+            expr = f"({expr}) / {pivot!r}" if terms else f"{expr} / {pivot!r}"
+        lines.append(f"{name} = {expr}")
+        return name
+
+    z: list[str | None] = []
+    for i in range(n):
+        if i + 1 in rows:
+            lines.append(f"z{i} = zl[{i + 1}]" + (f" + {zd[i]!r}" if zd[i] else ""))
+        elif zd[i]:
+            lines.append(f"z{i} = {zd[i]!r}")
+        z.append(f"z{i}" if i + 1 in rows or zd[i] else None)
+    b = z.copy()
+    for k, p in enumerate(piv.tolist()):
+        b[k], b[p] = b[p], b[k]
+    y: list[str | None] = []
+    for k in range(n):
+        y.append(assign(f"y{k}", b[k], [(lu[k][j], y[j]) for j in range(k) if lu[k][j] and y[j]]))
+    x: list[str | None] = [None] * n
+    for k in reversed(range(n)):
+        x[k] = assign(f"x{k}", y[k], [(lu[k][j], x[j]) for j in range(n - 1, k, -1) if lu[k][j] and x[j]],
+                      lu[k][k])
+    xs = ", ".join(v or "0.0" for v in x)
+    lines.append(f"return [0.0, {xs}], [{xs}], [{', '.join(v or '0.0' for v in z)}]")
+    # the namespace holds no reference back to the function, so that no
+    # reference cycle keeps a run's code alive
+    namespace = {"inf": math.inf, "nan": math.nan}
+    exec(compile("def solve(zl):\n    " + "\n    ".join(lines) + "\n", "<straight-line LU solve>", "exec"),
+         namespace)
+    return namespace.pop("solve")
 
 
 def _stamp(mat: np.ndarray, a: int, b: int, g: float) -> None:
@@ -371,6 +468,12 @@ class _Compiled:
                 self.stamps.append({_CMP_HIGH: (t[2], 0, g, g * -k.v_out_high),
                                     _CMP_LOW: (t[2], 0, g, g * -k.v_out_low)})
 
+        # Sets after step 0 of a system of at most _OWNED_MAX unknowns are
+        # solved by generated code that reads only the rows of zl any step
+        # writes: the source rows and the capacitor terminals.
+        self.owned = n <= _OWNED_MAX
+        self.rhs_rows = tuple(sorted({row for row, _ in self.drives} | {i for ab in self.caps for i in ab} - {0}))
+
         # per-run memos keyed by segment set: the factorizations after step 0,
         # and for each post-flip start set the set the last step from it accepted
         self.lu_cache: dict[tuple[int, ...], tuple] = {}
@@ -395,7 +498,8 @@ class _Compiled:
     def factorized(self, segments: tuple[int, ...], pinned: bool):
         """(lu, piv, dynamic RHS, set id) for a segment set, cached after
         step 0 (which runs once); the dynamic RHS has no ground entry, like
-        the matrix.
+        the matrix.  After step 0 an owned system's entry is (solve, set
+        id) instead, with the set's generated `_straight_line` solve.
 
         A system is singular if a pivot is zero or not finite, or, after
         step 0, if the pivots span more than 14 decades.  The step-0 system
@@ -406,10 +510,13 @@ class _Compiled:
         diag = np.abs(lu.diagonal())
         if info or not np.all(np.isfinite(lu)) or (not pinned and diag.min() <= diag.max() * 1e-14):
             self.raise_singular(mat)
-        entry = (lu, piv, z[1:].copy(), len(self.sets))
+        if pinned:
+            entry = (lu, piv, z[1:].copy(), len(self.sets))
+        elif self.owned:
+            entry = self.lu_cache[segments] = (_straight_line(lu, piv, z[1:], self.rhs_rows), len(self.sets))
+        else:
+            entry = self.lu_cache[segments] = (lu, piv, z[1:].copy(), len(self.sets))
         self.sets.append((segments, mat))
-        if not pinned:
-            self.lu_cache[segments] = entry
         return entry
 
     def raise_singular(self, mat: np.ndarray):
@@ -524,8 +631,10 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     all of them.  A `Dc` is called once per run; any other waveform once per
     batch of _CHUNK sample times, as the loop reaches the batch.
 
-    Raises NetlistError for an unknown source name, ValueError naming the
-    source if a waveform returns values of another shape, ConvergenceError if the
+    Raises ValueError naming t_stop and dt unless t_stop is a whole number
+    of steps of dt (`whole_steps`), NetlistError for an unknown source name,
+    ValueError naming the source if a waveform returns values of another
+    shape, ConvergenceError if the
     segment iteration does not settle (after _MAX_RESELECTIONS
     re-selections, a second round accepts an element that rounding keeps
     flipping across a knee; the error names the cycle of segment sets the
@@ -540,7 +649,10 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
 
     A step after an OTS flip starts its segment iteration, budget and
     cycle report included, from the set that the last step from the same
-    start set accepted.
+    start set accepted.  On a circuit of at most _OWNED_MAX unknowns every
+    step after step 0 solves in code generated from its segment set's LU
+    factors, which rounds differently from ``dgetrs``; larger circuits and
+    step 0 solve with ``dgetrs``.
     """
     require_finite("transient", t_stop=t_stop, dt=dt)
     if dt <= 0.0 or t_stop < dt:
@@ -549,7 +661,9 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     states = [OFF_STATE] * len(c.ots)
     hold = [ots_hold_bound(p, OFF_STATE) for _, _, p, *_ in c.ots]
 
-    n_steps = int(round(t_stop / dt))
+    n_steps = whole_steps(t_stop, dt)
+    if n_steps is None:
+        raise ValueError(f"t_stop = {t_stop!r} s is not a whole number of steps of dt = {dt!r} s")
     times = np.arange(n_steps + 1) * dt
     n = c.n
     sol = np.zeros((n_steps + 1, n + 1))     # extended solution per sample, column 0 is ground
@@ -565,7 +679,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     varying = []
     for name, (row, spec) in zip(c.source_names, c.drives):
         if type(spec) is Dc:
-            base[row] = spec(0.0)
+            base[row] = float(spec(0.0))
         else:
             varying.append((name, row, spec))
     constant = not varying
@@ -603,7 +717,9 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                     hist = g * (xe[a] - xe[b])
                     zl[a] += hist
                     zl[b] -= hist
-            za = np.fromiter(zl, float, n + 1)[1:]
+            owned = step and c.owned
+            if not owned:
+                za = np.fromiter(zl, float, n + 1)[1:]
             cache = c.lu_cache if step else {}
 
             # After a flip the iteration starts from the set the last step
@@ -616,10 +732,14 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                 segments = landing.get(start, start)
             tried = [segments]                   # the sets solved, then the last one selected
             for attempt in budget:
-                lu, piv, zd, sid = cache.get(segments) or c.factorized(segments, not step)
-                z = za + zd
-                x = dgetrs(lu, piv, z)[0]
-                xe = [0.0, *x.tolist()]
+                if owned:
+                    solve, sid = cache.get(segments) or c.factorized(segments, False)
+                    xe, x, z = solve(zl)
+                else:
+                    lu, piv, zd, sid = cache.get(segments) or c.factorized(segments, not step)
+                    z = za + zd
+                    x = dgetrs(lu, piv, z)[0]
+                    xe = [0.0, *x.tolist()]
                 desired = _select(select, xe)
                 if desired == segments or (attempt > _MAX_RESELECTIONS
                                            and _knee_gap(select, segments, desired, xe) <= _KNEE_TOL):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import OtsParams, default_params
-from .engine import Trace, burst_refractory, count_crossings, transient
+from .engine import Trace, burst_refractory, count_crossings, transient, whole_steps
 from .gates import DT_LOGIC, GateKind, LogicEncoding, build_gate
 from .imaging import BinaryImage, ShiftDirection, shift
 from .waveforms import Dc, require_finite
@@ -89,9 +89,7 @@ class StreamSettings:
     def __post_init__(self) -> None:
         if not (0.0 < self.dt < PULSE_WIDTH):
             raise ValueError(f"dt must be positive and below the pulse width {PULSE_WIDTH:g} s, got {self.dt!r}")
-        # relative tolerance: 5e-6 / 50e-9 is 100.00000000000001
-        steps = [span / self.dt for span in (PULSE_WIDTH, CLOCK_PERIOD)]
-        if not all(math.isfinite(n) and math.isclose(n, round(n), rel_tol=1e-9) for n in steps):
+        if any(whole_steps(span, self.dt) is None for span in (PULSE_WIDTH, CLOCK_PERIOD)):
             raise ValueError(f"dt must divide the pulse width {PULSE_WIDTH:g} s and the clock period "
                              f"{CLOCK_PERIOD:g} s, got {self.dt!r}")
         if not (0 < self.segment_clocks <= 4096):

@@ -15,8 +15,8 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 DIGESTS = {
     "edge_stream": "f9c6655c14f7f1616e7bbfbd2a13f2545897460110d662996b9b68f1727847ee",
-    "logic_tables": "ddfe4252afeed1badc46524055a41b414b67e91314783699aa2c4d5838118b69",
-    "osc_long": "af9984bf3662c38f41abdf0b6da6b5b065e99b2dce6e053158f13e21f81bdbbc",
+    "logic_tables": "b74494b8acc20f859411615303b50b06e0a184e7ae3093d05b075d54df4a4f32",
+    "osc_long": "fa2b062e3538a6da63135f37f4a2140378eb39ff32db05ef00bbec2453e32e4f",
 }
 
 

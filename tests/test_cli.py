@@ -181,6 +181,15 @@ class TestTimeStepFitsTheRun:
         assert capsys.readouterr().err.startswith(f"error: {key} = ")
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("argv, what", [
+        (["oscillate", "--duration", "100.005u"], "--duration"),
+        (["iv", "--rise", "10.005u", "--fall", "10u"], "the ramp (--rise plus --fall)"),
+    ], ids=["oscillate", "iv"])
+    def test_run_off_the_step_grid_is_a_usage_error(self, argv, what, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {what} (")
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestIvOscillate:
     def test_iv_default_circuit(self, tmp_path):
@@ -291,8 +300,10 @@ class TestConfigPlumbing:
         (["gate", "--kind", "xor", "--inputs", "10", "--set", "binarize_threshold=-4"], "binarize_threshold"),
         (["edge", "--in", "{pgm}", "--out", "{out}", "--set", "binarize_threshold=300"], "binarize_threshold"),
         (["edge", "--in", "{pgm}", "--out", "{out}", "--set", "dt_logic=30n"], "dt_logic"),  # 166.7 steps per pulse
+        (["gate", "--kind", "xor", "--inputs", "10", "--set", "bit_width=50.01u"], "bit_width"),  # 2000.2 steps
     ], ids=["v_th", "v_high", "segment_clocks", "exponent", "dt_device", "gradient_window",
-            "binarize_threshold_gate", "binarize_threshold_edge", "dt_logic_off_the_pulse_grid"])
+            "binarize_threshold_gate", "binarize_threshold_edge", "dt_logic_off_the_pulse_grid",
+            "bit_width_off_the_step_grid"])
     def test_bad_config_value_is_a_usage_error_naming_its_key(self, argv, key, uniform_pgm, tmp_path, capsys):
         argv = [a.format(pgm=uniform_pgm, out=tmp_path / "out") for a in argv]
         assert main(argv) == EXIT_USAGE

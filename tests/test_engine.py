@@ -24,8 +24,8 @@ from otsim import (
     transient,
 )
 from otsim.engine import SpikeTrain, count_crossings
-from otsim.gates import GateKind, truth_table
-from otsim.rig import measurement_netlist
+from otsim.gates import GateKind, evaluate, truth_table
+from otsim.rig import measurement_netlist, run_oscillator
 
 
 def rc_lowpass(r=1e3, c=1e-9, v=1.0):
@@ -218,6 +218,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             transient(rc_lowpass(), 1e-9, 10e-9)
 
+    @pytest.mark.parametrize("t_stop", [1.06e-6, 1.04e-6])
+    def test_t_stop_off_the_step_grid(self, t_stop):
+        # rounding would run 1.06 us to 1.1 us and stop 1.04 us at 1.0 us
+        with pytest.raises(ValueError, match=rf"^t_stop = {t_stop!r} s is not a whole number of steps of dt = 1e-07 s$"):
+            transient(rc_lowpass(), t_stop, 1e-7)
+
+    def test_t_stop_on_the_grid_up_to_rounding(self):
+        # 0.3e-6 / 0.1e-6 is 2.9999999999999996
+        assert len(transient(rc_lowpass(), 0.3e-6, 0.1e-6).times) == 4
+
     def test_duplicate_element_name(self):
         net = Netlist()
         net.add_resistor("R1", "a", "0", 1.0)
@@ -369,22 +379,38 @@ class TestSolveCounts:
     that the last step starting from the same segment set accepted, so the
     full adder, whose flips ripple through comparator chains, solves about
     once per step (40,820 solves for 14,009 solved steps from the start set
-    every time)."""
+    every time).  The counts cover both solve paths: dgetrs and the
+    generated straight-line solves of the small circuits."""
 
     @pytest.mark.parametrize("kind, solves", [(GateKind.FULL_ADDER, 14538), (GateKind.DCAAP_CASCADE, 14267)],
                              ids=["fulladder", "dcaap"])
-    def test_truth_table_solves(self, monkeypatch, blas_platform, kind, solves):
-        count = 0
-        dgetrs = engine.dgetrs
-
-        def counting(*args):
-            nonlocal count
-            count += 1
-            return dgetrs(*args)
-
-        monkeypatch.setattr(engine, "dgetrs", counting)
+    def test_truth_table_solves(self, solve_paths, blas_platform, kind, solves):
         truth_table(kind)
-        assert count == solves, blas_platform
+        assert len(solve_paths) == solves, blas_platform
+
+    @pytest.mark.parametrize("kind", [GateKind.XOR, GateKind.AND], ids=["xor", "and"])
+    def test_one_solve_per_solved_step(self, solve_paths, blas_platform, kind):
+        rows = truth_table(kind, keep_traces=True).rows
+        assert len(solve_paths) == sum(row.trace.solved_steps for row in rows), blas_platform
+
+    @pytest.mark.parametrize("run, path", [
+        (lambda: run_oscillator(4.3, 40e-6), "generated"),
+        (lambda: evaluate(GateKind.XOR, (1, 0)), "generated"),
+        (lambda: evaluate(GateKind.NAND, (1, 1)), "generated"),
+        (lambda: evaluate(GateKind.FULL_ADDER, (1, 1, 1)), "dgetrs"),
+        (lambda: evaluate(GateKind.DCAAP_CASCADE, (0, 1, 0)), "dgetrs"),
+    ], ids=["rig", "xor", "nand", "fulladder", "dcaap"])
+    def test_solve_path_after_step_0(self, solve_paths, run, path):
+        trace = run().trace
+        if path == "dgetrs":
+            assert set(solve_paths) == {"dgetrs"}
+        else:
+            # step 0 solves through dgetrs within its iteration budget, and
+            # every solve after it is generated
+            step_0 = solve_paths.index("generated")
+            assert 1 <= step_0 <= 2 * (engine._MAX_RESELECTIONS + 1)
+            assert set(solve_paths[step_0:]) == {"generated"}
+        assert len(solve_paths) >= trace.solved_steps
 
 
 class TestSourceOverride:
@@ -443,6 +469,25 @@ class TestSpikes:
         tr = transient(rc_lowpass(), 1e-6, 10e-9)
         with pytest.raises(IndexError):
             extract_spikes(tr, "nope", 0.5, 1e-7)
+
+
+class TestNodeIndex:
+    @pytest.mark.parametrize("node", [True, False, np.True_], ids=["True", "False", "np.True_"])
+    def test_bool_is_rejected(self, node):
+        tr = transient(rc_lowpass(), 1e-6, 10e-9)
+        with pytest.raises(TypeError, match=rf"^node {node!r} is a bool, not a node name or index$"):
+            tr.voltage(node)
+
+    @pytest.mark.parametrize("index", [2, np.int64(2), np.uint8(2)], ids=["int", "int64", "uint8"])
+    def test_any_integer_index(self, index):
+        tr = transient(rc_lowpass(), 1e-6, 10e-9)
+        assert tr.node_index(index) == 2
+        assert np.array_equal(tr.voltage(index), tr.voltage("out"))
+
+    def test_index_out_of_range(self):
+        tr = transient(rc_lowpass(), 1e-6, 10e-9)
+        with pytest.raises(IndexError, match=r"^node index 3 out of range$"):
+            tr.voltage(np.int64(3))
 
 
 class TestTraceExport:

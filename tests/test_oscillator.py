@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from otsim import Triangle, default_params, dynamic_iv
+from otsim.device import DT_DEVICE
 from otsim.rig import C_PAR, CHARGE_UP, R_BIAS, R_SERIES, measurement_netlist, rate_sweep, run_oscillator
 
 
@@ -48,7 +49,8 @@ class TestOscillator:
         v_in = 4.0
         t_oracle = oracle_period(v_in, p)
         window = 12.0 * t_oracle
-        res = run_oscillator(v_in, window + CHARGE_UP, p=p)
+        # the run ends on the step grid nearest to the end of the window
+        res = run_oscillator(v_in, round((window + CHARGE_UP) / DT_DEVICE) * DT_DEVICE, p=p)
         expect = window / t_oracle
         assert abs(res.spikes.count - expect) <= 1.0 + 1e-9
 
