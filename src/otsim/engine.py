@@ -28,12 +28,12 @@ times, so a step reads its value from a list; and an OTS whose state
 stepped.
 
 The solve takes one of two paths.  A system of at most _OWNED_MAX unknowns
-(the oscillator rig and the gates up to the NAND) solves every step after
-step 0 in a Python function generated from its segment set's factors
-(``_straight_line``, after Gustavson's straight-line code for a fixed
-sparsity pattern): forward and back substitution over the nonzero factors
-only, loading only the RHS rows a step can write and adding the set's
-dynamic RHS as constants.  It takes the RHS list and returns the solution
+(the oscillator rig and every gate but the full adder and the dCaAP
+cascade) solves every step after step 0 in a Python function generated
+from its segment set's factors (``_straight_line``, after Gustavson's
+straight-line code for a fixed sparsity pattern): forward and back
+substitution over the nonzero factors only, loading only the RHS rows a
+step can write and adding the set's dynamic RHS as constants.  It takes the RHS list and returns the solution
 as lists, with no array built per step.  Its rounding differs from the
 fused multiply-adds of OpenBLAS's ``dgetrs`` by about one ulp, so these
 runs depend on ``dgetrf``'s bits only.  Step 0 and the larger circuits,
@@ -268,8 +268,8 @@ _FLIP_STATES = 128       # flip-step states remembered; a period with more flips
 # Largest system (unknowns) whose segment sets after step 0 are solved by
 # generated straight-line code.  Compiling a set's code takes 0.2-0.4 ms at
 # n <= 11, which its faster solves repay after 50-120 solves; the oscillator
-# rig and the gates up to the NAND solve each set hundreds to thousands of
-# times.  At n = 29 (dCaAP) and 45 (full adder) it takes 0.9-1.6 ms, repaid
+# rig and the gates other than the full adder and dCaAP solve each set
+# hundreds to thousands of times.  At n = 29 (dCaAP) and 45 (full adder) it takes 0.9-1.6 ms, repaid
 # after 190-500 solves, but those circuits factorize about 60 sets per
 # truth-table row at about 30 solves each.  16 lies between the two groups.
 _OWNED_MAX = 16
