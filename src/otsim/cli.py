@@ -87,7 +87,11 @@ def cmd_iv(args) -> int:
     ots = net.ots_elements()
     if len(ots) != 1:
         raise CliError(f"dynamic I-V needs exactly one OTS, netlist has {len(ots)}")
-    ramp = Triangle(args.peak, args.rise, args.fall if args.fall else args.rise)
+    fall = args.rise if args.fall is None else args.fall
+    for flag, value in (("--rise", args.rise), ("--fall", fall)):
+        if value <= 0.0:
+            raise CliError(f"{flag} must be positive, got {value!r}")
+    ramp = Triangle(args.peak, args.rise, fall)
     _check_dt("dt_device", cfg.dt_device, ramp.duration, "the ramp (--rise plus --fall)")
     pts = dynamic_iv(net, ramp, ots[0].name, dt=cfg.dt_device)
     _write_csv(args.out, "v,i", pts)
@@ -102,9 +106,12 @@ def cmd_oscillate(args) -> int:
     if args.sweep:
         try:
             v0, v1, steps = args.sweep.split(":")
-            v_values = np.linspace(float(v0), float(v1), int(steps))
+            ends = float(v0), float(v1)
+            if not all(map(math.isfinite, ends)):
+                raise ValueError
+            v_values = np.linspace(*ends, int(steps))
         except ValueError:
-            raise CliError("--sweep expects v0:v1:steps") from None
+            raise CliError("--sweep expects v0:v1:steps with finite v0 and v1") from None
         rows = rate_sweep(v_values, args.duration, p=p, dt=cfg.dt_device)
         _write_csv(args.out, "v_in,rate_hz", rows)
         print(f"wrote {len(rows)} (v_in, rate) samples to {args.out}")

@@ -11,8 +11,7 @@ solution, and repeat until the choice is stable (at most a fixed number of
 re-selections per step, after which a tie at a knee, where rounding flips an
 element back and forth, is accepted).  The system matrix depends only on the segment
 choice and on whether it is step 0, whose capacitor companions are stiffer,
-so every later step solves cached LU factors (``dgetrf``); step 0, which
-runs once, keeps none.
+so every later step reuses the solve of its segment set.
 
 Each run has three phases.  A compile phase (``_Compiled``) turns the
 netlist into index arrays and plain tuples once: terminal indices into an
@@ -27,26 +26,24 @@ times, so a step reads its value from a list; and an OTS whose state
 ``ots_step`` would return unchanged (``device.ots_hold_bound``) is not
 stepped.
 
-The solve takes one of two paths.  A system of at most _OWNED_MAX unknowns
-(the oscillator rig and every gate but the full adder and the dCaAP
-cascade) solves every step after step 0 in a Python function generated
-from its segment set's factors (``_straight_line``, after Gustavson's
-straight-line code for a fixed sparsity pattern): forward and back
-substitution over the nonzero factors only, loading only the RHS rows a
-step can write and adding the set's dynamic RHS as constants.  It takes the RHS list and returns the solution
-as lists, with no array built per step.  Its rounding differs from the
-fused multiply-adds of OpenBLAS's ``dgetrs`` by about one ulp, so these
-runs depend on ``dgetrf``'s bits only.  Step 0 and the larger circuits,
-whose many segment sets are each solved too few times to repay compiling
-their code, turn the RHS into an array, add the cached dynamic RHS of the
-set (stored without the ground entry) and call LAPACK's ``dgetrs``.
+Every solve, step 0's included, runs a Python function generated from the
+segment set's LU factors (LAPACK's ``dgetrf``; ``_straight_line``, after
+Gustavson's straight-line code for a fixed sparsity pattern): forward and
+back substitution over the nonzero factors only, loading only the RHS rows
+a step can write and adding the set's dynamic RHS as constants.  It takes
+the RHS list and returns the solution as lists, with no array built per
+step, so a run's bits depend on ``dgetrf``'s only.  The same segment sets
+recur across truth-table rows, stream segments and runs, so the generated
+solves are shared by every run (``_solves``), keyed by a digest of the
+assembled matrix and dynamic RHS bytes; a set whose bytes were solved
+before is neither factorized nor compiled again, and gives the same bits.
 
 A step after an OTS flip starts from the segment set selected at the
 flipped phases, and its iteration can walk a chain of comparators one stage
 per solve.  Each run remembers (``_Compiled.landing``), per such start set,
 the set the last step from it accepted (the landing), and the next step
 from the same start set begins its one segment iteration there instead,
-with the landing's cached LU.  If the landing's own solution selects it
+with the landing's cached solve.  If the landing's own solution selects it
 again, the step accepts it after one solve; otherwise the iteration goes on
 from the set that solution selects, and its result becomes the new landing.
 A set that selects itself gives the same solution bits whichever path
@@ -90,13 +87,14 @@ accepted step from the converged device voltage.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgetrf
 
 from .device import DT_DEVICE, OFF_STATE, ots_currents, ots_hold_bound, ots_step
 from .netlist import Capacitor, Comparator, Diode, Netlist, NetlistError, Ots, Resistor, VoltageSource
@@ -265,14 +263,10 @@ _KNEE_TOL = 1e-12        # V, knee ties accepted once the reselection budget is 
 _RESIDUAL_TOL = 1e-9     # A, largest nodal-current residual of an accepted step
 _CHUNK = 4096            # samples per batch of residuals
 _FLIP_STATES = 128       # flip-step states remembered; a period with more flips is not found
-# Largest system (unknowns) whose segment sets after step 0 are solved by
-# generated straight-line code.  Compiling a set's code takes 0.2-0.4 ms at
-# n <= 11, which its faster solves repay after 50-120 solves; the oscillator
-# rig and the gates other than the full adder and dCaAP solve each set
-# hundreds to thousands of times.  At n = 29 (dCaAP) and 45 (full adder) it takes 0.9-1.6 ms, repaid
-# after 190-500 solves, but those circuits factorize about 60 sets per
-# truth-table row at about 30 solves each.  16 lies between the two groups.
-_OWNED_MAX = 16
+_SOLVES_MAX = 1024       # generated solves kept across runs; the dict is cleared when full
+# generated solve of every system solved so far, by (digest of its matrix and
+# dynamic RHS bytes, pinned, RHS rows read)
+_solves: dict[tuple[bytes, bool, tuple[int, ...]], object] = {}
 
 
 def whole_steps(span: float, dt: float) -> int | None:
@@ -468,15 +462,13 @@ class _Compiled:
                 self.stamps.append({_CMP_HIGH: (t[2], 0, g, g * -k.v_out_high),
                                     _CMP_LOW: (t[2], 0, g, g * -k.v_out_low)})
 
-        # Sets after step 0 of a system of at most _OWNED_MAX unknowns are
-        # solved by generated code that reads only the rows of zl any step
-        # writes: the source rows and the capacitor terminals.
-        self.owned = n <= _OWNED_MAX
+        # the generated solves read only the rows of zl any step writes: the
+        # source rows and the capacitor terminals
         self.rhs_rows = tuple(sorted({row for row, _ in self.drives} | {i for ab in self.caps for i in ab} - {0}))
 
-        # per-run memos keyed by segment set: the factorizations after step 0,
-        # and for each post-flip start set the set the last step from it accepted
-        self.lu_cache: dict[tuple[int, ...], tuple] = {}
+        # per-run memos keyed by segment set: the solves after step 0, and for
+        # each post-flip start set the set the last step from it accepted
+        self.solves: dict[tuple[int, ...], tuple] = {}
         self.landing: dict[tuple[int, ...], tuple[int, ...]] = {}
         # (segments, matrix) of every system solved, indexed by set id
         self.sets: list[tuple[tuple[int, ...], np.ndarray]] = []
@@ -496,26 +488,32 @@ class _Compiled:
         return np.ascontiguousarray(mat[1:, 1:]), z
 
     def factorized(self, segments: tuple[int, ...], pinned: bool):
-        """(lu, piv, dynamic RHS, set id) for a segment set, cached after
-        step 0 (which runs once); the dynamic RHS has no ground entry, like
-        the matrix.  After step 0 an owned system's entry is (solve, set
-        id) instead, with the set's generated `_straight_line` solve.
+        """(solve, set id) for a segment set, with the set's generated
+        `_straight_line` solve; cached per run after step 0 (which runs
+        once), and across runs in `_solves`, where a system whose matrix and
+        dynamic RHS bytes were solved before is not factorized again.
 
         A system is singular if a pivot is zero or not finite, or, after
         step 0, if the pivots span more than 14 decades.  The step-0 system
         skips that last test: its capacitor rows are _PIN times stiffer, so
-        its pivots span more decades on circuits that are well posed."""
+        its pivots span more decades on circuits that are well posed.  The
+        shared key holds `pinned`, so that a step-0 system never stands in
+        for the same bytes after step 0, which the last test may refuse."""
         mat, z = self.assemble(self.g_pin_ext if pinned else self.g_ext, segments)
-        lu, piv, info = dgetrf(mat)
-        diag = np.abs(lu.diagonal())
-        if info or not np.all(np.isfinite(lu)) or (not pinned and diag.min() <= diag.max() * 1e-14):
-            self.raise_singular(mat)
-        if pinned:
-            entry = (lu, piv, z[1:].copy(), len(self.sets))
-        elif self.owned:
-            entry = self.lu_cache[segments] = (_straight_line(lu, piv, z[1:], self.rhs_rows), len(self.sets))
-        else:
-            entry = self.lu_cache[segments] = (lu, piv, z[1:].copy(), len(self.sets))
+        zd = z[1:]
+        key = (hashlib.blake2b(mat.tobytes() + zd.tobytes(), digest_size=16).digest(), pinned, self.rhs_rows)
+        solve = _solves.get(key)
+        if solve is None:
+            lu, piv, info = dgetrf(mat)
+            diag = np.abs(lu.diagonal())
+            if info or not np.all(np.isfinite(lu)) or (not pinned and diag.min() <= diag.max() * 1e-14):
+                self.raise_singular(mat)
+            if len(_solves) == _SOLVES_MAX:  # bounds the memory of runs that never recur
+                _solves.clear()
+            solve = _solves[key] = _straight_line(lu, piv, zd, self.rhs_rows)
+        entry = (solve, len(self.sets))
+        if not pinned:
+            self.solves[segments] = entry
         self.sets.append((segments, mat))
         return entry
 
@@ -649,10 +647,9 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
 
     A step after an OTS flip starts its segment iteration, budget and
     cycle report included, from the set that the last step from the same
-    start set accepted.  On a circuit of at most _OWNED_MAX unknowns every
-    step after step 0 solves in code generated from its segment set's LU
-    factors, which rounds differently from ``dgetrs``; larger circuits and
-    step 0 solve with ``dgetrs``.
+    start set accepted.  Every step solves in code generated from its
+    segment set's LU factors and shared by every run whose system has the
+    same bytes, so a run's bits do not depend on the runs before it.
     """
     require_finite("transient", t_stop=t_stop, dt=dt)
     if dt <= 0.0 or t_stop < dt:
@@ -717,10 +714,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                     hist = g * (xe[a] - xe[b])
                     zl[a] += hist
                     zl[b] -= hist
-            owned = step and c.owned
-            if not owned:
-                za = np.fromiter(zl, float, n + 1)[1:]
-            cache = c.lu_cache if step else {}
+            cache = c.solves if step else {}
 
             # After a flip the iteration starts from the set the last step
             # from the same start set accepted.  A segment set that rounding
@@ -732,14 +726,8 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                 segments = landing.get(start, start)
             tried = [segments]                   # the sets solved, then the last one selected
             for attempt in budget:
-                if owned:
-                    solve, sid = cache.get(segments) or c.factorized(segments, False)
-                    xe, x, z = solve(zl)
-                else:
-                    lu, piv, zd, sid = cache.get(segments) or c.factorized(segments, not step)
-                    z = za + zd
-                    x = dgetrs(lu, piv, z)[0]
-                    xe = [0.0, *x.tolist()]
+                solve, sid = cache.get(segments) or c.factorized(segments, not step)
+                xe, x, z = solve(zl)
                 desired = _select(select, xe)
                 if desired == segments or (attempt > _MAX_RESELECTIONS
                                            and _knee_gap(select, segments, desired, xe) <= _KNEE_TOL):

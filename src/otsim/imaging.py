@@ -16,7 +16,11 @@ class ImageError(ValueError):
 
 
 def _pixels(px: np.ndarray) -> np.ndarray:
-    """`px` as uint8, refusing values outside [0, 255]."""
+    """`px` as uint8, refusing values that are not whole numbers in [0, 255]."""
+    if not np.all(np.isfinite(px)):
+        raise ImageError("pixel values must be finite")
+    if not np.all(np.round(px) == px):
+        raise ImageError("pixel values must be whole numbers")
     if px.min() < 0 or px.max() > 255:
         raise ImageError("pixel values must lie in [0, 255]")
     return px.astype(np.uint8)

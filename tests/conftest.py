@@ -1,15 +1,12 @@
 """Shared fixtures.
 
-The pinned digests and counts hold the bits of LAPACK's ``dgetrf`` and
-``dgetrs`` as scipy's bundled OpenBLAS computes them, and OpenBLAS picks
-its kernel for the host CPU at load time.  Step 0 and every step of the
-larger circuits (the full adder and the dCaAP cascade) depend on both;
-the steps after step 0 of the small circuits (at most
-``engine._OWNED_MAX`` unknowns) solve in generated Python code from the
-``dgetrf`` factors, so they depend on ``dgetrf`` only.  The pins were made
-under the ``SkylakeX`` kernel; another kernel gives other bits.  Every
-digest and count assertion therefore names the kernel and the numpy and
-scipy versions it ran on."""
+The pinned digests and counts hold the bits of LAPACK's ``dgetrf`` as
+scipy's bundled OpenBLAS computes it, and OpenBLAS picks its kernel for the
+host CPU at load time.  Every solve runs in generated Python code from the
+``dgetrf`` factors of its segment set, so a run depends on ``dgetrf`` and
+on no other LAPACK routine.  The pins were made under the ``SkylakeX``
+kernel; another kernel gives other bits.  Every digest and count assertion
+therefore names the kernel and the numpy and scipy versions it ran on."""
 
 import ctypes
 from pathlib import Path
@@ -41,27 +38,30 @@ def blas_platform() -> str:
     return f"OpenBLAS kernel {openblas_core()}, numpy {np.__version__}, scipy {scipy.__version__}"
 
 
-@pytest.fixture
-def solve_paths(monkeypatch) -> list[str]:
-    """Every linear solve of the engine while the test runs, in order:
-    "dgetrs" for a LAPACK solve and "generated" for a call of a generated
-    straight-line solve."""
-    log: list[str] = []
-    dgetrs, straight_line = engine.dgetrs, engine._straight_line
+class SolveCounter:
+    """The number of linear solves of the engine since the test started or
+    since `count` was last set."""
 
-    def counting_dgetrs(*args):
-        log.append("dgetrs")
-        return dgetrs(*args)
+    count = 0
+
+
+@pytest.fixture
+def solves(monkeypatch) -> SolveCounter:
+    """Counts every linear solve of the engine while the test runs.  The
+    test starts from an empty shared solve cache (``engine._solves``), so
+    that every segment set compiles through the counting wrapper."""
+    counter = SolveCounter()
+    straight_line = engine._straight_line
 
     def counting_straight_line(*args):
         solve = straight_line(*args)
 
         def counting_solve(zl):
-            log.append("generated")
+            counter.count += 1
             return solve(zl)
 
         return counting_solve
 
-    monkeypatch.setattr(engine, "dgetrs", counting_dgetrs)
+    monkeypatch.setattr(engine, "_solves", {})
     monkeypatch.setattr(engine, "_straight_line", counting_straight_line)
-    return log
+    return counter

@@ -15,7 +15,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 DIGESTS = {
     "edge_stream": "f9c6655c14f7f1616e7bbfbd2a13f2545897460110d662996b9b68f1727847ee",
-    "logic_tables": "b74494b8acc20f859411615303b50b06e0a184e7ae3093d05b075d54df4a4f32",
+    "logic_tables": "388c77b4178e042087af3eb79996b6cbb102d7648a1f37a70dc4a771fd166a69",
     "osc_long": "fa2b062e3538a6da63135f37f4a2140378eb39ff32db05ef00bbec2453e32e4f",
 }
 

@@ -209,6 +209,24 @@ class TestIvOscillate:
         assert rc == EXIT_USAGE
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--rise", "0"], "--rise"),
+        (["--fall", "0"], "--fall"),
+        (["--rise", "20u", "--fall=-5u"], "--fall"),
+    ], ids=["rise-0", "fall-0", "fall-negative"])
+    def test_iv_ramp_time_not_positive_is_a_usage_error(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "iv.csv"
+        assert main(["iv", *argv, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be positive")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sweep", ["3:inf:3", "3:nan:3", "-inf:5:3"])
+    def test_oscillate_sweep_with_non_finite_end_is_a_usage_error(self, sweep, tmp_path, capsys):
+        out = tmp_path / "rates.csv"
+        assert main(["oscillate", f"--sweep={sweep}", "--out", str(out)]) == EXIT_USAGE
+        assert "--sweep expects v0:v1:steps with finite v0 and v1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oscillate_sweep(self, tmp_path):
         out = tmp_path / "rates.csv"
         rc = main(["oscillate", "--sweep", "3.4:5.0:5", "--duration", "150u", "--out", str(out)])

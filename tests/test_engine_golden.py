@@ -15,18 +15,22 @@ computed apart from the linear solve, and that each capacitor's recorded
 currents integrate to the charge its voltage change holds.  Random
 compositions of the gate cores check that a run's bits do not depend on
 its drives being `Dc`, on the residual batch size or on the landing memo.
-The small golden cases, which solve in generated code after step 0, are
-also run with every solve through dgetrs and must differ only by rounding.
+The golden cases, which solve in generated code, are also run with every
+solve through LAPACK's dgetrs on the same factors and must differ only by
+rounding, and the generated solves that runs share give a run the same bits
+whatever ran before it.
 """
 
 import gc
 import hashlib
+import itertools
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgetrs
 
 from otsim import (ConvergenceError, Dc, Netlist, PiecewiseLinear, Pulse, SimulationError, Triangle, default_params,
                    engine, gates, pipeline, rig, transient)
@@ -113,7 +117,7 @@ GOLDEN = {
         (2001, None),
         {
             "voltages": "e6243575b84ce72e99f211ac1cf94bdba15febdd246397c0faa308e4be0c98c2",
-            "currents": "46468ef432218f3c806266070786bc015679885e5435772446a795b966a65b3b",
+            "currents": "e5abe8579b1f3936c68241351882d0b15ad71652b0d6967d44cf3c3786be42d0",
             "ots_on": "20c590791d2fbc0a8f4b01497e5effd3c8abea1796c2201923a762a9d1e4a3b9",
             "kcl_residual": "0x1.0000000000000p-55",
         },
@@ -122,8 +126,8 @@ GOLDEN = {
         lambda: gates.evaluate(GateKind.FULL_ADDER, (1, 1, 1)).trace,
         (2001, None),
         {
-            "voltages": "131247295e0aec8f1858c40ce9daccbddd4b6f656e1ffd22ac23b7a32388afb5",
-            "currents": "07d072b5937c48ce9741e1ad6b3abdfa848e11424fade8b24b9d48a115d2c693",
+            "voltages": "0f20a8bceed96b40b624775ca8357a78d07eef807fa8d2e48a57c6d4467c869a",
+            "currents": "ec86ad5ed46ba065b3d6c7203ac080bd3d02f393b56bdefd130adfcdd3cd95c9",
             "ots_on": "a8c71fb5f56577f13240dc6b2ad26be8019984bb546f458e5357fee68dc73163",
             "kcl_residual": "0x1.0000000000000p-36",
         },
@@ -155,7 +159,7 @@ GOLDEN = {
         (4313, 269),
         {
             "voltages": "3645eaad7931a198c9b111afd976e0a18c565cc8b0b88974e591c775634c42ed",
-            "currents": "3e7677a00cc3859627797d5d95ed5a03047eb0901e5ff64d3dfffe8ec133a757",
+            "currents": "7d6b9329fed6e7586e4abc2820cd51794836546e1c9ad95bb9ba8075a2d54931",
             "ots_on": "4b268e68726fb606486ceec83e0b5653039f654d9972e898f26b5b325d0009a3",
             "kcl_residual": "0x1.0000000000000p-55",
         },
@@ -166,7 +170,7 @@ GOLDEN = {
         (185, 13),
         {
             "voltages": "f2ba1cca000fa5fb257bdaf5ceefd47ce686fface14ad52fba2fd9f50cd319d0",
-            "currents": "95de79b87bf76fa616b8d1ae5e5f2e2dedd3b2d15de5118f19475dacdf2adaee",
+            "currents": "82d4f98522e1c428f14ec072ab783a88f2e1f015b4d97f939252ed6ef58b5440",
             "ots_on": "6a8113dca9bb073e3c0ddec72ebef1b76f1c2545d7c79a3778ca371aa0ab429b",
             "kcl_residual": "0x1.8000000000000p-51",
         },
@@ -176,8 +180,8 @@ GOLDEN = {
         lambda: gates.evaluate(GateKind.DCAAP_CASCADE, (0, 1, 0)).trace,
         (2001, None),
         {
-            "voltages": "16529065a54a044b9473cfbb151e8c4afa14a8885f332ee9b79865d289ea3c79",
-            "currents": "26b83e102b17c7edff147185f9f22535ac351ed048825dc22df1b6d6ce17b10e",
+            "voltages": "17a97b7ce841f0247834c2acd89d40c50b91a5d1c01ca70ba7f4c751942630da",
+            "currents": "d382d5ed4de40730ab317525fb78dea4172e0bf459ee28a269e0687192f6712b",
             "ots_on": "ac1ce0a208af1b4d551160024cf8cb53bf3ca8ecaee4801ebea04d2e86c49335",
             "kcl_residual": "0x1.0000000000000p-36",
         },
@@ -187,8 +191,8 @@ GOLDEN = {
         lambda: gates.evaluate(GateKind.FULL_ADDER, (0, 1, 1), LogicEncoding(v_high=4.6)).trace,
         (2001, None),
         {
-            "voltages": "148ef773a7a96371446432fe0c13041e5d1e1395897f3109c96dbe60285b21a0",
-            "currents": "fdb0ff12bd54294a38e3b90a05acf97ed3abaf689cb31e1dfe43d1d628bd99e6",
+            "voltages": "dcbc54f92bbbaf430eca33caacee390288ae4ccad22559974ad287b572a95177",
+            "currents": "ad8ee034bea6dbec15267fe24cadfe58efe255781cac9c195c36e40aa8fde4aa",
             "ots_on": "a868685a222439cb3d14049231dd9cc01779a2c20abc218a38386ac976581d82",
             "kcl_residual": "0x1.0000000000000p-36",
         },
@@ -199,7 +203,7 @@ GOLDEN = {
         (3201, None),
         {
             "voltages": "307869c87cad6b1422bc1b97e2cda4ed234947160d355a36ab65f26ac23d4186",
-            "currents": "2067987cc64ccecc1c3008d6ed187dd431776c39c532c69d8470ecdc945a875b",
+            "currents": "25cb908c9a7b3abc26e8e10b431f0e455066f52a46aa77b661c3aa7b213a98ce",
             "ots_on": "e1a067ee38298ddb78ad84602aad2536d63caeac6702cdd1fc15557f0cf11fc1",
             "kcl_residual": "0x1.0000000000000p-36",
         },
@@ -240,9 +244,10 @@ def test_golden_trace_digests(case, blas_platform):
 # made before post-flip steps started from their remembered landing set, so
 # it pins that this shortcut moves no bit; it was re-made when step-0
 # capacitor currents took the pinned companion's conductance, which moved
-# no other bit, and when the small circuits' steps after step 0 moved to
-# generated straight-line solves, which moved their bits by rounding.
-TRUTH_TABLE_SPACE = "ea0e13eacee3cb437adcd5304ded88f1a6909748a9df121257a3e191c710390f"
+# no other bit, when the small circuits' steps after step 0 moved to
+# generated straight-line solves, and when step 0 and the larger circuits
+# followed; both moves changed bits by rounding.
+TRUTH_TABLE_SPACE = "05089f840f514e1360acc5d09f854169ce707b30d98af01fd80e66c999e9383a"
 
 
 def test_truth_table_space_digest(blas_platform):
@@ -653,21 +658,21 @@ def test_random_gate_networks_do_not_depend_on_the_landing_memo(net, dt):
     assert without_landing(run) == outcome(run)
 
 
-def test_full_adder_without_the_landing_memo(monkeypatch, solve_paths, blas_platform):
+def test_full_adder_without_the_landing_memo(monkeypatch, solves, blas_platform):
     # the memo changes no bit of the table; without it the table makes
     # 40,820 solves instead of the 14,538 that TestSolveCounts pins
     rows = gates.truth_table(GateKind.FULL_ADDER, keep_traces=True).rows
-    solve_paths.clear()
+    solves.count = 0
     monkeypatch.setattr(engine, "_Compiled", CompiledWithoutLanding)
     without = gates.truth_table(GateKind.FULL_ADDER, keep_traces=True).rows
     assert [field_digests(r.trace) for r in without] == [field_digests(r.trace) for r in rows]
-    assert len(solve_paths) == 40820, blas_platform
+    assert solves.count == 40820, blas_platform
 
 
-def gate_bits(kind: GateKind, bits: tuple[int, ...]):
+def gate_bits(kind: GateKind, bits: tuple[int, ...], enc: LogicEncoding = LogicEncoding()):
     """The decoder of a truth-table row: its measured output bits."""
-    outputs = gates.build_gate(kind, bits=bits).outputs
-    return lambda tr: [gates.decode_output(tr, out, LogicEncoding())[0] for out in outputs]
+    outputs = gates.build_gate(kind, enc=enc, bits=bits).outputs
+    return lambda tr: [gates.decode_output(tr, out, enc)[0] for out in outputs]
 
 
 def oscillator_spikes(tr) -> tuple[float, ...]:
@@ -686,11 +691,12 @@ def diode_conduction(tr) -> dict:
     return {name: np.flatnonzero(i).tolist() for name, i in tr.currents.items() if name.startswith("D")}
 
 
-# The golden cases whose systems have at most engine._OWNED_MAX unknowns, so
-# that every step after step 0 solves in generated code, with what their
-# application reads from the trace.
-OWNED_GOLDEN = {
+# What the application of each golden case reads from its trace.
+GOLDEN_DECODERS = {
+    "dcaap_row_010": gate_bits(GateKind.DCAAP_CASCADE, (0, 1, 0)),
     "dynamic_iv_triangle": ots_bursts,
+    "full_adder_row_011_4v6": gate_bits(GateKind.FULL_ADDER, (0, 1, 1), LogicEncoding(v_high=4.6)),
+    "full_adder_row_111": gate_bits(GateKind.FULL_ADDER, (1, 1, 1)),
     "gradient_xor_dc255_1ms": ots_bursts,
     "half_adder_row_11": gate_bits(GateKind.HALF_ADDER, (1, 1)),
     "nand_row_00": gate_bits(GateKind.NAND, (0, 0)),
@@ -700,10 +706,23 @@ OWNED_GOLDEN = {
     "xor_row_10": gate_bits(GateKind.XOR, (1, 0)),
     "xor_stream_16_clocks": ots_bursts,
 }
-GENERATED_TOL = 1e-12  # V, largest voltage difference from the dgetrs path
+GENERATED_TOL = 1e-12  # V, largest voltage difference from the dgetrs solves
 
 
-@pytest.mark.parametrize("case", sorted(OWNED_GOLDEN))
+def dgetrs_solve(lu, piv, zd, rows):
+    """A solve of one segment set by LAPACK's dgetrs on the same factors,
+    in place of its generated code."""
+    zd = zd.copy()
+
+    def solve(zl):
+        z = np.array(zl[1:]) + zd
+        x = dgetrs(lu, piv, z)[0]
+        return [0.0, *x.tolist()], x, z
+
+    return solve
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DECODERS))
 def test_generated_solves_match_dgetrs(case, monkeypatch):
     """The generated solves differ from dgetrs only by rounding: the same
     decoded result, OTS phases and period, voltages within GENERATED_TOL
@@ -713,9 +732,10 @@ def test_generated_solves_match_dgetrs(case, monkeypatch):
     the half adder stops after 729 solved steps instead of 735, the NAND
     row after 185 instead of 182 and the gradient run after 4,313 instead
     of 4,887."""
-    run, decode = GOLDEN[case][0], OWNED_GOLDEN[case]
+    run, decode = GOLDEN[case][0], GOLDEN_DECODERS[case]
     tr = run()
-    monkeypatch.setattr(engine, "_OWNED_MAX", 0)
+    monkeypatch.setattr(engine, "_solves", {})
+    monkeypatch.setattr(engine, "_straight_line", dgetrs_solve)
     ref = run()
     assert decode(tr) == decode(ref)
     assert tr.ots_on.keys() == ref.ots_on.keys()
@@ -741,14 +761,16 @@ def test_a_perturbed_generated_solve_fails_the_residual_gate(run, monkeypatch):
 
         return off
 
+    monkeypatch.setattr(engine, "_solves", {})
     monkeypatch.setattr(engine, "_straight_line", perturbed)
     with pytest.raises(SimulationError, match=r"^nodal residual .* exceeds 1e-09 A at step \d+$"):
         run()
 
 
 def test_a_run_leaves_no_reference_cycle(monkeypatch):
-    # with the cycle collector off, a run's compiled circuit and its
-    # generated solves are freed as soon as the run returns
+    # with the cycle collector off, a run's compiled circuit is freed as
+    # soon as the run returns, and its generated solves are held by the
+    # shared cache only
     compiled = []
 
     class Recorded(engine._Compiled):
@@ -757,6 +779,8 @@ def test_a_run_leaves_no_reference_cycle(monkeypatch):
             compiled.append(weakref.ref(self))
 
     monkeypatch.setattr(engine, "_Compiled", Recorded)
+    cache = {}
+    monkeypatch.setattr(engine, "_solves", cache)
     straight_line = engine._straight_line
     solves = []
     monkeypatch.setattr(engine, "_straight_line",
@@ -766,6 +790,70 @@ def test_a_run_leaves_no_reference_cycle(monkeypatch):
         gates.evaluate(GateKind.XOR, (1, 0))
         assert len(compiled) == 1 and solves
         assert compiled[0]() is None
+        assert sorted(map(id, cache.values())) == sorted(id(ref()) for ref in solves)
+        cache.clear()
         assert all(ref() is None for ref in solves)
     finally:
         gc.enable()
+
+
+def count_compiles(monkeypatch, cache: dict) -> list:
+    """Puts `cache` in place of the shared solve cache; the list returned
+    gets one entry per segment set compiled."""
+    compiles = []
+    straight_line = engine._straight_line
+    monkeypatch.setattr(engine, "_solves", cache)
+    monkeypatch.setattr(engine, "_straight_line", lambda *args: compiles.append(args) or straight_line(*args))
+    return compiles
+
+
+class TestSharedSolves:
+    """Generated solves are shared by every run through `engine._solves`,
+    keyed by the bytes of the system they solve, so a run's bits do not
+    depend on what ran before it."""
+
+    ROW = "full_adder_row_111"
+
+    def test_a_row_after_the_other_tables_equals_the_row_alone(self, monkeypatch):
+        # the other seven tables and the full adder's other seven rows
+        # leave solves that the row shares
+        run = GOLDEN[self.ROW][0]
+        alone_compiles = count_compiles(monkeypatch, {})
+        alone = run()
+        compiles = count_compiles(monkeypatch, {})
+        for kind in GateKind:
+            if kind is not GateKind.FULL_ADDER:
+                gates.truth_table(kind)
+        for bits in itertools.product((0, 1), repeat=3):
+            if bits != (1, 1, 1):
+                gates.evaluate(GateKind.FULL_ADDER, bits)
+        before = len(compiles)
+        after = run()
+        assert len(compiles) - before < len(alone_compiles)
+        assert field_digests(after) == field_digests(alone)
+        assert (after.solved_steps, after.period) == (alone.solved_steps, alone.period)
+
+    def test_a_second_run_compiles_no_set(self, monkeypatch):
+        compiles = count_compiles(monkeypatch, {})
+        first = GOLDEN[self.ROW][0]()
+        assert compiles
+        compiles.clear()
+        second = GOLDEN[self.ROW][0]()
+        assert compiles == []
+        assert field_digests(second) == field_digests(first)
+
+    def test_a_cache_of_two_gives_the_same_bits(self, monkeypatch, blas_platform):
+        sizes = []
+
+        class Recorded(dict):
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                sizes.append(len(self))
+
+        monkeypatch.setattr(engine, "_SOLVES_MAX", 2)
+        monkeypatch.setattr(engine, "_solves", Recorded())
+        run, steps, expected = GOLDEN[self.ROW]
+        tr = run()
+        assert max(sizes) == 2 and len(sizes) > 2
+        assert field_digests(tr) == expected, blas_platform
+        assert (tr.solved_steps, tr.period) == steps, blas_platform

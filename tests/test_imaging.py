@@ -117,6 +117,23 @@ class TestGrayscale:
         with pytest.raises(ImageError, match=r"pixel values must lie in \[0, 255\]"):
             ColorImage(np.array(px))
 
+    @pytest.mark.parametrize("cls, px", [
+        (GrayImage, [[np.nan, 12.0]]), (GrayImage, [[0.0, np.inf]]),
+        (ColorImage, [[[np.nan, 0.0, 0.0]]]), (ColorImage, [[[0.0, -np.inf, 0.0]]]),
+    ], ids=["gray-nan", "gray-inf", "color-nan", "color-inf"])
+    def test_non_finite_pixels_rejected(self, cls, px):
+        with pytest.raises(ImageError, match="^pixel values must be finite$"):
+            cls(np.array(px))
+
+    @pytest.mark.parametrize("cls, px", [(GrayImage, [[0.0, 12.7]]), (ColorImage, [[[0.0, 0.5, 255.0]]])],
+                             ids=["gray", "color"])
+    def test_fractional_pixels_rejected(self, cls, px):
+        with pytest.raises(ImageError, match="^pixel values must be whole numbers$"):
+            cls(np.array(px))
+
+    def test_whole_float_pixels_accepted(self):
+        assert GrayImage(np.array([[0.0, 255.0]])).pixels.tolist() == [[0, 255]]
+
     def test_color_image_conversion_matches_scalar(self):
         rng = np.random.default_rng(11)
         px = rng.integers(0, 256, (4, 5, 3), dtype=np.uint8)
