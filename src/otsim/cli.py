@@ -107,12 +107,13 @@ def cmd_oscillate(args) -> int:
         try:
             v0, v1, steps = args.sweep.split(":")
             ends = float(v0), float(v1)
-            if not all(map(math.isfinite, ends)):
+            count = int(steps)
+            if not all(map(math.isfinite, ends)) or count < 1:
                 raise ValueError
-            v_values = np.linspace(*ends, int(steps))
         except ValueError:
-            raise CliError("--sweep expects v0:v1:steps with finite v0 and v1") from None
-        rows = rate_sweep(v_values, args.duration, p=p, dt=cfg.dt_device)
+            raise CliError("--sweep expects v0:v1:steps with finite v0 and v1 and a whole number of steps "
+                           "of at least 1") from None
+        rows = rate_sweep(np.linspace(*ends, count), args.duration, p=p, dt=cfg.dt_device)
         _write_csv(args.out, "v_in,rate_hz", rows)
         print(f"wrote {len(rows)} (v_in, rate) samples to {args.out}")
         return EXIT_OK

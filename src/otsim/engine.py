@@ -18,20 +18,20 @@ netlist into index arrays and plain tuples once: terminal indices into an
 extended solution vector whose entry 0 is ground, per-kind parameters,
 capacitor stamps and OTS slots.  The step loop then works on those tuples
 and on floats in lists only: it solves, advances the integrator and OTS
-states, and records each sample's solution, right-hand side and segment
-set.  Its fixed cost per step is kept small: ``Dc`` drives are read once
-per run into the RHS list every step starts from, and every other drive is
-called once per batch of _CHUNK steps, on the array of that batch's sample
-times, so a step reads its value from a list; and an OTS whose state
-``ots_step`` would return unchanged (``device.ots_hold_bound``) is not
-stepped.
+states, and records per sample only its solution, the RHS list it built
+and its segment set's id.  Its fixed cost per step is kept small: ``Dc``
+drives are read once per run into the RHS list every step starts from, and
+every other drive is called once per batch of _CHUNK steps, on the array
+of that batch's sample times, so a step reads its value from a list; and
+an OTS whose state ``ots_step`` would return unchanged
+(``device.ots_hold_bound``) is not stepped.
 
 Every solve, step 0's included, runs a Python function generated from the
 segment set's LU factors (LAPACK's ``dgetrf``; ``_straight_line``, after
 Gustavson's straight-line code for a fixed sparsity pattern): forward and
 back substitution over the nonzero factors only, loading only the RHS rows
 a step can write and adding the set's dynamic RHS as constants.  It takes
-the RHS list and returns the solution as lists, with no array built per
+the RHS list and returns a single solution list, with no array built per
 step, so a run's bits depend on ``dgetrf``'s only.  The same segment sets
 recur across truth-table rows, stream segments and runs, so the generated
 solves are shared by every run (``_solves``), keyed by a digest of the
@@ -56,18 +56,18 @@ step.  On the full adder's truth table the memo cuts 40,820 solves to
 14,538.
 
 The residual gate runs on batches of recorded samples: each sample's nodal
-residual ``mat @ x - z`` comes from one batched ``np.matmul`` per segment
-set, which gives the same bits as a per-step ``mat.dot(x)``.  The loop
-checks every full batch of ``_CHUNK`` samples as soon as it is solved, and
-the last, partial batch after the loop.  If the loop raises, the samples it
-solved are checked first, so a residual failure at an earlier step still
-wins.  The drives are sampled over the same batches, when a batch's first
-step starts, so no drive is called for times beyond the batch being
-solved.  Every element current is computed for all samples at once after the
-loop, one array per element: a source current is a view of its column of
-the solution record, resistor and capacitor currents come from the solution,
-and diode, OTS and comparator currents from the solution, the recorded
-segment sets and the OTS phase each sample was solved with.
+residual ``mat @ x - z``, z the recorded RHS plus the set's dynamic RHS,
+comes from one batched ``np.matmul`` per segment set, which gives the same
+bits as a per-step ``mat.dot(x)``.  The loop checks every full batch of
+``_CHUNK`` samples as soon as it is solved, and the last, partial batch
+after the loop.  If the loop raises, the samples it solved are checked
+first, so a residual failure at an earlier step still wins.  The drives
+are sampled over the same batches, when a batch's first step starts, so
+no drive is called for times beyond the batch being solved.  Every element
+current is computed for all samples at once after the loop, one array per
+element: a source current is a view of its column of the solution record,
+resistor and capacitor currents come from the solution, and the others
+from the solution and the recorded segment sets.
 
 When every drive is a ``Dc``, the state a step leaves fixes every later
 step: the bits of its solution (hence the capacitor voltages), the segment
@@ -82,7 +82,8 @@ repeats a solved one, so the residuals checked on the solved samples cover
 it.
 
 OTS phases are device *state*, not a solver segment: they advance once per
-accepted step from the converged device voltage.
+accepted step from the converged device voltage.  The loop keeps no record
+of them: the segment sets recorded for the samples give them.
 """
 
 from __future__ import annotations
@@ -285,12 +286,11 @@ def _straight_line(lu: np.ndarray, piv: np.ndarray, zd: np.ndarray, rows: tuple[
     It takes the extended source and history RHS `zl` (a list, entry 0
     ground), reads only the entries at `rows` (extended indices of the rows
     any step can write: source rows and capacitor terminals), adds the set's
-    dynamic RHS `zd`, and returns the extended solution list ``xe``, the
-    solution list without ground and the full RHS list it solved.  Forward
-    substitution on unit L and back substitution on U subtract in column
-    order (ascending in L, descending in U), skipping zero factors and
-    operands that are always zero.  The source holds only indices and
-    ``repr`` floats."""
+    dynamic RHS `zd`, and returns the extended solution list ``xe`` (entry 0
+    ground).  Forward substitution on unit L and back substitution on U
+    subtract in column order (ascending in L, descending in U), skipping
+    zero factors and operands that are always zero.  The source holds only
+    indices and ``repr`` floats."""
     n = len(piv)
     lu, zd = lu.tolist(), zd.tolist()
     lines = []
@@ -312,14 +312,13 @@ def _straight_line(lu: np.ndarray, piv: np.ndarray, zd: np.ndarray, rows: tuple[
         lines.append(f"{name} = {expr}")
         return name
 
-    z: list[str | None] = []
+    b: list[str | None] = []
     for i in range(n):
         if i + 1 in rows:
             lines.append(f"z{i} = zl[{i + 1}]" + (f" + {zd[i]!r}" if zd[i] else ""))
         elif zd[i]:
             lines.append(f"z{i} = {zd[i]!r}")
-        z.append(f"z{i}" if i + 1 in rows or zd[i] else None)
-    b = z.copy()
+        b.append(f"z{i}" if i + 1 in rows or zd[i] else None)
     for k, p in enumerate(piv.tolist()):
         b[k], b[p] = b[p], b[k]
     y: list[str | None] = []
@@ -329,8 +328,7 @@ def _straight_line(lu: np.ndarray, piv: np.ndarray, zd: np.ndarray, rows: tuple[
     for k in reversed(range(n)):
         x[k] = assign(f"x{k}", y[k], [(lu[k][j], x[j]) for j in range(n - 1, k, -1) if lu[k][j] and x[j]],
                       lu[k][k])
-    xs = ", ".join(v or "0.0" for v in x)
-    lines.append(f"return [0.0, {xs}], [{xs}], [{', '.join(v or '0.0' for v in z)}]")
+    lines.append(f"return [0.0, {', '.join(v or '0.0' for v in x)}]")
     # the namespace holds no reference back to the function, so that no
     # reference cycle keeps a run's code alive
     namespace = {"inf": math.inf, "nan": math.nan}
@@ -419,7 +417,7 @@ class _Compiled:
         # (_CMP_HIGH for a comparator), below the lower one _SEG_REV.  An OTS
         # has one entry per phase, the off one with knees at +-inf.  Current
         # law: (kind, a, b, p, q, r) as diode (anode, cathode, v_f, v_z,
-        # r_series), OTS (n+, n-, slot, params, -), comparator (out, -,
+        # r_series), OTS (n+, n-, params, -, -), comparator (out, -,
         # v_out_high, v_out_low, r_out).  Stamps: segment -> (a, b, g,
         # g * offset), or None for no stamp.
         dyn = [el for el in els if isinstance(el.kind, (Diode, Ots, Comparator))]
@@ -429,7 +427,6 @@ class _Compiled:
         self.stamps: list[dict[int, tuple | None]] = []
         # per OTS slot: (n+, n-, params, position, off and on selection entries)
         self.ots: list[tuple] = []
-        self.ots_names: list[str] = []
         for el in dyn:
             k = el.kind
             t = el.terminals
@@ -442,18 +439,16 @@ class _Compiled:
                                     _SEG_REV: (t[0], t[1], g, g * k.v_z)})
             elif isinstance(k, Ots):
                 p = k.params
-                slot = len(self.ots)
                 g = 1.0 / p.r_on
                 off = (t[0], t[1], math.inf, -math.inf, _SEG_OFF)
                 self.select.append(off)
-                self.laws.append((_OTS, t[0], t[1], slot, p, None))
+                self.laws.append((_OTS, t[0], t[1], p, None, None))
                 self.stamps.append({_SEG_OFF: (t[0], t[1], p.g_off, p.g_off * 0.0),
                                     _SEG_DEAD: None,
                                     _SEG_FWD: (t[0], t[1], g, g * -p.v_hold),
                                     _SEG_REV: (t[0], t[1], g, g * p.v_hold)})
                 self.ots.append((t[0], t[1], p, len(self.laws) - 1, off,
                                  (t[0], t[1], p.v_hold, -p.v_hold, _SEG_DEAD)))
-                self.ots_names.append(el.name)
             else:
                 # the output drive is a conductance to ground carrying g*e
                 g = 1.0 / k.r_out
@@ -470,8 +465,8 @@ class _Compiled:
         # each post-flip start set the set the last step from it accepted
         self.solves: dict[tuple[int, ...], tuple] = {}
         self.landing: dict[tuple[int, ...], tuple[int, ...]] = {}
-        # (segments, matrix) of every system solved, indexed by set id
-        self.sets: list[tuple[tuple[int, ...], np.ndarray]] = []
+        # (segments, matrix, dynamic RHS) of every system solved, indexed by set id
+        self.sets: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]] = []
 
     def assemble(self, base_ext: np.ndarray, segments: tuple[int, ...]):
         """System matrix (n x n) and extended dynamic RHS for a segment set."""
@@ -514,7 +509,7 @@ class _Compiled:
         entry = (solve, len(self.sets))
         if not pinned:
             self.solves[segments] = entry
-        self.sets.append((segments, mat))
+        self.sets.append((segments, mat, zd))
         return entry
 
     def raise_singular(self, mat: np.ndarray):
@@ -527,37 +522,35 @@ class _Compiled:
 
     def residual_gate(self, sol: np.ndarray, rhs: np.ndarray, set_id: np.ndarray, lo: int, hi: int) -> float:
         """The largest max |mat @ x - z| over the node rows of samples lo..hi-1
-        (at most _CHUNK of them), one batched product per segment set, or
-        SimulationError naming the first sample whose residual is above
-        _RESIDUAL_TOL or not a number."""
+        (at most _CHUNK of them), z the recorded `rhs` plus the set's dynamic
+        RHS, one batched product per segment set, or SimulationError naming
+        the first sample whose residual is above _RESIDUAL_TOL or not a number."""
         res = np.zeros(hi - lo)
         if self.nv:
             ids = set_id[lo:hi]
             for sid in np.unique(ids):
                 rows = np.flatnonzero(ids == sid)
-                mat = self.sets[sid][1]
+                _, mat, zd = self.sets[sid]
                 x = sol[lo + rows, 1:]
                 r = np.matmul(np.broadcast_to(mat, (len(rows), *mat.shape)), x[:, :, None])[:, :self.nv, 0]
-                res[rows] = np.max(np.abs(r - rhs[lo + rows, :self.nv]), axis=1)
+                res[rows] = np.max(np.abs(r - (rhs[lo + rows, 1:self.nv + 1] + zd[:self.nv])), axis=1)
         bad = np.flatnonzero(~(res <= _RESIDUAL_TOL))
         if bad.size:
             k = int(bad[0])
             raise SimulationError(f"nodal residual {float(res[k]):.3g} A exceeds {_RESIDUAL_TOL:g} A at step {lo + k}")
         return float(res.max(initial=0.0))
 
-    def currents(self, sol: np.ndarray, set_id: np.ndarray, on_hist: np.ndarray) -> dict[str, np.ndarray]:
-        """Every element current over all samples, by element name; a source
-        current is a view of its column of `sol`."""
+    def currents(self, sol: np.ndarray, segs: np.ndarray) -> dict[str, np.ndarray]:
+        """Every element current over all samples, by element name, from the
+        segment sets `segs` they were solved with; a source current is a view
+        of its column of `sol`."""
         cur = {name: sol[:, row] for name, (row, _) in zip(self.source_names, self.drives)}
-        segs = np.array([segments for segments, _ in self.sets])[set_id]
-        # a sample is solved with the OTS phases the previous step left
-        on = np.concatenate((on_hist[:1], on_hist[:-1]))
         for name, (kind, a, b, p, q, r), seg in zip(self.dyn_names, self.laws, segs.T):
             if kind == _DIODE:
                 v = sol[:, a] - sol[:, b]
                 cur[name] = np.where(seg == _SEG_FWD, (v - p) / r, np.where(seg == _SEG_REV, (v + q) / r, 0.0))
             elif kind == _OTS:
-                cur[name] = ots_currents(q, on[:, p], sol[:, a] - sol[:, b])
+                cur[name] = ots_currents(p, seg != _SEG_OFF, sol[:, a] - sol[:, b])
             else:
                 cur[name] = (np.where(seg == _CMP_HIGH, p, q) - sol[:, a]) / r
         for name, a, b, ohms in self.res:
@@ -664,9 +657,8 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     times = np.arange(n_steps + 1) * dt
     n = c.n
     sol = np.zeros((n_steps + 1, n + 1))     # extended solution per sample, column 0 is ground
-    rhs = np.empty((n_steps + 1, n))         # the RHS each sample was solved with
+    rhs = np.empty((n_steps + 1, n + 1))     # extended source and history RHS each sample was solved with
     set_id = np.empty(n_steps + 1, dtype=np.int32)  # c.sets entry each sample was solved with
-    on_hist = np.zeros((n_steps + 1, len(states)), dtype=bool)
 
     # Dc drives are read once per run into the RHS every step starts from;
     # step 0 starts from one that also pins every capacitor branch to its
@@ -692,12 +684,10 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     xe = [0.0] * (n + 1)
     prev = None                              # xe of the previous step
     segments = _select(select, xe)
-    held, held_from = (False,) * len(states), 0  # OTS phases recorded from sample held_from on
     solved = checked = 0                     # samples solved, and residual-checked
-    gate_at = _CHUNK                         # solved count at which the next batch is checked
     kcl_residual = 0.0
     seen: dict[tuple, int] = {}              # state left by each OTS flip step -> that step
-    landing = c.landing
+    solves, landing = c.solves, c.landing
     flipped = False                          # whether the previous step flipped an OTS phase
     budget = range(2 * (_MAX_RESELECTIONS + 1))  # attempts of one step's segment iteration
     period = None
@@ -714,7 +704,6 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                     hist = g * (xe[a] - xe[b])
                     zl[a] += hist
                     zl[b] -= hist
-            cache = c.solves if step else {}
 
             # After a flip the iteration starts from the set the last step
             # from the same start set accepted.  A segment set that rounding
@@ -726,8 +715,8 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                 segments = landing.get(start, start)
             tried = [segments]                   # the sets solved, then the last one selected
             for attempt in budget:
-                solve, sid = cache.get(segments) or c.factorized(segments, not step)
-                xe, x, z = solve(zl)
+                solve, sid = solves.get(segments) or c.factorized(segments, not step)
+                xe = solve(zl)
                 desired = _select(select, xe)
                 if desired == segments or (attempt > _MAX_RESELECTIONS
                                            and _knee_gap(select, segments, desired, xe) <= _KNEE_TOL):
@@ -739,13 +728,12 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
             if flipped:
                 landing[start] = segments
 
-            sol[step, 1:] = x
-            rhs[step] = z
+            sol[step] = xe
+            rhs[step] = zl
             set_id[step] = sid
             solved = step + 1
-            if solved == gate_at:
+            if solved == checked + _CHUNK:
                 lo, checked = checked, solved
-                gate_at += _CHUNK
                 kcl_residual = max(kcl_residual, c.residual_gate(sol, rhs, set_id, lo, solved))
 
             # advance device states using converged values
@@ -766,8 +754,6 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                         hold[slot] = ots_hold_bound(p, st)
                 if flipped:
                     segments = _select(select, xe)
-                    on_hist[held_from:step] = held
-                    held, held_from = tuple([s.on for s in states]), step
 
             # With constant drives, the state a step leaves (solution bits,
             # the segments the next step starts from, OTS states by value)
@@ -796,20 +782,26 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
 
     kcl_residual = max(kcl_residual, c.residual_gate(sol, rhs, set_id, checked, solved))
     del rhs  # not needed for the currents
-    on_hist[held_from:solved] = held
     if period:
         # later samples repeat the last `period` solved ones
-        for a in (sol, set_id, on_hist):
+        for a in (sol, set_id):
             _repeat(a, solved - period, solved)
 
-    currents = c.currents(sol, set_id, on_hist)
+    segs = np.array([segments for segments, *_ in c.sets])[set_id]
+    # An off OTS selects only _SEG_OFF and an on one never does, so a sample's
+    # segment set holds the phases the step before it left; the last step left
+    # those of the step it repeats, or the final states.
+    positions = [pos for _, _, _, pos, *_ in ots]
+    on = segs[1:, positions] != _SEG_OFF
+    ots_on = np.vstack((on, [on[-period] if period else [s.on for s in states]]))
+    currents = c.currents(sol, segs)
     return Trace(
         dt=dt,
         times=times,
         node_names=net.node_names,
         voltages=sol[:, : net.node_count],
         currents={el.name: currents[el.name] for el in net.elements},
-        ots_on={name: on_hist[:, slot] for slot, name in enumerate(c.ots_names)},
+        ots_on={c.dyn_names[pos]: ots_on[:, slot] for slot, pos in enumerate(positions)},
         kcl_residual=kcl_residual,
         solved_steps=solved,
         period=period,

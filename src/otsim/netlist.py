@@ -8,7 +8,10 @@ otherwise the nodal matrix would be singular.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+
+import numpy
 
 from .device import OtsParams
 from .waveforms import SourceSpec, require_finite
@@ -116,11 +119,14 @@ class Netlist:
     # -- nodes ------------------------------------------------------------
 
     def node(self, name: str | int) -> int:
-        """Return the index for a node name, creating it on first use."""
-        if isinstance(name, int):
-            if not (0 <= name < len(self._node_names)):
-                raise NetlistError(f"unknown node index {name}")
-            return name
+        """Return the index for a node name, creating it on first use; any
+        integer (``operator.index``) is the index of an existing node."""
+        if isinstance(name, (bool, numpy.bool_)):
+            raise NetlistError(f"node {name!r} is a bool, not a node name or index")
+        if hasattr(type(name), "__index__"):
+            if not (0 <= (k := operator.index(name)) < len(self._node_names)):
+                raise NetlistError(f"unknown node index {k}")
+            return k
         name = str(name)
         idx = self._node_index.get(name)
         if idx is None:

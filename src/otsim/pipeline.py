@@ -23,7 +23,7 @@ import numpy as np
 from .device import OtsParams, default_params
 from .engine import Trace, burst_refractory, count_crossings, transient, whole_steps
 from .gates import DT_LOGIC, GateKind, LogicEncoding, build_gate
-from .imaging import BinaryImage, ShiftDirection, shift
+from .imaging import BinaryImage, ImageError, ShiftDirection, shift
 from .waveforms import Dc, require_finite
 
 _BURST_CURRENT = 3e-4  # A, switch current that marks a conduction burst, in streams and gradients
@@ -154,7 +154,7 @@ def detect_edges(img: BinaryImage, enc: LogicEncoding | None = None,
     """Circuit-driven edge map: XOR against the horizontal and vertical
     opponents, then a pixel-wise OR of the two directional edge maps."""
     if img.width < 2 or img.height < 2:
-        raise ValueError("edge detection needs at least a 2x2 image")
+        raise ImageError(f"edge detection needs at least a 2x2 image, got {img.width}x{img.height}")
     x0 = img.flatten()
     xh = shift(img, ShiftDirection.HORIZONTAL).flatten()
     xv = shift(img, ShiftDirection.VERTICAL).flatten()

@@ -119,6 +119,16 @@ class TestEdgeCmd:
         assert rc == EXIT_USAGE
         assert "truncated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 3)], ids=["1x1", "3x1"])
+    def test_image_too_small_for_edges_is_a_usage_error(self, shape, tmp_path, capsys):
+        path = tmp_path / "small.pgm"
+        save_pgm(GrayImage(np.zeros(shape, dtype=np.uint8)), str(path))
+        out = tmp_path / "o.pgm"
+        assert main(["edge", "--in", str(path), "--out", str(out)]) == EXIT_USAGE
+        height, width = shape
+        assert capsys.readouterr().err == f"error: edge detection needs at least a 2x2 image, got {width}x{height}\n"
+        assert not out.exists()
+
     def test_threshold_settings_come_from_the_config(self, tmp_path, capsys):
         img = np.zeros((4, 4), dtype=np.uint8)
         img[:, 2:] = 200
@@ -225,6 +235,15 @@ class TestIvOscillate:
         out = tmp_path / "rates.csv"
         assert main(["oscillate", f"--sweep={sweep}", "--out", str(out)]) == EXIT_USAGE
         assert "--sweep expects v0:v1:steps with finite v0 and v1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sweep", ["3:5:0", "3:5:-2", "3:5:2.5"])
+    def test_oscillate_sweep_without_a_whole_positive_step_count_is_a_usage_error(self, sweep, tmp_path, capsys):
+        out = tmp_path / "rates.csv"
+        assert main(["oscillate", f"--sweep={sweep}", "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: --sweep expects v0:v1:steps with finite v0 and v1")
+        assert "a whole number of steps of at least 1" in err
         assert not out.exists()
 
     def test_oscillate_sweep(self, tmp_path):

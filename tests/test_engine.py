@@ -228,6 +228,29 @@ class TestValidation:
         # 0.3e-6 / 0.1e-6 is 2.9999999999999996
         assert len(transient(rc_lowpass(), 0.3e-6, 0.1e-6).times) == 4
 
+    @pytest.mark.parametrize("node", [True, False, np.True_], ids=["True", "False", "np.True_"])
+    def test_bool_node_rejected(self, node):
+        net = Netlist()
+        with pytest.raises(NetlistError, match=rf"^node {node!r} is a bool, not a node name or index$"):
+            net.add_resistor("R1", node, "0", 1e3)
+        assert net.elements == [] and net.node_names == ["0"]
+
+    @pytest.mark.parametrize("index", [1, np.int64(1), np.uint8(1)], ids=["int", "int64", "uint8"])
+    def test_any_integer_is_a_node_index(self, index):
+        net = Netlist()
+        net.add_source("V1", "a", "0", Dc(1.0))
+        el = net.add_resistor("R1", index, 0, 1e3)
+        assert el.terminals == (1, 0) and all(type(t) is int for t in el.terminals)
+        assert net.node_names == ["0", "a"]
+
+    @pytest.mark.parametrize("index", [2, np.int64(-1)], ids=["int", "int64"])
+    def test_node_index_out_of_range(self, index):
+        net = Netlist()
+        net.add_source("V1", "a", "0", Dc(1.0))
+        with pytest.raises(NetlistError, match=rf"^unknown node index {int(index)}$"):
+            net.add_resistor("R1", index, "0", 1e3)
+        assert net.node_names == ["0", "a"]
+
     def test_duplicate_element_name(self):
         net = Netlist()
         net.add_resistor("R1", "a", "0", 1.0)

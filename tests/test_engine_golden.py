@@ -14,7 +14,9 @@ Kirchhoff's current law over the *recorded* element currents, which are
 computed apart from the linear solve, and that each capacitor's recorded
 currents integrate to the charge its voltage change holds.  Random
 compositions of the gate cores check that a run's bits do not depend on
-its drives being `Dc`, on the residual batch size or on the landing memo.
+its drives being `Dc`, on the residual batch size or on the landing memo,
+and that its OTS phases are those a replay of `ots_step` over its device
+voltages gives.
 The golden cases, which solve in generated code, are also run with every
 solve through LAPACK's dgetrs on the same factors and must differ only by
 rounding, and the generated solves that runs share give a run the same bits
@@ -34,7 +36,7 @@ from scipy.linalg.lapack import dgetrs
 
 from otsim import (ConvergenceError, Dc, Netlist, PiecewiseLinear, Pulse, SimulationError, Triangle, default_params,
                    engine, gates, pipeline, rig, transient)
-from otsim.device import OFF_STATE, ON_STATE, ots_current
+from otsim.device import OFF_STATE, ON_STATE, ots_current, ots_step
 from otsim.gates import GateKind, LogicEncoding
 from otsim.netlist import Capacitor, Comparator, Diode, Ots, VoltageSource
 
@@ -422,17 +424,51 @@ def scalar_switched_currents(net: Netlist, tr) -> dict:
     return out
 
 
-@pytest.mark.parametrize("run", [
-    lambda: (rig.measurement_netlist(4.3), rig.run_oscillator(4.3, 40e-6).trace),
-    lambda: (gates.build_gate(GateKind.FULL_ADDER, bits=(1, 1, 0)).net,
-             gates.evaluate(GateKind.FULL_ADDER, (1, 1, 0)).trace),
-], ids=["oscillator", "full_adder_row_110"])
-def test_switched_currents_equal_their_scalar_laws(run):
-    net, tr = run()
+SWITCHED_RUNS = {
+    "oscillator": lambda: (rig.measurement_netlist(4.3), rig.run_oscillator(4.3, 40e-6).trace),
+    "full_adder_row_110": lambda: (gates.build_gate(GateKind.FULL_ADDER, bits=(1, 1, 0)).net,
+                                   gates.evaluate(GateKind.FULL_ADDER, (1, 1, 0)).trace),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWITCHED_RUNS))
+def test_switched_currents_equal_their_scalar_laws(case):
+    # the OTS phases come from Trace.ots_on, which
+    # test_ots_phases_replay_ots_step checks on its own
+    net, tr = SWITCHED_RUNS[case]()
     want = scalar_switched_currents(net, tr)
     assert want
     for name, law in want.items():
         assert np.array_equal(tr.currents[name].view(np.uint64), law.view(np.uint64)), name
+
+
+def replayed_phases(net: Netlist, tr) -> dict:
+    """The phase of every OTS after each step, from `ots_step` replayed over
+    the recorded device voltages: off at sample 0, which only sets the
+    initial operating point, and stepped from sample 1 on."""
+    out = {}
+    for el in net.ots_elements():
+        a, b = el.terminals
+        s, phases = OFF_STATE, [False]
+        for v in (tr.voltages[1:, a] - tr.voltages[1:, b]).tolist():
+            s = ots_step(el.kind.params, s, v, tr.dt)
+            phases.append(s.on)
+        out[el.name] = np.array(phases)
+    return out
+
+
+def assert_phases_replay(net: Netlist, tr) -> None:
+    want = replayed_phases(net, tr)
+    assert tr.ots_on.keys() == want.keys()
+    for name, phases in want.items():
+        assert np.array_equal(tr.ots_on[name], phases), name
+
+
+@pytest.mark.parametrize("case", sorted(SWITCHED_RUNS))
+def test_ots_phases_replay_ots_step(case):
+    net, tr = SWITCHED_RUNS[case]()
+    assert tr.ots_on and any(on.any() for on in tr.ots_on.values())
+    assert_phases_replay(net, tr)
 
 
 @st.composite
@@ -624,6 +660,16 @@ def test_random_gate_networks_do_not_depend_on_the_batch_size(net, dt):
             assert outcome(lambda: transient(net, GATE_NETWORK_STOP, dt)) == want, chunk
 
 
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(gate_core_networks(), GATE_NETWORK_DT)
+def test_random_gate_networks_ots_phases_replay_ots_step(net, dt):
+    try:
+        tr = transient(net, GATE_NETWORK_STOP, dt)
+    except SimulationError:
+        return
+    assert_phases_replay(net, tr)
+
+
 class ForgetfulMemo(dict):
     """A landing memo that keeps nothing: every post-flip step starts its
     segment iteration from its start set."""
@@ -717,7 +763,7 @@ def dgetrs_solve(lu, piv, zd, rows):
     def solve(zl):
         z = np.array(zl[1:]) + zd
         x = dgetrs(lu, piv, z)[0]
-        return [0.0, *x.tolist()], x, z
+        return [0.0, *x.tolist()]
 
     return solve
 
@@ -755,9 +801,7 @@ def test_a_perturbed_generated_solve_fails_the_residual_gate(run, monkeypatch):
         solve = straight_line(*args)
 
         def off(zl):
-            xe, x, z = solve(zl)
-            x = [v * (1.0 + 1e-6) for v in x]
-            return [0.0, *x], x, z
+            return [v * (1.0 + 1e-6) for v in solve(zl)]
 
         return off
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otsim.imaging import BinaryImage, reference_edges
+from otsim.imaging import BinaryImage, ImageError, reference_edges
 from otsim.pipeline import (
     PulseTrain,
     StreamSettings,
@@ -122,6 +122,8 @@ class TestDetectEdges:
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
+            detect_edges(BinaryImage(np.array([[1, 0]], dtype=np.uint8)))
+        with pytest.raises(ImageError, match=r"^edge detection needs at least a 2x2 image, got 2x1$"):
             detect_edges(BinaryImage(np.array([[1, 0]], dtype=np.uint8)))
 
     def test_or_combination_properties(self):
