@@ -171,8 +171,10 @@ def _fmt_size(d: float) -> str:
 def branch_energy(net: Netlist, tr: Trace, element: str,
                   bounds: tuple[float, float]) -> float:
     """Trapezoid integral of v(t)*i(t) over `bounds` for a two-terminal
-    element (energy dissipated in it)."""
+    element (energy dissipated in it); ValueError naming any other element."""
     el = net.element(element)
+    if len(el.terminals) != 2:
+        raise ValueError(f"element {element!r} has {len(el.terminals)} terminals; branch energy needs two")
     lo, hi = bounds
     if lo >= hi:
         raise ValueError("bounds must satisfy t0 < t1")

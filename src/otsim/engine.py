@@ -27,16 +27,20 @@ an OTS whose state ``ots_step`` would return unchanged
 (``device.ots_hold_bound``) is not stepped.
 
 Every solve, step 0's included, runs a Python function generated from the
-segment set's LU factors (LAPACK's ``dgetrf``; ``_straight_line``, after
-Gustavson's straight-line code for a fixed sparsity pattern): forward and
-back substitution over the nonzero factors only, loading only the RHS rows
-a step can write and adding the set's dynamic RHS as constants.  It takes
-the RHS list and returns a single solution list, with no array built per
-step, so a run's bits depend on ``dgetrf``'s only.  The same segment sets
-recur across truth-table rows, stream segments and runs, so the generated
-solves are shared by every run (``_solves``), keyed by a digest of the
-assembled matrix and dynamic RHS bytes; a set whose bytes were solved
-before is neither factorized nor compiled again, and gives the same bits.
+segment set's LU factors (``_straight_line``, after Gustavson's
+straight-line code for a fixed sparsity pattern): forward and back
+substitution over the nonzero factors only, loading only the RHS rows a
+step can write and adding the set's dynamic RHS as constants.  It takes the
+RHS list and returns a single solution list, with no array built per step.
+The factors come from ``_factor``, a plain Python elimination with a
+written pivot rule (that of LAPACK's ``dgetf2``), as Kundert's Sparse and
+KLU factorize for themselves, so no solution bit depends on a BLAS or
+LAPACK library or on the kernel it picks for the host CPU.  The same
+segment sets recur across truth-table rows, stream segments and runs, so
+the generated solves are shared by every run (``_solves``), keyed by a
+digest of the assembled matrix and dynamic RHS bytes; a set whose bytes
+were solved before is neither factorized nor compiled again, and gives the
+same bits.
 
 A step after an OTS flip starts from the segment set selected at the
 flipped phases, and its iteration can walk a chain of comparators one stage
@@ -58,7 +62,9 @@ step.  On the full adder's truth table the memo cuts 40,820 solves to
 The residual gate runs on batches of recorded samples: each sample's nodal
 residual ``mat @ x - z``, z the recorded RHS plus the set's dynamic RHS,
 comes from one batched ``np.matmul`` per segment set, which gives the same
-bits as a per-step ``mat.dot(x)``.  The loop checks every full batch of
+bits as a per-step ``mat.dot(x)``.  numpy runs that product in its BLAS, so
+``Trace.kcl_residual`` alone may differ in its last bits between BLAS
+kernels.  The loop checks every full batch of
 ``_CHUNK`` samples as soon as it is solved, and the last, partial batch
 after the loop.  If the loop raises, the samples it solved are checked
 first, so a residual failure at an earlier step still wins.  The drives
@@ -95,7 +101,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf
 
 from .device import DT_DEVICE, OFF_STATE, ots_currents, ots_hold_bound, ots_step
 from .netlist import Capacitor, Comparator, Diode, Netlist, NetlistError, Ots, Resistor, VoltageSource
@@ -280,8 +285,42 @@ def whole_steps(span: float, dt: float) -> int | None:
     return round(steps)
 
 
-def _straight_line(lu: np.ndarray, piv: np.ndarray, zd: np.ndarray, rows: tuple[int, ...]):
-    """A function solving one segment set's system from its dgetrf factors.
+def _factor(mat: np.ndarray, pinned: bool) -> tuple[list[list[float]], list[int]] | None:
+    """LU factors of `mat` with partial pivoting, and the row order: row k
+    of the factors (L below the diagonal, unit diagonal implied, and U) is
+    row ``order[k]`` of `mat`.  Column k pivots on the first row at or below
+    k with the largest |a| (LAPACK dgetf2's rule), each update subtracts the
+    rounded product, and zero multipliers and zero U entries are skipped, so
+    the bits depend on no library.
+
+    None if the system is singular: a pivot is zero or a factor is not
+    finite, or, unless `pinned`, the pivots span more than 14 decades.  The
+    step-0 system skips that last test: its capacitor rows are _PIN times
+    stiffer, so its pivots span more decades on circuits that are well
+    posed."""
+    a = mat.tolist()
+    n = len(a)
+    order = list(range(n))
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(a[i][k]))  # the first of equal maxima
+        a[k], a[p], order[k], order[p] = a[p], a[k], order[p], order[k]
+        pivot = a[k][k]
+        if not pivot:
+            return None
+        u = [(j, v) for j, v in enumerate(a[k][k + 1:], k + 1) if v]
+        for row in a[k + 1:]:
+            if row[k]:
+                row[k] = m = row[k] / pivot
+                for j, v in u:
+                    row[j] -= m * v
+    diag = [abs(a[k][k]) for k in range(n)]
+    if not all(math.isfinite(v) for row in a for v in row) or (not pinned and min(diag) <= max(diag) * 1e-14):
+        return None
+    return a, order
+
+
+def _straight_line(lu: list[list[float]], order: list[int], zd: np.ndarray, rows: tuple[int, ...]):
+    """A function solving one segment set's system from its `_factor` factors.
 
     It takes the extended source and history RHS `zl` (a list, entry 0
     ground), reads only the entries at `rows` (extended indices of the rows
@@ -291,8 +330,8 @@ def _straight_line(lu: np.ndarray, piv: np.ndarray, zd: np.ndarray, rows: tuple[
     subtract in column order (ascending in L, descending in U), skipping
     zero factors and operands that are always zero.  The source holds only
     indices and ``repr`` floats."""
-    n = len(piv)
-    lu, zd = lu.tolist(), zd.tolist()
+    n = len(order)
+    zd = zd.tolist()
     lines = []
 
     def assign(name: str, start: str | None, terms, pivot: float = 1.0) -> str | None:
@@ -312,15 +351,14 @@ def _straight_line(lu: np.ndarray, piv: np.ndarray, zd: np.ndarray, rows: tuple[
         lines.append(f"{name} = {expr}")
         return name
 
-    b: list[str | None] = []
+    z: list[str | None] = []
     for i in range(n):
         if i + 1 in rows:
             lines.append(f"z{i} = zl[{i + 1}]" + (f" + {zd[i]!r}" if zd[i] else ""))
         elif zd[i]:
             lines.append(f"z{i} = {zd[i]!r}")
-        b.append(f"z{i}" if i + 1 in rows or zd[i] else None)
-    for k, p in enumerate(piv.tolist()):
-        b[k], b[p] = b[p], b[k]
+        z.append(f"z{i}" if i + 1 in rows or zd[i] else None)
+    b = [z[i] for i in order]
     y: list[str | None] = []
     for k in range(n):
         y.append(assign(f"y{k}", b[k], [(lu[k][j], y[j]) for j in range(k) if lu[k][j] and y[j]]))
@@ -484,28 +522,25 @@ class _Compiled:
 
     def factorized(self, segments: tuple[int, ...], pinned: bool):
         """(solve, set id) for a segment set, with the set's generated
-        `_straight_line` solve; cached per run after step 0 (which runs
-        once), and across runs in `_solves`, where a system whose matrix and
-        dynamic RHS bytes were solved before is not factorized again.
+        `_straight_line` solve from its `_factor` factors; cached per run
+        after step 0 (which runs once), and across runs in `_solves`, where a
+        system whose matrix and dynamic RHS bytes were solved before is not
+        factorized again.
 
-        A system is singular if a pivot is zero or not finite, or, after
-        step 0, if the pivots span more than 14 decades.  The step-0 system
-        skips that last test: its capacitor rows are _PIN times stiffer, so
-        its pivots span more decades on circuits that are well posed.  The
+        SingularSystemError if `_factor` finds the system singular.  The
         shared key holds `pinned`, so that a step-0 system never stands in
-        for the same bytes after step 0, which the last test may refuse."""
+        for the same bytes after step 0, whose pivot test may refuse them."""
         mat, z = self.assemble(self.g_pin_ext if pinned else self.g_ext, segments)
         zd = z[1:]
         key = (hashlib.blake2b(mat.tobytes() + zd.tobytes(), digest_size=16).digest(), pinned, self.rhs_rows)
         solve = _solves.get(key)
         if solve is None:
-            lu, piv, info = dgetrf(mat)
-            diag = np.abs(lu.diagonal())
-            if info or not np.all(np.isfinite(lu)) or (not pinned and diag.min() <= diag.max() * 1e-14):
+            factors = _factor(mat, pinned)
+            if factors is None:
                 self.raise_singular(mat)
             if len(_solves) == _SOLVES_MAX:  # bounds the memory of runs that never recur
                 _solves.clear()
-            solve = _solves[key] = _straight_line(lu, piv, zd, self.rhs_rows)
+            solve = _solves[key] = _straight_line(*factors, zd, self.rhs_rows)
         entry = (solve, len(self.sets))
         if not pinned:
             self.solves[segments] = entry
@@ -641,8 +676,9 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     A step after an OTS flip starts its segment iteration, budget and
     cycle report included, from the set that the last step from the same
     start set accepted.  Every step solves in code generated from its
-    segment set's LU factors and shared by every run whose system has the
-    same bytes, so a run's bits do not depend on the runs before it.
+    segment set's LU factors (`_factor`) and shared by every run whose
+    system has the same bytes, so a run's bits do not depend on the runs
+    before it, nor, but for `Trace.kcl_residual`, on the host's BLAS.
     """
     require_finite("transient", t_stop=t_stop, dt=dt)
     if dt <= 0.0 or t_stop < dt:

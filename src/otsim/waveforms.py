@@ -11,6 +11,7 @@ engine samples every time-varying drive once per batch of steps."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,7 +72,8 @@ class PiecewiseLinear:
 @dataclass(frozen=True)
 class Pulse:
     """Rectangular pulse train: v_high for `width` out of each `period`,
-    starting after `delay`, repeated `repeat` times (None = forever)."""
+    starting after `delay`, repeated `repeat` times (None = forever; any
+    integer but a bool, stored as an int)."""
 
     v_low: float
     v_high: float
@@ -85,8 +87,12 @@ class Pulse:
                        width=self.width, period=self.period)
         if not (0.0 < self.width < self.period):
             raise ValueError("require 0 < width < period")
-        if self.repeat is not None and self.repeat < 0:
-            raise ValueError(f"Pulse: repeat must be non-negative, got {self.repeat!r}")
+        if self.repeat is not None:
+            if isinstance(self.repeat, (bool, np.bool_)) or not hasattr(type(self.repeat), "__index__"):
+                raise ValueError(f"Pulse: repeat must be None or an integer, got {self.repeat!r}")
+            object.__setattr__(self, "repeat", operator.index(self.repeat))
+            if self.repeat < 0:
+                raise ValueError(f"Pulse: repeat must be non-negative, got {self.repeat!r}")
 
     def __call__(self, t: float | np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float) - self.delay

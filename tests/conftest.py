@@ -1,29 +1,30 @@
 """Shared fixtures.
 
-The pinned digests and counts hold the bits of LAPACK's ``dgetrf`` as
-scipy's bundled OpenBLAS computes it, and OpenBLAS picks its kernel for the
-host CPU at load time.  Every solve runs in generated Python code from the
-``dgetrf`` factors of its segment set, so a run depends on ``dgetrf`` and
-on no other LAPACK routine.  The pins were made under the ``SkylakeX``
-kernel; another kernel gives other bits.  Every digest and count assertion
-therefore names the kernel and the numpy and scipy versions it ran on."""
+Every run factorizes its systems in ``engine._factor`` and solves them in
+generated Python code, with no BLAS or LAPACK call, so the pinned voltages,
+currents, OTS phases and step counts do not depend on the host's BLAS
+kernel.  One value still
+passes through a BLAS kernel: the residual gate's batched ``np.matmul``,
+which numpy's bundled OpenBLAS runs with the kernel it picks for the host
+CPU at load time, and which gives ``kcl_residual``.  The pins were made
+under the ``SkylakeX`` kernel.  Every digest and count assertion therefore
+names that kernel and the numpy version it ran on."""
 
 import ctypes
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from otsim import engine
 
 
 def openblas_core() -> str:
-    """The kernel name scipy's OpenBLAS runs with, read through ctypes from
-    the library scipy has already loaded, or "unknown"."""
-    for lib in sorted((Path(scipy.__file__).parent.parent / "scipy.libs").glob("libscipy_openblas*.so")):
+    """The kernel name numpy's OpenBLAS runs with, read through ctypes from
+    the library numpy has already loaded, or "unknown"."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")):
         try:
-            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
         except (OSError, AttributeError):
             continue
         corename.argtypes = []
@@ -35,7 +36,7 @@ def openblas_core() -> str:
 @pytest.fixture(scope="session")
 def blas_platform() -> str:
     """What a pinned digest or count depends on, for its failure message."""
-    return f"OpenBLAS kernel {openblas_core()}, numpy {np.__version__}, scipy {scipy.__version__}"
+    return f"OpenBLAS kernel {openblas_core()}, numpy {np.__version__}"
 
 
 class SolveCounter:

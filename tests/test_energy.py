@@ -142,6 +142,16 @@ class TestWaveformEnergy:
         with pytest.raises(ValueError):
             branch_energy(net, tr, "R1", (0.0, 5e-6))
 
+    def test_comparator_is_refused(self):
+        net = Netlist()
+        net.add_source("V1", "a", "0", Dc(1.0))
+        net.add_resistor("R1", "a", "0", 1e3)
+        net.add_comparator("CMP1", "a", "0", "out")
+        net.add_resistor("RL", "out", "0", 1e3)
+        tr = transient(net, 1e-6, 10e-9)
+        with pytest.raises(ValueError, match=r"^element 'CMP1' has 3 terminals; branch energy needs two$"):
+            branch_energy(net, tr, "CMP1", (0.0, 1e-6))
+
     def test_spike_energy_of_oscillator_burst(self):
         from otsim.rig import measurement_netlist
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -168,6 +169,14 @@ R RD d 0 1k
     def test_pulse_repeat_is_a_whole_count(self, repeat, match):
         with pytest.raises(NetlistParseError, match=match):
             parse_netlist(f"V V1 a 0 pulse 0 1 0 1u 2u {repeat}\nR R1 a 0 1k\n")
+
+    @pytest.mark.parametrize("repeat", [None, 0, 3, np.int64(3)])
+    def test_pulse_repeat_round_trips_through_text(self, repeat):
+        net = Netlist()
+        net.add_source("V1", "a", "0", Pulse(0.0, 1.0, 0.0, 1e-6, 2e-6, repeat=repeat))
+        net.add_resistor("R1", "a", "0", 1e3)
+        again = parse_netlist(netlist_to_text(net))
+        assert again.elements == net.elements
 
     def test_pulse_rejects_negative_repeat(self):
         with pytest.raises(ValueError, match="repeat must be non-negative"):

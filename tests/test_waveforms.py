@@ -13,6 +13,7 @@ import bisect
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -133,3 +134,15 @@ def test_array_call_equals_the_scalar_law(case):
     # a single time gives the same value as the array
     for t, w in zip(ts[:8].tolist(), want[:8].tolist()):
         assert float(spec(t)).hex() == w.hex()
+
+
+@pytest.mark.parametrize("repeat", [2.5, 3.0, np.float64(3.0), True, np.True_, "3"])
+def test_pulse_repeat_must_be_an_integer(repeat):
+    with pytest.raises(ValueError, match=r"^Pulse: repeat must be None or an integer, got "):
+        Pulse(0.0, 1.0, repeat=repeat)
+
+
+@pytest.mark.parametrize("repeat", [0, 3, np.int64(3), np.uint8(3)])
+def test_pulse_repeat_is_stored_as_an_int(repeat):
+    spec = Pulse(0.0, 1.0, repeat=repeat)
+    assert type(spec.repeat) is int and spec.repeat == repeat
