@@ -19,8 +19,11 @@ and that its OTS phases are those a replay of `ots_step` over its device
 voltages gives.
 The golden cases, which factorize in `engine._factor` and solve in
 generated code, are also run with every factorization and solve through
-LAPACK's dgetrf and dgetrs and must differ only by rounding, and the generated solves that runs share give a run the same bits
-whatever ran before it.
+LAPACK's dgetrf and dgetrs and must differ only by rounding; the factors
+match dgetrf's on every matrix the truth tables and the oscillator meet;
+the generated solves that runs share give a run the same bits
+whatever ran before it; and a fresh interpreter under another OpenBLAS
+kernel gives a golden run's bits but for its residual.
 """
 
 import gc
