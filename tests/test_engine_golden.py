@@ -790,10 +790,9 @@ def dgetrs_solve(lu, piv, zd, rows):
 def test_generated_solves_match_dgetrs(case, monkeypatch):
     """The owned factorization and generated solves differ from LAPACK's
     dgetrf and dgetrs on the same matrices only by rounding: the same
-    decoded result and OTS phases at every sample, voltages within
-    GENERATED_TOL (7.6e-14 V at most over these cases), the same solved
-    steps where every step is solved, and otherwise periods of which one
-    divides the other.  A run that stops at a recurring state stops at
+    decoded result, OTS phases and period, voltages within GENERATED_TOL
+    (7.6e-14 V at most over these cases), and the same solved steps where
+    every step is solved.  A run that stops at a recurring state stops at
     the first step whose bits repeat an earlier one's, which rounding moves:
     the half adder stops after 736 solved steps instead of 735 and the
     gradient run after 4,313 instead of 4,887."""
@@ -806,14 +805,9 @@ def test_generated_solves_match_dgetrs(case, monkeypatch):
     assert decode(tr) == decode(ref)
     assert tr.ots_on.keys() == ref.ots_on.keys()
     assert all(np.array_equal(tr.ots_on[name], ref.ots_on[name]) for name in tr.ots_on)
-    # rounding can make the bits of a periodic orbit repeat only every other
-    # cycle: LAPACK under OpenBLAS's Haswell kernel finds the gradient run's
-    # period 269 as 538
-    assert (tr.period is None) == (ref.period is None)
+    assert tr.period == ref.period
     if ref.period is None:
         assert tr.solved_steps == ref.solved_steps
-    else:
-        assert max(tr.period, ref.period) % min(tr.period, ref.period) == 0
     assert np.max(np.abs(tr.voltages - ref.voltages)) <= GENERATED_TOL
 
 
