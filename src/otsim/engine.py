@@ -302,7 +302,8 @@ def _factor(mat: np.ndarray, pinned: bool) -> tuple[list[list[float]], list[int]
     n = len(a)
     order = list(range(n))
     for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(a[i][k]))  # the first of equal maxima
+        col = [abs(row[k]) for row in a[k:]]
+        p = k + col.index(max(col))  # the first of equal maxima
         a[k], a[p], order[k], order[p] = a[p], a[k], order[p], order[k]
         pivot = a[k][k]
         if not pivot:
@@ -314,7 +315,7 @@ def _factor(mat: np.ndarray, pinned: bool) -> tuple[list[list[float]], list[int]
                 for j, v in u:
                     row[j] -= m * v
     diag = [abs(a[k][k]) for k in range(n)]
-    if not all(math.isfinite(v) for row in a for v in row) or (not pinned and min(diag) <= max(diag) * 1e-14):
+    if not all(all(map(math.isfinite, row)) for row in a) or (not pinned and min(diag) <= max(diag) * 1e-14):
         return None
     return a, order
 
