@@ -3,10 +3,9 @@
 Every run factorizes its systems in ``engine._factor`` and solves them in
 generated Python code, with no BLAS or LAPACK call, so the pinned voltages,
 currents, OTS phases and step counts do not depend on the host's BLAS
-kernel.  One value still
-passes through a BLAS kernel: the residual gate's batched ``np.matmul``,
-which numpy's bundled OpenBLAS runs with the kernel it picks for the host
-CPU at load time, and which gives ``kcl_residual``.  The pins were made
+kernel.  One value still passes through a BLAS kernel: the residual gate's
+batched ``np.matmul``, which numpy's bundled OpenBLAS runs with the kernel
+it picks for the host CPU at load time, and which gives ``kcl_residual``.  The pins were made
 under the ``SkylakeX`` kernel.  Every digest and count assertion therefore
 names that kernel and the numpy version it ran on."""
 
