@@ -27,7 +27,7 @@ from .imaging import ColorImage, ImageError, binarize, color_to_gray, load_image
 from .netlist import NetlistError
 from .netlist_io import NetlistParseError, format_si, parse_netlist, parse_si
 from .pipeline import detect_edges, fit_linear, mismatch_report, sweep_gradient
-from .rig import OSC_DURATION, measurement_netlist, rate_sweep, run_oscillator
+from .rig import CHARGE_UP, OSC_DURATION, measurement_netlist, rate_sweep, run_oscillator
 from .waveforms import Triangle
 
 EXIT_OK = 0
@@ -102,6 +102,9 @@ def cmd_iv(args) -> int:
 def cmd_oscillate(args) -> int:
     cfg = _build_config(args)
     p = cfg.device_params()
+    if not args.duration > CHARGE_UP:
+        raise CliError(f"--duration ({args.duration:g} s) must exceed the {format_si(CHARGE_UP)}s charge-up "
+                       "interval skipped before spikes are counted")
     _check_dt("dt_device", cfg.dt_device, args.duration, "--duration")
     if args.sweep:
         try:

@@ -18,13 +18,12 @@ netlist into index arrays and plain tuples once: terminal indices into an
 extended solution vector whose entry 0 is ground, per-kind parameters,
 capacitor stamps and OTS slots.  The step loop then works on those tuples
 and on floats in lists only: it solves, advances the integrator and OTS
-states, and records per sample only its solution, the RHS list it built
-and its segment set's id.  Its fixed cost per step is kept small: ``Dc``
-drives are read once per run into the RHS list every step starts from, and
-every other drive is called once per batch of _CHUNK steps, on the array
-of that batch's sample times, so a step reads its value from a list; and
-an OTS whose state ``ots_step`` would return unchanged
-(``device.ots_hold_bound``) is not stepped.
+states, and records per sample only its solution and its segment set's id.
+Its fixed cost per step is kept small: ``Dc`` drives are read once per run
+into the RHS list every step starts from, and every other drive is called
+once per batch of _CHUNK steps, on the array of that batch's sample times,
+so a step reads its value from a list; and an OTS whose state ``ots_step``
+would return unchanged (``device.ots_hold_bound``) is not stepped.
 
 Every solve, step 0's included, runs a Python function generated from the
 segment set's LU factors (``_straight_line``, after Gustavson's
@@ -60,20 +59,22 @@ step.  On the full adder's truth table the memo cuts 40,820 solves to
 14,538.
 
 The residual gate runs on batches of recorded samples: each sample's nodal
-residual ``mat @ x - z``, z the recorded RHS plus the set's dynamic RHS,
-comes from one batched ``np.matmul`` per segment set, which gives the same
-bits as a per-step ``mat.dot(x)``.  numpy runs that product in its BLAS, so
+residual ``mat @ x - z``, z its RHS plus the set's dynamic RHS, comes from
+one batched ``np.matmul`` per segment set, which gives the same bits as a
+per-step ``mat.dot(x)``.  z's node rows hold only capacitor history, which
+the gate derives from the previous sample's solution
+(``_Compiled.node_rhs``).  numpy runs the product in its BLAS, so
 ``Trace.kcl_residual`` alone may differ in its last bits between BLAS
-kernels.  The loop checks every full batch of
-``_CHUNK`` samples as soon as it is solved, and the last, partial batch
-after the loop.  If the loop raises, the samples it solved are checked
-first, so a residual failure at an earlier step still wins.  The drives
-are sampled over the same batches, when a batch's first step starts, so
-no drive is called for times beyond the batch being solved.  Every element
-current is computed for all samples at once after the loop, one array per
-element: a source current is a view of its column of the solution record,
-resistor and capacitor currents come from the solution, and the others
-from the solution and the recorded segment sets.
+kernels.  The loop checks every full batch of ``_CHUNK`` samples as soon as
+it is solved, and the last, partial batch after the loop.  If the loop
+raises, the samples it solved are checked first, so a residual failure at
+an earlier step still wins.  The drives are sampled over the same batches,
+when a batch's first step starts, so no drive is called for times beyond
+the batch being solved.  Every element current is computed for all samples
+at once after the loop, one array per element: a source current is a view
+of its column of the solution record, resistor and capacitor currents come
+from the solution, and the others from the solution and the recorded
+segment sets.
 
 When every drive is a ``Dc``, the state a step leaves fixes every later
 step: the bits of its solution (hence the capacitor voltages), the segment
@@ -416,8 +417,7 @@ class _Compiled:
 
         g_ext = np.zeros((n + 1, n + 1))
         self.res: list[tuple[str, int, int, float]] = []     # (name, a, b, ohms)
-        self.caps: list[tuple[int, int]] = []                # (a, b)
-        self.cap_g: list[float] = []                         # farads / dt
+        self.caps: list[tuple[int, int, float]] = []         # (a, b, farads / dt)
         self.cap_ic: list[float] = []
         self.cap_names: list[str] = []
         r = nn  # xe row of the next source
@@ -436,8 +436,7 @@ class _Compiled:
             elif isinstance(k, Capacitor):
                 g = k.farads / dt
                 _stamp(g_ext, a, b, g)
-                self.caps.append((a, b))
-                self.cap_g.append(g)
+                self.caps.append((a, b, g))
                 self.cap_ic.append(k.ic)
                 self.cap_names.append(el.name)
         self.g_ext = g_ext
@@ -446,10 +445,25 @@ class _Compiled:
         # companion stiffened by _PIN (the extra (_PIN - 1) * g conductance
         # is stamped on a zero matrix first, as its own sum).
         g_extra = np.zeros((n + 1, n + 1))
-        for (a, b), g in zip(self.caps, self.cap_g):
+        for a, b, g in self.caps:
             _stamp(g_extra, a, b, (_PIN - 1.0) * g)
         self.g_pin_ext = g_ext + g_extra
-        self.cap_g_pin = [_PIN * g for g in self.cap_g]
+        self.cap_g_pin = [_PIN * g for _, _, g in self.caps]
+
+        # The RHS every step starts from holds the Dc drives, read once per run,
+        # and at step 0 the pinned history; drives write only source rows.
+        self.base = base = [0.0] * (n + 1)
+        self.varying: list[tuple] = []                       # (name, row, waveform) of every other drive
+        for name, (row, spec) in zip(self.source_names, self.drives):
+            if type(spec) is Dc:
+                base[row] = float(spec(0.0))
+            else:
+                self.varying.append((name, row, spec))
+        self.base_pin = base_pin = base.copy()
+        for (a, b, _), g, v in zip(self.caps, self.cap_g_pin, self.cap_ic):
+            hist = g * v
+            base_pin[a] += hist
+            base_pin[b] -= hist
 
         # Segment selection: (a, b, upper knee, lower knee, segment between
         # the knees); v = xe[a] - xe[b] above the upper knee selects _SEG_FWD
@@ -498,7 +512,7 @@ class _Compiled:
 
         # the generated solves read only the rows of zl any step writes: the
         # source rows and the capacitor terminals
-        self.rhs_rows = tuple(sorted({row for row, _ in self.drives} | {i for ab in self.caps for i in ab} - {0}))
+        self.rhs_rows = tuple(sorted({row for row, _ in self.drives} | {i for cap in self.caps for i in cap[:2]} - {0}))
 
         # per-run memos keyed by segment set: the solves after step 0, and for
         # each post-flip start set the set the last step from it accepted
@@ -556,20 +570,35 @@ class _Compiled:
         source = self.source_names[bad - self.nv]
         raise SingularSystemError(self.net.node_names[self.net.element(source).terminals[0]], source)
 
-    def residual_gate(self, sol: np.ndarray, rhs: np.ndarray, set_id: np.ndarray, lo: int, hi: int) -> float:
+    def node_rhs(self, sol: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Rows 0..nv of the RHS samples lo..hi-1 were solved with: step 0's
+        pinned history, then that of each previous solution, added capacitor by
+        capacitor as the loop adds it (drives write only source rows)."""
+        first = max(lo, 1)
+        z = np.zeros((hi - lo, self.nv + 1))
+        z[:first - lo] = self.base_pin[:self.nv + 1]
+        x, later = sol[first - 1:max(hi, first) - 1], z[first - lo:]
+        for a, b, g in self.caps:
+            hist = g * (x[:, a] - x[:, b])
+            later[:, a] += hist
+            later[:, b] -= hist
+        return z
+
+    def residual_gate(self, sol: np.ndarray, set_id: np.ndarray, lo: int, hi: int) -> float:
         """The largest max |mat @ x - z| over the node rows of samples lo..hi-1
-        (at most _CHUNK of them), z the recorded `rhs` plus the set's dynamic
-        RHS, one batched product per segment set, or SimulationError naming
-        the first sample whose residual is above _RESIDUAL_TOL or not a number."""
+        (at most _CHUNK of them), z the `node_rhs` plus the set's dynamic RHS,
+        one batched product per segment set, or SimulationError naming the
+        first sample whose residual is above _RESIDUAL_TOL or not a number."""
         res = np.zeros(hi - lo)
         if self.nv:
+            z = self.node_rhs(sol, lo, hi)
             ids = set_id[lo:hi]
             for sid in np.unique(ids):
                 rows = np.flatnonzero(ids == sid)
                 _, mat, zd = self.sets[sid]
                 x = sol[lo + rows, 1:]
                 r = np.matmul(np.broadcast_to(mat, (len(rows), *mat.shape)), x[:, :, None])[:, :self.nv, 0]
-                res[rows] = np.max(np.abs(r - (rhs[lo + rows, 1:self.nv + 1] + zd[:self.nv])), axis=1)
+                res[rows] = np.max(np.abs(r - (z[rows, 1:] + zd[:self.nv])), axis=1)
         bad = np.flatnonzero(~(res <= _RESIDUAL_TOL))
         if bad.size:
             k = int(bad[0])
@@ -592,7 +621,7 @@ class _Compiled:
         for name, a, b, ohms in self.res:
             cur[name] = (sol[:, a] - sol[:, b]) / ohms
         # sample 0 is solved with the pinned companion of _PIN times the conductance
-        for name, (a, b), g, g_pin, ic in zip(self.cap_names, self.caps, self.cap_g, self.cap_g_pin, self.cap_ic):
+        for name, (a, b, g), g_pin, ic in zip(self.cap_names, self.caps, self.cap_g_pin, self.cap_ic):
             v = sol[:, a] - sol[:, b]
             cur[name] = i = g * np.diff(v, prepend=ic)
             i[0] = g_pin * (v[0] - ic)
@@ -694,28 +723,11 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     times = np.arange(n_steps + 1) * dt
     n = c.n
     sol = np.zeros((n_steps + 1, n + 1))     # extended solution per sample, column 0 is ground
-    rhs = np.empty((n_steps + 1, n + 1))     # extended source and history RHS each sample was solved with
     set_id = np.empty(n_steps + 1, dtype=np.int32)  # c.sets entry each sample was solved with
 
-    # Dc drives are read once per run into the RHS every step starts from;
-    # step 0 starts from one that also pins every capacitor branch to its
-    # initial voltage with a stiff companion (g scaled 1e6 up).  Drives and
-    # capacitors write disjoint rows.
-    base = [0.0] * (n + 1)
-    varying = []
-    for name, (row, spec) in zip(c.source_names, c.drives):
-        if type(spec) is Dc:
-            base[row] = float(spec(0.0))
-        else:
-            varying.append((name, row, spec))
+    base, base_pin, varying, caps = c.base, c.base_pin, c.varying, c.caps
     constant = not varying
     batch = []                               # (row, samples) of each varying drive over the current batch
-    base_pin = base.copy()
-    for (a, b), g, v in zip(c.caps, c.cap_g_pin, c.cap_ic):
-        hist = g * v
-        base_pin[a] += hist
-        base_pin[b] -= hist
-    cap_terms = [(a, b, g) for (a, b), g in zip(c.caps, c.cap_g)]
     ots = c.ots
     select = list(c.select)                  # per run: OTS entries follow the phase
     xe = [0.0] * (n + 1)
@@ -737,7 +749,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
             for row, col in batch:
                 zl[row] = col[step - checked]
             if step:  # backward-Euler history from the previous solution
-                for a, b, g in cap_terms:
+                for a, b, g in caps:
                     hist = g * (xe[a] - xe[b])
                     zl[a] += hist
                     zl[b] -= hist
@@ -766,12 +778,11 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                 landing[start] = segments
 
             sol[step] = xe
-            rhs[step] = zl
             set_id[step] = sid
             solved = step + 1
             if solved == checked + _CHUNK:
                 lo, checked = checked, solved
-                kcl_residual = max(kcl_residual, c.residual_gate(sol, rhs, set_id, lo, solved))
+                kcl_residual = max(kcl_residual, c.residual_gate(sol, set_id, lo, solved))
 
             # advance device states using converged values
             unchanged = True
@@ -814,11 +825,10 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                     break
                 prev = xe
     except Exception:
-        c.residual_gate(sol, rhs, set_id, checked, solved)
+        c.residual_gate(sol, set_id, checked, solved)
         raise
 
-    kcl_residual = max(kcl_residual, c.residual_gate(sol, rhs, set_id, checked, solved))
-    del rhs  # not needed for the currents
+    kcl_residual = max(kcl_residual, c.residual_gate(sol, set_id, checked, solved))
     if period:
         # later samples repeat the last `period` solved ones
         for a in (sol, set_id):

@@ -16,6 +16,7 @@ clock periods so no pixel pair ever straddles a reset.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,9 @@ class GradientSample:
     rate: float     # firing rate, Hz
 
     def __post_init__(self) -> None:
-        if self.delta_c < 0 or self.rate < 0:
-            raise ValueError("delta_c and rate must be non-negative")
+        for name, value in (("delta_c", self.delta_c), ("rate", self.rate)):
+            if not value >= 0:
+                raise ValueError(f"GradientSample: {name} must be non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,9 @@ class StreamSettings:
         if any(whole_steps(span, self.dt) is None for span in (PULSE_WIDTH, CLOCK_PERIOD)):
             raise ValueError(f"dt must divide the pulse width {PULSE_WIDTH:g} s and the clock period "
                              f"{CLOCK_PERIOD:g} s, got {self.dt!r}")
+        if isinstance(self.segment_clocks, (bool, np.bool_)) or not hasattr(type(self.segment_clocks), "__index__"):
+            raise ValueError(f"StreamSettings: segment_clocks must be an integer, got {self.segment_clocks!r}")
+        object.__setattr__(self, "segment_clocks", operator.index(self.segment_clocks))
         if not (0 < self.segment_clocks <= 4096):
             raise ValueError("segment_clocks must be in 1..4096")
 
@@ -125,14 +130,22 @@ def _run_segment(bits_a: tuple[int, ...], bits_b: tuple[int, ...],
     return [1 if c else 0 for c in counts]
 
 
+def _bits(name: str, bits) -> tuple[int, ...]:
+    """`bits` as ints, or ValueError naming the first entry not 0 or 1."""
+    bits = tuple(bits)
+    for i, b in enumerate(bits):
+        if b not in (0, 1):
+            raise ValueError(f"xor_stream_circuit: {name}[{i}] must be 0 or 1, got {b!r}")
+    return tuple(int(b) for b in bits)
+
+
 def xor_stream_circuit(bits_a, bits_b, enc: LogicEncoding | None = None,
                        p: OtsParams | None = None,
                        settings: StreamSettings | None = None) -> list[int]:
     """Bitwise XOR of two equal-length bit sequences, computed by streaming
     them as pulse trains through the XOR circuit and counting conduction
     bursts in each clock period."""
-    bits_a = tuple(int(b) for b in bits_a)
-    bits_b = tuple(int(b) for b in bits_b)
+    bits_a, bits_b = _bits("bits_a", bits_a), _bits("bits_b", bits_b)
     if len(bits_a) != len(bits_b):
         raise ValueError(f"input lengths differ: {len(bits_a)} vs {len(bits_b)}")
     if not bits_a:

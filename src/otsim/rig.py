@@ -51,7 +51,11 @@ class OscillationResult:
 def run_oscillator(v_in: float, duration: float = OSC_DURATION, *,
                    p: OtsParams | None = None, dt: float = DT_DEVICE) -> OscillationResult:
     """Constant-bias run; spikes are upward crossings at the sense node
-    after the initial charge-up interval is skipped."""
+    after the initial charge-up interval is skipped.  ValueError, before
+    anything is simulated, unless `duration` exceeds that interval."""
+    if not duration > CHARGE_UP:
+        raise ValueError(f"duration = {duration!r} s must exceed CHARGE_UP = {CHARGE_UP!r} s, "
+                         "the charge-up interval skipped before spikes are counted")
     net = measurement_netlist(v_in, p)
     tr = transient(net, duration, dt)
     st = extract_spikes(tr, MID_NODE, SPIKE_THRESHOLD, SPIKE_REFRACTORY, window=(CHARGE_UP, duration))

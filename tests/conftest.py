@@ -10,6 +10,7 @@ under the ``SkylakeX`` kernel.  Every digest and count assertion therefore
 names that kernel and the numpy version it ran on."""
 
 import ctypes
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +19,15 @@ import pytest
 from otsim import engine
 
 
-def openblas_core() -> str:
-    """The kernel name numpy's OpenBLAS runs with, read through ctypes from
-    the library numpy has already loaded, or "unknown"."""
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")):
+def openblas_core(package: str = "numpy") -> str:
+    """The kernel name that the OpenBLAS bundled with `package` runs with:
+    numpy's, or scipy's, which runs its LAPACK.  Read through ctypes from
+    the library, or "unknown"."""
+    libs = Path(importlib.util.find_spec(package).origin).parent.parent / f"{package}.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so")):
+        suffix = "64_" if lib.name.startswith("libscipy_openblas64_") else ""
         try:
-            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+            corename = getattr(ctypes.CDLL(str(lib)), f"scipy_openblas_get_corename{suffix}")
         except (OSError, AttributeError):
             continue
         corename.argtypes = []

@@ -246,6 +246,14 @@ class TestIvOscillate:
         assert "a whole number of steps of at least 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["--duration", "20u"], ["--duration", "5u", "--sweep", "3.4:5.0:2"]],
+                             ids=["trace", "sweep"])
+    def test_oscillate_within_the_charge_up_is_a_usage_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["oscillate", *argv, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: --duration (")
+        assert not out.exists()
+
     def test_oscillate_sweep(self, tmp_path):
         out = tmp_path / "rates.csv"
         rc = main(["oscillate", "--sweep", "3.4:5.0:5", "--duration", "150u", "--out", str(out)])

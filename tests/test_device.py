@@ -187,6 +187,16 @@ class TestParams:
         with pytest.raises(ValueError):
             OtsParams(tau_on=-1e-9)
 
+    @pytest.mark.parametrize("r_on", [0.0, -100.0])
+    def test_non_positive_r_on_rejected(self, r_on):
+        with pytest.raises(ValueError, match=r"^r_on must be positive and g_off non-negative$"):
+            OtsParams(r_on=r_on)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-9])
+    def test_ots_step_needs_a_positive_dt(self, dt):
+        with pytest.raises(ValueError, match=rf"^dt must be positive, got {dt!r}$"):
+            ots_step(default_params(), OFF_STATE, 1.0, dt)
+
     def test_non_finite_params_rejected(self):
         with pytest.raises(ValueError, match="r_on must be finite"):
             OtsParams(r_on=math.nan)

@@ -169,6 +169,13 @@ class TestWaveformEnergy:
         # from zero and far from the capacitor's full stored energy budget
         assert 1e-12 < e < 1e-7
 
+    def test_count_conduction_bursts_names_an_unknown_switch(self):
+        from otsim.rig import measurement_netlist
+
+        tr = transient(measurement_netlist(4.0), 1e-6, 10e-9)
+        with pytest.raises(ValueError, match=r"^no switch named 'OTS9' in the trace$"):
+            count_conduction_bursts(tr, "OTS9", (0.0, 1e-6))
+
     def test_spike_energy_rejects_wrong_burst_count(self):
         from otsim.rig import measurement_netlist
 

@@ -23,6 +23,7 @@ from otsim import (
     transient,
 )
 from otsim.engine import SpikeTrain, count_crossings
+from otsim.netlist import Capacitor, Comparator, Diode, Resistor
 from otsim.gates import GateKind, truth_table
 from otsim.rig import measurement_netlist
 
@@ -226,6 +227,25 @@ class TestValidation:
     def test_t_stop_on_the_grid_up_to_rounding(self):
         # 0.3e-6 / 0.1e-6 is 2.9999999999999996
         assert len(transient(rc_lowpass(), 0.3e-6, 0.1e-6).times) == 4
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Resistor("R1", 0.0), "R1: resistance must be positive"),
+        (lambda: Resistor("R1", -1e3), "R1: resistance must be positive"),
+        (lambda: Capacitor("C1", 0.0), "C1: capacitance must be positive"),
+        (lambda: Diode("D1", v_f=0.0), "D1: diode parameters must be positive"),
+        (lambda: Diode("D1", v_z=-5.0), "D1: diode parameters must be positive"),
+        (lambda: Diode("D1", r_series=0.0), "D1: diode parameters must be positive"),
+        (lambda: Comparator("CMP1", r_out=-50.0), "CMP1: r_out must be positive"),
+        (lambda: Comparator("CMP1", v_out_high=1.0, v_out_low=1.0), "CMP1: require v_out_high > v_out_low"),
+        (lambda: Comparator("CMP1", v_out_low=5.5), "CMP1: require v_out_high > v_out_low"),
+    ])
+    def test_an_element_value_out_of_range_names_the_element(self, make, message):
+        with pytest.raises(NetlistError, match=f"^{message}$"):
+            make()
+
+    def test_an_unknown_element_name_is_named(self):
+        with pytest.raises(NetlistError, match=r"^no element named 'R9'$"):
+            rc_lowpass().element("R9")
 
     @pytest.mark.parametrize("node", [True, False, np.True_], ids=["True", "False", "np.True_"])
     def test_bool_node_rejected(self, node):
@@ -462,6 +482,11 @@ class TestSpikes:
         for k, t_expect in enumerate((1e-6, 4e-6, 7e-6)):
             assert st.spike_times[k] == pytest.approx(t_expect, abs=3e-8)
 
+    @pytest.mark.parametrize("times", [(1e-6, 1e-6), (2e-6, 1e-6, 3e-6)])
+    def test_spike_times_must_increase(self, times):
+        with pytest.raises(ValueError, match=r"^spike times must be strictly increasing$"):
+            SpikeTrain(times, 0.5, (0.0, 1e-5))
+
     def test_firing_rate_arithmetic(self):
         st = SpikeTrain(tuple(i * 10e-6 for i in range(10)), 1.0, (0.0, 100e-6))
         assert firing_rate(st) == pytest.approx(1e5)
@@ -526,5 +551,19 @@ class TestTraceExport:
         net = Netlist()
         net.add_source("V1", "a", "0", Dc(0.0))
         net.add_resistor("R1", "a", "0", 1e3)
-        with pytest.raises(NetlistError):
+        with pytest.raises(NetlistError, match=r"^dynamic_iv needs exactly one OTS, found 0$"):
+            dynamic_iv(net, Triangle(1.0, 1e-6, 1e-6), "OTS1")
+
+    def test_dynamic_iv_names_an_unknown_ots(self):
+        from otsim import dynamic_iv
+
+        with pytest.raises(NetlistError, match=r"^no OTS named 'OTS9'$"):
+            dynamic_iv(measurement_netlist(0.0), Triangle(1.0, 1e-6, 1e-6), "OTS9")
+
+    def test_dynamic_iv_needs_one_input_source(self):
+        from otsim import dynamic_iv
+
+        net = measurement_netlist(0.0)
+        net.add_source("V2", "mid", "0", Dc(0.0))
+        with pytest.raises(NetlistError, match=r"^dynamic_iv needs exactly one input source$"):
             dynamic_iv(net, Triangle(1.0, 1e-6, 1e-6), "OTS1")

@@ -19,11 +19,14 @@ and that its OTS phases are those a replay of `ots_step` over its device
 voltages gives.
 The golden cases, which factorize in `engine._factor` and solve in
 generated code, are also run with every factorization and solve through
-LAPACK's dgetrf and dgetrs and must differ only by rounding; the factors
+LAPACK's dgetrf and dgetrs, in a fresh interpreter under OpenBLAS's
+`Sandybridge` kernel, and must differ only by rounding; the factors
 match dgetrf's on every matrix the truth tables and the oscillator meet;
-the generated solves that runs share give a run the same bits
-whatever ran before it; and a fresh interpreter under another OpenBLAS
-kernel gives a golden run's bits but for its residual.
+the right-hand side the residual gate derives from a golden run's
+solutions is, bit for bit, the one each accepted solve received; the
+generated solves that runs share give a run the same bits whatever ran
+before it; and a fresh interpreter under another OpenBLAS kernel gives a
+golden run's bits but for its residual.
 """
 
 import gc
@@ -31,6 +34,7 @@ import hashlib
 import itertools
 import json
 import os
+import pickle
 import subprocess
 import sys
 import weakref
@@ -786,22 +790,45 @@ def dgetrs_solve(lu, piv, zd, rows):
     return solve
 
 
+def save_lapack_runs(path: str) -> None:
+    """Pickles to `path` the trace of every golden case run with every
+    factorization and solve through LAPACK's dgetrf and dgetrs."""
+    engine._factor, engine._straight_line = dgetrf_factor, dgetrs_solve
+    runs = {case: GOLDEN[case][0]() for case in GOLDEN_DECODERS}
+    with open(path, "wb") as f:
+        pickle.dump(runs, f)
+
+
+@pytest.fixture(scope="module")
+def lapack_runs(tmp_path_factory) -> dict:
+    """`save_lapack_runs` in one fresh interpreter under OpenBLAS's
+    `Sandybridge` kernel, which every x86-64 host with AVX can run, so
+    that the reference's rounding does not depend on the host's kernel."""
+    path = tmp_path_factory.mktemp("lapack") / "runs.pickle"
+    fresh_python("from conftest import openblas_core; from test_engine_golden import save_lapack_runs; "
+                 "core = openblas_core('scipy'); assert core in ('Sandybridge', 'unknown'), core; "
+                 f"save_lapack_runs({str(path)!r})", OPENBLAS_CORETYPE="Sandybridge")
+    with path.open("rb") as f:
+        return pickle.load(f)
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_DECODERS))
-def test_generated_solves_match_dgetrs(case, monkeypatch):
+def test_generated_solves_match_dgetrs(case, lapack_runs):
     """The owned factorization and generated solves differ from LAPACK's
     dgetrf and dgetrs on the same matrices only by rounding: the same
     decoded result, OTS phases and period, voltages within GENERATED_TOL
-    (7.6e-14 V at most over these cases), and the same solved steps where
+    (2.6e-14 V at most over these cases), and the same solved steps where
     every step is solved.  A run that stops at a recurring state stops at
     the first step whose bits repeat an earlier one's, which rounding moves:
-    the half adder stops after 736 solved steps instead of 735 and the
-    gradient run after 4,313 instead of 4,887."""
+    the NAND row stops after 182 solved steps and its reference after 185.
+    LAPACK's rounding depends on the OpenBLAS kernel it runs with, so the
+    reference always runs under `Sandybridge`, where the gradient run's
+    reference stops after 4,313 steps at period 269, as otsim's does.
+    Under `SkylakeX` it stops after 4,887 steps at period 269, and under
+    `Haswell`, `Nehalem` and the generic fallback kernel after 5,156 at
+    period 538."""
     run, decode = GOLDEN[case][0], GOLDEN_DECODERS[case]
-    tr = run()
-    monkeypatch.setattr(engine, "_solves", {})
-    monkeypatch.setattr(engine, "_factor", dgetrf_factor)
-    monkeypatch.setattr(engine, "_straight_line", dgetrs_solve)
-    ref = run()
+    tr, ref = run(), lapack_runs[case]
     assert decode(tr) == decode(ref)
     assert tr.ots_on.keys() == ref.ots_on.keys()
     assert all(np.array_equal(tr.ots_on[name], ref.ots_on[name]) for name in tr.ots_on)
@@ -838,7 +865,8 @@ def fresh_python(code: str, **env: str) -> str:
     these test modules on its path, with `env` set for it alone."""
     path = os.pathsep.join([str(Path(otsim.__file__).parents[1]), str(Path(__file__).parent)])
     out = subprocess.run([sys.executable, "-c", code], env=os.environ | {"PYTHONPATH": path} | env,
-                         capture_output=True, text=True, check=True)
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
     return out.stdout.strip()
 
 
@@ -846,18 +874,20 @@ def test_importing_otsim_loads_no_scipy():
     assert fresh_python("import sys, otsim, otsim.cli; print([m for m in sys.modules if m.startswith('scipy')])") == "[]"
 
 
-def test_golden_under_another_blas_kernel():
+@pytest.mark.parametrize("kernel", ["Sandybridge", "Haswell"])
+def test_golden_under_another_blas_kernel(kernel):
     # a run calls no BLAS routine but the residual gate's matmul, so only
-    # kcl_residual may differ under another OpenBLAS kernel
+    # kcl_residual may differ under another OpenBLAS kernel; Haswell is the
+    # one AMD Zen and pre-AVX-512 Intel hosts get
     case = "full_adder_row_111"
     out = json.loads(fresh_python(
         "import json; from conftest import openblas_core; from test_engine_golden import GOLDEN, field_digests; "
         f"tr = GOLDEN[{case!r}][0](); "
         "print(json.dumps([openblas_core(), field_digests(tr), tr.solved_steps, tr.period]))",
-        OPENBLAS_CORETYPE="Sandybridge"))
+        OPENBLAS_CORETYPE=kernel))
     core, digests, solved_steps, period = out
     _, steps, expected = GOLDEN[case]
-    assert core in ("Sandybridge", "unknown")
+    assert core in (kernel, "unknown")
     assert {k: digests[k] for k in ("voltages", "currents", "ots_on")} == {
         k: expected[k] for k in ("voltages", "currents", "ots_on")}, core
     assert (solved_steps, period) == steps, core
@@ -880,6 +910,38 @@ def test_a_perturbed_generated_solve_fails_the_residual_gate(run, monkeypatch):
     monkeypatch.setattr(engine, "_straight_line", perturbed)
     with pytest.raises(SimulationError, match=r"^nodal residual .* exceeds 1e-09 A at step \d+$"):
         run()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_the_gate_derives_the_rhs_each_accepted_solve_received(case, monkeypatch):
+    # the residual gate keeps no record of the RHS: per batch of _CHUNK
+    # samples, `node_rhs` derives its node rows from the solutions, and they
+    # must be the bits of the list the step's accepted solve was given
+    compiled, received = [], []
+
+    class Recorded(engine._Compiled):
+        def __init__(self, *args):
+            super().__init__(*args)
+            compiled.append(self)
+
+    straight_line = engine._straight_line
+
+    def recording(*args):
+        solve = straight_line(*args)
+        return lambda zl: received.append(zl) or solve(zl)
+
+    monkeypatch.setattr(engine, "_Compiled", Recorded)
+    monkeypatch.setattr(engine, "_solves", {})
+    monkeypatch.setattr(engine, "_straight_line", recording)
+    tr = GOLDEN[case][0]()
+    (c,) = compiled
+    # every solve of a step gets that step's list, and the last one is accepted
+    steps = [zl for k, zl in enumerate(received) if k + 1 == len(received) or zl is not received[k + 1]]
+    n = tr.solved_steps
+    assert len(steps) == n
+    derived = np.vstack([c.node_rhs(tr.voltages, lo, min(lo + engine._CHUNK, n)) for lo in range(0, n, engine._CHUNK)])
+    assert derived.tobytes() == np.array(steps)[:, :c.nv + 1].tobytes()
+    assert c.node_rhs(tr.voltages, 0, 0).shape == (0, c.nv + 1)  # the loop raised at step 0
 
 
 def test_a_run_leaves_no_reference_cycle(monkeypatch):

@@ -9,6 +9,7 @@ from otsim.gates import (
     GateKind,
     LogicEncoding,
     build_gate,
+    decode_output,
     evaluate,
     expected_bits,
     gate_arity,
@@ -153,6 +154,22 @@ class TestHarness:
                     caps[el.kind.farads] = caps.get(el.kind.farads, 0) + 1
             assert res == res_expect, f"{kind.value}: resistors {res}"
             assert caps == cap_expect, f"{kind.value}: capacitors {caps}"
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"v_high": 0.0}, "v_high must be positive"),
+        ({"bit_width": 0.0}, "bit_width must be positive and settle non-negative"),
+        ({"bit_width": -1e-6}, "bit_width must be positive and settle non-negative"),
+        ({"settle": -1e-6}, "bit_width must be positive and settle non-negative"),
+    ])
+    def test_encoding_rejects_values_out_of_range(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LogicEncoding(**fields)
+
+    def test_decode_window_outside_the_trace_is_rejected(self):
+        res = evaluate(GateKind.XOR, (1, 0))
+        late = LogicEncoding(settle=float(res.trace.times[-1]) + 1e-6)
+        with pytest.raises(ValueError, match=r"^decode window lies outside the trace$"):
+            decode_output(res.trace, build_gate(GateKind.XOR).outputs[0], late)
 
     @pytest.mark.parametrize("field", ["v_high", "bit_width", "settle"])
     def test_encoding_rejects_non_finite(self, field):

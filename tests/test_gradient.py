@@ -1,5 +1,7 @@
 """Rate-coded gradient estimation and the linear fit."""
 
+import math
+
 import pytest
 
 from otsim.pipeline import GradientSample, fit_linear, gradient_rate, sweep_gradient
@@ -40,6 +42,14 @@ class TestGradientRate:
         r50, r25, r12 = (gradient_rate(delta_c, 0, dt=dt).rate for dt in (50e-9, 25e-9, 12.5e-9))
         assert r50 > r25 > r12 > 0.0
         assert r25 - r12 < r50 - r25
+
+
+class TestGradientSample:
+    @pytest.mark.parametrize("field, values", [("delta_c", (math.nan, 1.0)), ("delta_c", (-1.0, 1.0)),
+                                               ("rate", (10.0, math.nan))])
+    def test_a_value_that_is_not_non_negative_is_rejected(self, field, values):
+        with pytest.raises(ValueError, match=rf"^GradientSample: {field} must be non-negative, got "):
+            GradientSample(*values)
 
 
 class TestFitLinear:

@@ -3,6 +3,8 @@
 The reference detector is checked against an explicit nested-loop brute
 force written here, so the two implementations stay independent."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,20 @@ class TestNetpbm:
         assert isinstance(img, ColorImage)
         assert img.pixels[0, 0].tolist() == [255, 0, 0]
         assert img.pixels[0, 1].tolist() == [0, 0, 255]
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P5", "truncated netpbm header"),
+        (b"P5\n4 4\n", "truncated netpbm header"),
+        (b"P5\n4 4 # a comment\n", "truncated netpbm header"),
+        (b"P5\n4x 4\n255\n", "malformed netpbm header token b'4x'"),
+        (b"P6\n4 -4\n255\n", "malformed netpbm header token b'-4'"),
+        (b"P5\n1 1\n255", "netpbm header must end with a whitespace byte"),
+    ])
+    def test_a_bad_header_is_named(self, data, message, tmp_path):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ImageError, match=f"^{re.escape(message)}$"):
+            load_image(str(path))
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "short.pgm"

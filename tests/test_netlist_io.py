@@ -1,6 +1,7 @@
 """Netlist text format, SI-suffix parsing, and the run configuration."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +129,24 @@ R RD d 0 1k
             parse_netlist(bad)
         assert err.value.line_no == 2
         assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize("line, message", [
+        ("V V1 a 0 dc 1 2", "dc source takes one value"),
+        ("V V1 a 0 dc", "dc source takes one value"),
+        ("V V1 a 0 pwl 0 1 1u", "pwl source takes time/value pairs"),
+        ("V V1 a 0 pwl", "pwl source takes time/value pairs"),
+        ("V V1 a 0 pulse 0 1 0 1u", "pulse takes v_low v_high delay width period [repeat]"),
+        ("V V1 a 0 pulse 0 1 0 1u 2u 3 4", "pulse takes v_low v_high delay width period [repeat]"),
+        ("V V1 a 0 tri 1 1u", "tri takes v_peak t_rise t_fall"),
+        ("V V1 a 0 sine 1 1k", "unknown source mode 'sine'"),
+        ("V V1 a 0", "expected 5..n fields, got 4"),
+        ("R R2 a 0", "expected 5 fields, got 4"),
+        ("R R2 a 0 1k 2k", "expected 5 fields, got 6"),
+    ])
+    def test_a_field_count_error_names_the_line(self, line, message):
+        with pytest.raises(NetlistParseError, match=rf"^line 2: {re.escape(message)}$") as err:
+            parse_netlist(f"R R1 a 0 1k\n{line}\n")
+        assert err.value.line_no == 2
 
     def test_unknown_kind_and_options(self):
         with pytest.raises(NetlistParseError, match="line 1"):

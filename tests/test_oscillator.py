@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from otsim import Triangle, default_params, dynamic_iv
+from otsim import Triangle, default_params, dynamic_iv, rig
 from otsim.device import DT_DEVICE
 from otsim.rig import C_PAR, CHARGE_UP, R_BIAS, R_SERIES, measurement_netlist, rate_sweep, run_oscillator
 
@@ -64,6 +64,14 @@ class TestOscillator:
     def test_residual_bounded_during_switching(self):
         res = run_oscillator(4.0, 100e-6)
         assert res.trace.kcl_residual < 1e-9
+
+    @pytest.mark.parametrize("duration", [CHARGE_UP, 10e-6, -1.0, math.nan])
+    def test_a_run_within_the_charge_up_is_refused_before_it_is_simulated(self, duration, monkeypatch):
+        monkeypatch.setattr(rig, "transient", lambda *args: pytest.fail("simulated"))
+        with pytest.raises(ValueError, match=r"^duration = .* s must exceed CHARGE_UP = 2e-05 s, the charge-up"):
+            run_oscillator(4.0, duration)
+        with pytest.raises(ValueError, match=r"^duration = "):
+            rate_sweep((4.0,), duration)
 
 
 class TestDynamicIV:

@@ -1,5 +1,7 @@
 """Circuit edge-detection pipeline against the software XOR oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,12 @@ class TestXorStream:
     def test_empty(self):
         assert xor_stream_circuit([], []) == []
 
+    @pytest.mark.parametrize("a, b, name", [([0.5, 0], [0, 0], r"bits_a\[0\]"), ([0, 1], [1, 2], r"bits_b\[1\]"),
+                                            ([1, math.nan], [0, 0], r"bits_a\[1\]")])
+    def test_a_value_that_is_not_a_bit_is_rejected(self, a, b, name):
+        with pytest.raises(ValueError, match=rf"^xor_stream_circuit: {name} must be 0 or 1, got "):
+            xor_stream_circuit(a, b)
+
 
 class TestDetectEdges:
     def test_uniform_image_all_zero(self):
@@ -151,6 +159,14 @@ class TestDetectEdges:
 
 
 class TestStreamSettings:
+    @pytest.mark.parametrize("clocks", [2.5, True, np.bool_(True), "8"])
+    def test_segment_clocks_must_be_an_integer(self, clocks):
+        with pytest.raises(ValueError, match=r"^StreamSettings: segment_clocks must be an integer, got "):
+            StreamSettings(segment_clocks=clocks)
+
+    def test_integer_segment_clocks_become_an_int(self):
+        assert type(StreamSettings(segment_clocks=np.int64(8)).segment_clocks) is int
+
     def test_segment_bounds(self):
         with pytest.raises(ValueError):
             StreamSettings(segment_clocks=0)

@@ -136,6 +136,23 @@ def test_array_call_equals_the_scalar_law(case):
         assert float(spec(t)).hex() == w.hex()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: PiecewiseLinear(()), "PWL source needs at least one breakpoint"),
+    (lambda: PiecewiseLinear(((0.0, 1.0), (0.0, 2.0))), "PWL breakpoint times must be strictly increasing"),
+    (lambda: PiecewiseLinear(((0.0, 1.0), (2e-6, 2.0), (1e-6, 0.0))),
+     "PWL breakpoint times must be strictly increasing"),
+    (lambda: Pulse(0.0, 1.0, width=2e-6, period=2e-6), "require 0 < width < period"),
+    (lambda: Pulse(0.0, 1.0, width=3e-6, period=2e-6), "require 0 < width < period"),
+    (lambda: Pulse(0.0, 1.0, width=0.0, period=2e-6), "require 0 < width < period"),
+    (lambda: Triangle(1.0, 0.0, 1e-6), "rise and fall times must be positive"),
+    (lambda: Triangle(1.0, -1e-6, 1e-6), "rise and fall times must be positive"),
+    (lambda: Triangle(1.0, 1e-6, 0.0), "rise and fall times must be positive"),
+])
+def test_a_waveform_out_of_range_names_the_field(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 @pytest.mark.parametrize("repeat", [2.5, 3.0, np.float64(3.0), True, np.True_, "3"])
 def test_pulse_repeat_must_be_an_integer(repeat):
     with pytest.raises(ValueError, match=r"^Pulse: repeat must be None or an integer, got "):
