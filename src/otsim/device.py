@@ -39,18 +39,18 @@ class OtsParams:
 
     def __post_init__(self) -> None:
         require_finite("OtsParams", **{f.name: getattr(self, f.name) for f in fields(self)})
-        if not (self.v_th > self.v_hold > 0.0):
-            raise ValueError(f"require v_th > v_hold > 0, got v_th={self.v_th}, v_hold={self.v_hold}")
-        if self.r_on <= 0.0 or self.g_off < 0.0:
-            raise ValueError("r_on must be positive and g_off non-negative")
+        for name, ok, rule in (("v_hold", self.v_hold > 0.0, "be positive"),
+                               ("v_th", self.v_th > self.v_hold, f"exceed v_hold = {self.v_hold!r}"),
+                               ("r_on", self.r_on > 0.0, "be positive"),
+                               ("g_off", self.g_off >= 0.0, "be non-negative"),
+                               ("i_hold", self.i_hold > 0.0, "be positive"),
+                               ("tau_on", self.tau_on >= 0.0, "be non-negative"),
+                               ("tau_off", self.tau_off >= 0.0, "be non-negative")):
+            if not ok:
+                raise ValueError(f"OtsParams: {name} must {rule}, got {getattr(self, name)!r}")
         if self.r_on * self.g_off >= 1e-3:
-            raise ValueError(
-                f"on/off contrast too small: r_on*g_off = {self.r_on * self.g_off:g} (must be < 1e-3)"
-            )
-        if self.i_hold <= 0.0:
-            raise ValueError("i_hold must be positive")
-        if self.tau_on < 0.0 or self.tau_off < 0.0:
-            raise ValueError("switching delays must be non-negative")
+            raise ValueError(f"OtsParams: r_on*g_off (the on/off contrast) must be below 1e-3, "
+                             f"got {self.r_on * self.g_off:g}")
 
 
 class OtsState(namedtuple("OtsState", "on elapsed")):

@@ -211,8 +211,9 @@ class SpikeTrain:
     window: tuple[float, float]
 
     def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.spike_times, self.spike_times[1:])):
-            raise ValueError("spike times must be strictly increasing")
+        for k, (a, b) in enumerate(zip(self.spike_times, self.spike_times[1:]), 1):
+            if b <= a:
+                raise ValueError(f"SpikeTrain: spike_times[{k}] must exceed spike_times[{k - 1}] = {a!r}, got {b!r}")
 
     @property
     def count(self) -> int:
@@ -690,18 +691,20 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     Raises ValueError naming t_stop and dt unless t_stop is a whole number
     of steps of dt (`whole_steps`), NetlistError for an unknown source name,
     ValueError naming the source if a waveform returns values of another
-    shape, ConvergenceError if the
-    segment iteration does not settle (after _MAX_RESELECTIONS
-    re-selections, a second round accepts an element that rounding keeps
-    flipping across a knee; the error names the cycle of segment sets the
-    iteration ends in), SingularSystemError for defective topologies,
-    and SimulationError if any accepted step violates (or cannot evaluate)
-    the nodal-current residual tolerance _RESIDUAL_TOL; that check runs on
-    each batch of _CHUNK solved samples, and before any other error the
-    loop raises is passed on.  With only `Dc` drives the loop stops once a
-    step leaves the state an earlier one left, and the rest of the run
-    repeats that period; `Trace.solved_steps` counts the samples the loop
-    solved and `Trace.period` is the period (None if it solved them all).
+    shape, ConvergenceError if the segment iteration does not settle within
+    2 * (_MAX_RESELECTIONS + 1) solves plus one per segment-switched
+    element, so that a feed-forward chain that re-selects one stage per
+    solve settles at any length (after _MAX_RESELECTIONS re-selections, the
+    rest accept an element that rounding keeps flipping across a knee; the
+    error names the cycle of segment sets the iteration ends in),
+    SingularSystemError for defective topologies, and SimulationError if
+    any accepted step violates (or cannot evaluate) the nodal-current
+    residual tolerance _RESIDUAL_TOL; that check runs on each batch of
+    _CHUNK solved samples, and before any other error the loop raises is
+    passed on.  With only `Dc` drives the loop stops once a step leaves the
+    state an earlier one left, and the rest of the run repeats that period;
+    `Trace.solved_steps` counts the samples the loop solved and
+    `Trace.period` is the period (None if it solved them all).
 
     A step after an OTS flip starts its segment iteration, budget and
     cycle report included, from the set that the last step from the same
@@ -738,7 +741,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     seen: dict[tuple, int] = {}              # state left by each OTS flip step -> that step
     solves, landing = c.solves, c.landing
     flipped = False                          # whether the previous step flipped an OTS phase
-    budget = range(2 * (_MAX_RESELECTIONS + 1))  # attempts of one step's segment iteration
+    budget = range(2 * (_MAX_RESELECTIONS + 1) + len(select))  # solves of one step's segment iteration
     period = None
 
     try:

@@ -56,10 +56,11 @@ class LogicEncoding:
 
     def __post_init__(self) -> None:
         require_finite("LogicEncoding", v_high=self.v_high, bit_width=self.bit_width, settle=self.settle)
-        if self.v_high <= 0.0:
-            raise ValueError("v_high must be positive")
-        if self.bit_width <= 0.0 or self.settle < 0.0:
-            raise ValueError("bit_width must be positive and settle non-negative")
+        for name, ok, rule in (("v_high", self.v_high > 0.0, "positive"),
+                               ("bit_width", self.bit_width > 0.0, "positive"),
+                               ("settle", self.settle >= 0.0, "non-negative")):
+            if not ok:
+                raise ValueError(f"LogicEncoding: {name} must be {rule}, got {getattr(self, name)!r}")
 
     @property
     def window(self) -> tuple[float, float]:

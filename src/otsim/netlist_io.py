@@ -179,6 +179,8 @@ def _source_text(spec) -> str:
     if isinstance(spec, PiecewiseLinear):
         return "pwl " + " ".join(f"{format_si(t)} {format_si(v)}" for t, v in spec.points)
     if isinstance(spec, Pulse):
+        if spec.bits is not None:
+            raise TypeError("cannot serialize a Pulse with a bit pattern: the pulse line has no field for it")
         parts = [format_si(x) for x in (spec.v_low, spec.v_high, spec.delay, spec.width, spec.period)]
         if spec.repeat is not None:
             parts.append(str(spec.repeat))

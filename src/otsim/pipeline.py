@@ -2,7 +2,8 @@
 estimation.
 
 A binary image and its one-pixel-shifted opponent are flattened row-major
-and streamed as synchronized pulse trains into the XOR gate.  The switch
+and streamed into the XOR gate as synchronized return-to-zero pulse trains:
+`waveforms.Pulse`s gated by the bit sequences (`PulseTrain`).  The switch
 conducts only while the two pulses disagree, so counting conduction bursts
 per clock period recovers the XOR of the two bit streams; capacitive feed-
 through from coincident pulse edges carries no device current and is
@@ -25,7 +26,7 @@ from .device import OtsParams, default_params
 from .engine import Trace, burst_refractory, count_crossings, transient, whole_steps
 from .gates import DT_LOGIC, GateKind, LogicEncoding, build_gate
 from .imaging import BinaryImage, ImageError, ShiftDirection, shift
-from .waveforms import Dc, require_finite
+from .waveforms import Dc, Pulse, require_bits
 
 _BURST_CURRENT = 3e-4  # A, switch current that marks a conduction burst, in streams and gradients
 PULSE_WIDTH = 5e-6     # s, length of a stream's pulse for a 1 bit
@@ -33,30 +34,11 @@ CLOCK_PERIOD = 10e-6   # s, one stream bit per clock period
 GRADIENT_WINDOW = 1e-3  # s, default length of a gradient-rate run
 
 
-@dataclass(frozen=True)
-class PulseTrain:
-    """Return-to-zero pulse encoding of a bit sequence: one CLOCK_PERIOD per
-    bit, pulsing from ground to v_high for PULSE_WIDTH when the bit is 1."""
-
-    bits: tuple[int, ...]
-    v_high: float = LogicEncoding.v_high
-
-    def __post_init__(self) -> None:
-        require_finite("PulseTrain", v_high=self.v_high)
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0/1")
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-
-    @property
-    def duration(self) -> float:
-        return len(self.bits) * CLOCK_PERIOD
-
-    def __call__(self, t: float | np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        k = t // CLOCK_PERIOD
-        # index -1 (before the first bit) and len(bits) (after the last) read the appended 0
-        bit = np.append(self.bits, 0)[np.clip(k, -1, len(self.bits)).astype(np.intp)]
-        return np.where((bit == 1) & ((t - k * CLOCK_PERIOD) < PULSE_WIDTH), self.v_high, 0.0)[()]
+def PulseTrain(bits, v_high: float = LogicEncoding.v_high) -> Pulse:
+    """The stream encoding's constructor: a return-to-zero `Pulse` of a bit
+    sequence, one CLOCK_PERIOD per bit, pulsing from ground to v_high for
+    PULSE_WIDTH when the bit is 1."""
+    return Pulse(0.0, v_high, width=PULSE_WIDTH, period=CLOCK_PERIOD, bits=bits)
 
 
 @dataclass(frozen=True)
@@ -98,7 +80,7 @@ class StreamSettings:
             raise ValueError(f"StreamSettings: segment_clocks must be an integer, got {self.segment_clocks!r}")
         object.__setattr__(self, "segment_clocks", operator.index(self.segment_clocks))
         if not (0 < self.segment_clocks <= 4096):
-            raise ValueError("segment_clocks must be in 1..4096")
+            raise ValueError(f"StreamSettings: segment_clocks must be in 1..4096, got {self.segment_clocks!r}")
 
 
 def _xor_stream(spec_a, spec_b, p: OtsParams, t_stop: float, dt: float) -> Trace:
@@ -123,20 +105,10 @@ def _count_bursts_per_clock(times: np.ndarray, current: np.ndarray,
 def _run_segment(bits_a: tuple[int, ...], bits_b: tuple[int, ...],
                  enc: LogicEncoding, p: OtsParams,
                  settings: StreamSettings) -> list[int]:
-    spec_a = PulseTrain(bits_a, enc.v_high)
-    spec_b = PulseTrain(bits_b, enc.v_high)
-    tr = _xor_stream(spec_a, spec_b, p, spec_a.duration, settings.dt)
+    tr = _xor_stream(PulseTrain(bits_a, enc.v_high), PulseTrain(bits_b, enc.v_high), p,
+                     len(bits_a) * CLOCK_PERIOD, settings.dt)
     counts = _count_bursts_per_clock(tr.times, tr.currents["OTS1"], len(bits_a), settings)
     return [1 if c else 0 for c in counts]
-
-
-def _bits(name: str, bits) -> tuple[int, ...]:
-    """`bits` as ints, or ValueError naming the first entry not 0 or 1."""
-    bits = tuple(bits)
-    for i, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError(f"xor_stream_circuit: {name}[{i}] must be 0 or 1, got {b!r}")
-    return tuple(int(b) for b in bits)
 
 
 def xor_stream_circuit(bits_a, bits_b, enc: LogicEncoding | None = None,
@@ -145,7 +117,8 @@ def xor_stream_circuit(bits_a, bits_b, enc: LogicEncoding | None = None,
     """Bitwise XOR of two equal-length bit sequences, computed by streaming
     them as pulse trains through the XOR circuit and counting conduction
     bursts in each clock period."""
-    bits_a, bits_b = _bits("bits_a", bits_a), _bits("bits_b", bits_b)
+    bits_a = require_bits("xor_stream_circuit", "bits_a", bits_a)
+    bits_b = require_bits("xor_stream_circuit", "bits_b", bits_b)
     if len(bits_a) != len(bits_b):
         raise ValueError(f"input lengths differ: {len(bits_a)} vs {len(bits_b)}")
     if not bits_a:

@@ -1,5 +1,6 @@
-"""Source waveform specifications: DC, piecewise-linear, pulse trains, and
-a single triangular ramp.
+"""Source waveform specifications: DC, piecewise-linear, rectangular pulses
+(free-running, or gated by a bit pattern as the return-to-zero encoding of
+a bit stream), and a single triangular ramp.
 
 Calling a spec on a time, or on an ndarray of times, gives the voltage at
 each: an array of the same shape (a numpy scalar for a float time), or, for
@@ -22,6 +23,16 @@ def require_finite(owner: str, error: type[ValueError] = ValueError, **values: f
     for name, value in values.items():
         if not math.isfinite(value):
             raise error(f"{owner}: {name} must be finite, got {value!r}")
+
+
+def require_bits(owner: str, name: str, bits) -> tuple[int, ...]:
+    """`bits` as a tuple of ints, or ValueError naming the owner and the
+    first entry that is not 0 or 1."""
+    bits = tuple(bits)
+    for i, b in enumerate(bits):
+        if b not in (0, 1):
+            raise ValueError(f"{owner}: {name}[{i}] must be 0 or 1, got {b!r}")
+    return tuple(int(b) for b in bits)
 
 
 @dataclass(frozen=True)
@@ -47,12 +58,13 @@ class PiecewiseLinear:
     def __post_init__(self) -> None:
         pts = tuple((float(t), float(v)) for t, v in self.points)
         if len(pts) < 1:
-            raise ValueError("PWL source needs at least one breakpoint")
+            raise ValueError(f"PiecewiseLinear: points must hold at least one breakpoint, got {self.points!r}")
         for k, (t, v) in enumerate(pts):
             require_finite(f"PWL breakpoint {k}", time=t, volts=v)
         times = tuple(t for t, _ in pts)
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("PWL breakpoint times must be strictly increasing")
+        for k, (a, b) in enumerate(zip(times, times[1:]), 1):
+            if b <= a:
+                raise ValueError(f"PiecewiseLinear: times[{k}] must exceed times[{k - 1}] = {a!r}, got {b!r}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "_times", np.array(times))
         object.__setattr__(self, "_volts", np.array([v for _, v in pts]))
@@ -73,7 +85,9 @@ class PiecewiseLinear:
 class Pulse:
     """Rectangular pulse train: v_high for `width` out of each `period`,
     starting after `delay`, repeated `repeat` times (None = forever; any
-    integer but a bool, stored as an int)."""
+    integer but a bool, stored as an int).  With a bit pattern `bits`, the
+    pulse of period k comes only while bits[k] is 1, and none comes after
+    the last bit: the return-to-zero encoding of a bit stream."""
 
     v_low: float
     v_high: float
@@ -81,18 +95,21 @@ class Pulse:
     width: float = 5e-6
     period: float = 10e-6
     repeat: int | None = None
+    bits: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         require_finite("Pulse", v_low=self.v_low, v_high=self.v_high, delay=self.delay,
                        width=self.width, period=self.period)
         if not (0.0 < self.width < self.period):
-            raise ValueError("require 0 < width < period")
+            raise ValueError(f"Pulse: width must lie in (0, period = {self.period!r}), got {self.width!r}")
         if self.repeat is not None:
             if isinstance(self.repeat, (bool, np.bool_)) or not hasattr(type(self.repeat), "__index__"):
                 raise ValueError(f"Pulse: repeat must be None or an integer, got {self.repeat!r}")
             object.__setattr__(self, "repeat", operator.index(self.repeat))
             if self.repeat < 0:
                 raise ValueError(f"Pulse: repeat must be non-negative, got {self.repeat!r}")
+        if self.bits is not None:
+            object.__setattr__(self, "bits", require_bits("Pulse", "bits", self.bits))
 
     def __call__(self, t: float | np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float) - self.delay
@@ -100,6 +117,8 @@ class Pulse:
         high = (t >= 0.0) & ((t - n * self.period) < self.width)
         if self.repeat is not None:
             high &= n < self.repeat
+        if self.bits is not None:  # a period past the last bit reads the appended 0
+            high &= np.append(self.bits, 0)[np.clip(n, 0, len(self.bits)).astype(np.intp)] == 1
         return np.where(high, self.v_high, self.v_low)[()]
 
 
@@ -113,8 +132,9 @@ class Triangle:
 
     def __post_init__(self) -> None:
         require_finite("Triangle", v_peak=self.v_peak, t_rise=self.t_rise, t_fall=self.t_fall)
-        if self.t_rise <= 0.0 or self.t_fall <= 0.0:
-            raise ValueError("rise and fall times must be positive")
+        for name in ("t_rise", "t_fall"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"Triangle: {name} must be positive, got {getattr(self, name)!r}")
 
     @property
     def duration(self) -> float:

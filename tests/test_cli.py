@@ -362,3 +362,52 @@ class TestConfigPlumbing:
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == EXIT_USAGE
+
+
+class TestInputErrors:
+    def test_a_bad_si_value_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oscillate", "--vin", "4x", "--out", str(tmp_path / "o.csv")])
+        assert exc.value.code == EXIT_USAGE
+        assert "argument --vin: cannot parse quantity '4x'" in capsys.readouterr().err
+
+    def test_an_unreadable_config_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["energy", "--config", str(tmp_path / "missing.cfg")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: cannot read config: ")
+
+    def test_an_unreadable_netlist_is_a_usage_error(self, tmp_path, capsys):
+        rc = main(["iv", "--netlist", str(tmp_path / "missing.cir"), "--out", str(tmp_path / "iv.csv")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: cannot read netlist: ")
+
+    def test_iv_needs_a_netlist_with_one_ots(self, tmp_path, capsys):
+        two = tmp_path / "two.cir"
+        two.write_text("V VIN in 0 dc 0\nOTS O1 in m\nOTS O2 m n\nR RL n 0 1k\n")
+        rc = main(["iv", "--netlist", str(two), "--out", str(tmp_path / "iv.csv")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == "error: dynamic I-V needs exactly one OTS, netlist has 2\n"
+
+    def test_gate_without_json_prints_the_table(self, capsys):
+        assert main(["gate", "--kind", "xor"]) == EXIT_OK
+        out = capsys.readouterr()
+        table = json.loads(out.out)
+        assert table["kind"] == "xor" and table["ok"]
+        assert [row["measured"] for row in table["rows"]] == [[0], [1], [1], [0]]
+        assert out.err == "xor: all rows match\n"
+
+    @pytest.mark.parametrize("sweep", ["a,b", "0:255:0"])
+    def test_an_unparseable_gradient_sweep_is_a_usage_error(self, sweep, tmp_path, capsys):
+        assert main(["gradient", "--sweep", sweep, "--out", str(tmp_path / "g.csv")]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: cannot parse sweep {sweep!r} (use v0:v1:step or a comma list)\n"
+
+    def test_energy_at_a_zero_node_is_a_usage_error(self, capsys):
+        assert main(["energy", "--node", "0"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: target feature size must be positive\n"
+
+    def test_a_simulation_error_exits_1(self, tmp_path, capsys):
+        # inverting comparator self-feedback has no stable segment assignment
+        net = tmp_path / "feedback.cir"
+        net.write_text("V VIN in 0 dc 0\nOTS O1 in m\nR RL m 0 1k\nCMP CMP1 in out out\nR RO out 0 10k\n")
+        rc = main(["iv", "--netlist", str(net), "--rise", "1u", "--out", str(tmp_path / "iv.csv")])
+        assert rc == EXIT_CHECK_FAILED
+        assert capsys.readouterr().err.startswith("simulation error: no stable segment assignment at step ")

@@ -1,6 +1,7 @@
 """Device-model unit tests: conduction law, switching kinetics, defaults."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -189,8 +190,22 @@ class TestParams:
 
     @pytest.mark.parametrize("r_on", [0.0, -100.0])
     def test_non_positive_r_on_rejected(self, r_on):
-        with pytest.raises(ValueError, match=r"^r_on must be positive and g_off non-negative$"):
+        with pytest.raises(ValueError, match=rf"^OtsParams: r_on must be positive, got {r_on!r}$"):
             OtsParams(r_on=r_on)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"v_hold": 0.0}, "v_hold must be positive, got 0.0"),
+        ({"v_th": 1.0}, "v_th must exceed v_hold = 1.0, got 1.0"),
+        ({"v_th": 0.5, "v_hold": 1.0}, "v_th must exceed v_hold = 1.0, got 0.5"),
+        ({"g_off": -1e-9}, "g_off must be non-negative, got -1e-09"),
+        ({"i_hold": 0.0}, "i_hold must be positive, got 0.0"),
+        ({"tau_on": -1e-9}, "tau_on must be non-negative, got -1e-09"),
+        ({"tau_off": -1e-9}, "tau_off must be non-negative, got -1e-09"),
+        ({"r_on": 1e6, "g_off": 1e-3}, "r_on*g_off (the on/off contrast) must be below 1e-3, got 1000"),
+    ])
+    def test_an_out_of_range_field_is_named_with_its_value(self, fields, message):
+        with pytest.raises(ValueError, match=f"^OtsParams: {re.escape(message)}$"):
+            OtsParams(**fields)
 
     @pytest.mark.parametrize("dt", [0.0, -1e-9])
     def test_ots_step_needs_a_positive_dt(self, dt):

@@ -183,6 +183,21 @@ class TestNonlinearElements:
             transient(net, 1e-6, 10e-9)
         assert (err.value.cycle_length, err.value.cycle_elements, err.value.element) == (2, ("CMP1",), "CMP1")
 
+    @pytest.mark.parametrize("stages", [18, 24])
+    def test_a_long_comparator_chain_settles(self, stages):
+        # each solve re-selects one stage, so the step where the ramp
+        # crosses the reference needs a solve per stage; 17 stages were the
+        # most a fixed budget of 18 solves let settle
+        net = Netlist()
+        net.add_source("VIN", "n0", "0", PiecewiseLinear(((0.0, 0.0), (1e-6, 5.0))))
+        net.add_source("VREF", "ref", "0", Dc(2.5))
+        for k in range(1, stages + 1):
+            net.add_comparator(f"CMP{k}", f"n{k - 1}", "ref", f"n{k}")
+            net.add_resistor(f"RL{k}", f"n{k}", "0", 1e3)
+        v = transient(net, 2e-6, 50e-9).voltage(f"n{stages}")
+        assert v[0] == pytest.approx(0.0, abs=1e-9)
+        assert v[-1] == pytest.approx(5.0 * 1e3 / (1e3 + 50.0), rel=1e-12)
+
     def test_ots_leak_path(self):
         p = default_params()
         net = Netlist()
@@ -390,6 +405,17 @@ class TestNonFiniteRejected:
         with pytest.raises(SimulationError, match=r"nodal residual nan A exceeds 1e-09 A at step 50$"):
             transient(net, 1e-6, 10e-9, sources={"VIN": late_nan})
 
+    @pytest.mark.xfail(strict=True, raises=SimulationError,
+                       reason="step 0 pins each capacitor with a companion of 1e6 * C / dt; a node row then "
+                              "holds terms near g_pin * |ic|, whose rounding alone exceeds the absolute "
+                              "1e-9 A bound of the residual gate")
+    def test_a_pinned_capacitor_passes_the_residual_gate_at_step_0(self):
+        net = Netlist()
+        net.add_source("V1", "in", "0", Dc(1.0))
+        net.add_resistor("R1", "in", "a", 1e3)
+        net.add_capacitor("C1", "a", "0", 10e-9, ic=2.5)
+        assert transient(net, 20e-9, 1e-9).voltage("a")[0] == pytest.approx(2.5, abs=1e-6)
+
     def test_residual_failure_stops_within_one_batch(self):
         calls = []
 
@@ -484,8 +510,14 @@ class TestSpikes:
 
     @pytest.mark.parametrize("times", [(1e-6, 1e-6), (2e-6, 1e-6, 3e-6)])
     def test_spike_times_must_increase(self, times):
-        with pytest.raises(ValueError, match=r"^spike times must be strictly increasing$"):
+        with pytest.raises(ValueError, match=r"^SpikeTrain: spike_times\[1\] must exceed spike_times\[0\] = "
+                                             r"[0-9.e-]+, got 1e-06$"):
             SpikeTrain(times, 0.5, (0.0, 1e-5))
+
+    @pytest.mark.parametrize("window", [(1e-5, 1e-5), (2e-5, 1e-5)])
+    def test_firing_rate_needs_a_positive_window(self, window):
+        with pytest.raises(ValueError, match=r"^window length must be positive$"):
+            firing_rate(SpikeTrain((), 0.5, window))
 
     def test_firing_rate_arithmetic(self):
         st = SpikeTrain(tuple(i * 10e-6 for i in range(10)), 1.0, (0.0, 100e-6))

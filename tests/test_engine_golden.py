@@ -83,7 +83,7 @@ def xor_stream_segment():
     by two seeded pulse trains at the stream's dt."""
     rng = np.random.default_rng(13)
     a, b = (pipeline.PulseTrain(tuple(rng.integers(0, 2, 16).tolist())) for _ in range(2))
-    return pipeline._xor_stream(a, b, default_params(), a.duration, 50e-9)
+    return pipeline._xor_stream(a, b, default_params(), len(a.bits) * pipeline.CLOCK_PERIOD, 50e-9)
 
 
 def pulse_ladder():

@@ -1,6 +1,7 @@
 """Truth tables and logic-level properties of the gate circuits."""
 
 import math
+import re
 
 import pytest
 
@@ -156,13 +157,13 @@ class TestHarness:
             assert caps == cap_expect, f"{kind.value}: capacitors {caps}"
 
     @pytest.mark.parametrize("fields, message", [
-        ({"v_high": 0.0}, "v_high must be positive"),
-        ({"bit_width": 0.0}, "bit_width must be positive and settle non-negative"),
-        ({"bit_width": -1e-6}, "bit_width must be positive and settle non-negative"),
-        ({"settle": -1e-6}, "bit_width must be positive and settle non-negative"),
+        ({"v_high": 0.0}, "v_high must be positive, got 0.0"),
+        ({"bit_width": 0.0}, "bit_width must be positive, got 0.0"),
+        ({"bit_width": -1e-6}, "bit_width must be positive, got -1e-06"),
+        ({"settle": -1e-6}, "settle must be non-negative, got -1e-06"),
     ])
     def test_encoding_rejects_values_out_of_range(self, fields, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^LogicEncoding: {re.escape(message)}$"):
             LogicEncoding(**fields)
 
     def test_decode_window_outside_the_trace_is_rejected(self):

@@ -35,6 +35,12 @@ class TestGradientRate:
         with pytest.raises(ValueError):
             gradient_rate(300, 0)
 
+    @pytest.mark.parametrize("window", [50e-6, 10e-6])
+    def test_window_must_exceed_the_settle_interval(self, window):
+        # the default settle is 50 us; nothing is simulated before the check
+        with pytest.raises(ValueError, match=r"^window must exceed the settle interval$"):
+            gradient_rate(255, 0, window=window)
+
     @pytest.mark.parametrize("delta_c", [224, 255])
     def test_rate_converges_as_dt_halves(self, delta_c):
         # backward Euler's time-step error is first order: the rate falls at

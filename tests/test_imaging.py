@@ -74,6 +74,17 @@ class TestNetpbm:
         with pytest.raises(ImageError, match=f"^{re.escape(message)}$"):
             load_image(str(path))
 
+    @pytest.mark.parametrize("data, message", [
+        (b"P", "file too short for a netpbm image"),
+        (b"P5\n0 4\n255\n", "invalid dimensions 0x4"),
+        (b"P6\n4 0\n255\n", "invalid dimensions 4x0"),
+    ])
+    def test_a_short_file_or_a_zero_dimension_is_named(self, data, message, tmp_path):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ImageError, match=f"^{re.escape(message)}$"):
+            load_image(str(path))
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n4 4\n255\n" + b"\x00" * 15)
@@ -157,6 +168,24 @@ class TestGrayscale:
         for y in range(4):
             for x in range(5):
                 assert gray.pixels[y, x] == to_gray(*px[y, x].tolist())
+
+
+class TestRasterShapes:
+    @pytest.mark.parametrize("cls, pixels, message", [
+        (GrayImage, np.zeros((0, 3)), "grayscale image must be a non-empty 2-D array"),
+        (GrayImage, np.zeros(4), "grayscale image must be a non-empty 2-D array"),
+        (GrayImage, np.zeros((2, 2, 3)), "grayscale image must be a non-empty 2-D array"),
+        (ColorImage, np.zeros((0, 2, 3)), "color image must be a non-empty (h, w, 3) array"),
+        (ColorImage, np.zeros((2, 2)), "color image must be a non-empty (h, w, 3) array"),
+        (ColorImage, np.zeros((2, 2, 4)), "color image must be a non-empty (h, w, 3) array"),
+        (BinaryImage, np.zeros((3, 0)), "binary image must be a non-empty 2-D array"),
+        (BinaryImage, np.zeros((1, 2, 2)), "binary image must be a non-empty 2-D array"),
+        (BinaryImage, np.array([[0, 2]]), "binary image entries must be 0 or 1"),
+        (BinaryImage, np.array([[0.5, 1.0]]), "binary image entries must be 0 or 1"),
+    ])
+    def test_an_ill_shaped_or_non_binary_raster_is_refused(self, cls, pixels, message):
+        with pytest.raises(ImageError, match=f"^{re.escape(message)}$"):
+            cls(pixels)
 
 
 class TestBinarize:

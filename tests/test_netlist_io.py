@@ -15,6 +15,7 @@ from otsim.engine import transient
 from otsim.gates import GateKind, build_gate, evaluate
 from otsim.netlist import Capacitor, Diode, Netlist, Ots, Resistor, VoltageSource
 from otsim.netlist_io import NetlistParseError, format_si, netlist_to_text, parse_netlist, parse_si
+from otsim.pipeline import PulseTrain
 from otsim.waveforms import Dc, PiecewiseLinear, Pulse, Triangle
 
 
@@ -201,6 +202,23 @@ R RD d 0 1k
         with pytest.raises(ValueError, match="repeat must be non-negative"):
             Pulse(0.0, 1.0, 0.0, 1e-6, 2e-6, repeat=-3)
 
+    def test_an_option_token_without_equals_is_named(self):
+        with pytest.raises(NetlistParseError, match=r"^line 2: expected key=value, got 'ron'$"):
+            parse_netlist("V V1 a 0 dc 1\nOTS O1 a 0 ron\n")
+
+    @pytest.mark.parametrize("spec, message", [
+        # the pulse line has no field for a bit pattern: writing it as a plain pulse would drop it
+        (PulseTrain((1, 0, 1)), "cannot serialize a Pulse with a bit pattern: the pulse line has no field for it"),
+        (Pulse(0.0, 1.0, bits=()), "cannot serialize a Pulse with a bit pattern: the pulse line has no field for it"),
+        (lambda t: 0.0, "cannot serialize source waveform function"),
+    ])
+    def test_a_waveform_the_text_cannot_hold_is_refused(self, spec, message):
+        net = Netlist()
+        net.add_source("V1", "a", "0", spec)
+        net.add_resistor("R1", "a", "0", 1e3)
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            netlist_to_text(net)
+
 
 # Magnitudes over the whole suffix range and past both ends of it
 _MAG = st.builds(lambda m, e: m * 10.0 ** e,
@@ -340,9 +358,10 @@ class TestRunConfig:
         assert evaluate(GateKind.AND, (1, 1), p=p).detail == (398.0,)
 
     @pytest.mark.parametrize("text, match", [
-        ("v_th = 0.5", r"run\.cfg: v_th = 0\.5: require v_th > v_hold > 0"),
-        ("v_high = -1", r"run\.cfg: v_high = -1\.0: v_high must be positive"),
-        ("segment_clocks = 0", r"run\.cfg: segment_clocks = 0: segment_clocks must be in 1\.\.4096"),
+        ("v_th = 0.5", r"run\.cfg: v_th = 0\.5: OtsParams: v_th must exceed v_hold = 1\.0, got 0\.5$"),
+        ("v_high = -1", r"run\.cfg: v_high = -1\.0: LogicEncoding: v_high must be positive, got -1\.0$"),
+        ("segment_clocks = 0",
+         r"run\.cfg: segment_clocks = 0: StreamSettings: segment_clocks must be in 1\.\.4096, got 0$"),
         ("dt_logic = 0", r"run\.cfg: dt_logic = 0\.0: time steps must be positive"),
         ("settle = 2m", r"run\.cfg: settle = 0\.002: gradient_window must exceed settle"),
         ("exponent = 3", r"run\.cfg: exponent = 3\.0: scaling exponent 3\.0 outside \[1\.6, 2\.1\]"),

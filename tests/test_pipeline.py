@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otsim import Pulse
 from otsim.imaging import BinaryImage, ImageError, reference_edges
 from otsim.pipeline import (
+    CLOCK_PERIOD,
+    PULSE_WIDTH,
     PulseTrain,
     StreamSettings,
     detect_edges,
@@ -25,14 +28,17 @@ class TestPulseTrain:
         assert pt(11e-6) == 0.0
         assert pt(21e-6) == 5.0
         assert pt(31e-6) == 0.0  # past the last bit
-        assert pt.duration == pytest.approx(30e-6)
+
+    def test_is_a_pulse_with_the_bit_pattern(self):
+        assert PulseTrain([1, 0, 1], v_high=4.5) == Pulse(0.0, 4.5, delay=0.0, width=PULSE_WIDTH,
+                                                          period=CLOCK_PERIOD, bits=(1, 0, 1))
 
     def test_invariants(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^Pulse: bits\[0\] must be 0 or 1, got 2$"):
             PulseTrain((2,))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="PulseTrain: v_high must be finite"):
+        with pytest.raises(ValueError, match="^Pulse: v_high must be finite, got nan$"):
             PulseTrain((1, 0), v_high=float("nan"))
 
 
@@ -167,11 +173,10 @@ class TestStreamSettings:
     def test_integer_segment_clocks_become_an_int(self):
         assert type(StreamSettings(segment_clocks=np.int64(8)).segment_clocks) is int
 
-    def test_segment_bounds(self):
-        with pytest.raises(ValueError):
-            StreamSettings(segment_clocks=0)
-        with pytest.raises(ValueError):
-            StreamSettings(segment_clocks=5000)
+    @pytest.mark.parametrize("clocks", [0, 5000])
+    def test_segment_bounds(self, clocks):
+        with pytest.raises(ValueError, match=rf"^StreamSettings: segment_clocks must be in 1\.\.4096, got {clocks}$"):
+            StreamSettings(segment_clocks=clocks)
 
     @pytest.mark.parametrize("dt", [50e-9, 25e-9, 12.5e-9, 10e-9])
     def test_whole_steps_per_pulse_accepted(self, dt):

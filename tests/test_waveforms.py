@@ -6,11 +6,12 @@ before it took arrays: one time in, one Python float out.  The array
 check on random parameters at the times where rounding decides the value:
 exactly on breakpoints, pulse edges and period multiples and one ulp
 either side of them, before the start, past the end and past a pulse's
-``repeat`` limit, and on the engine's own step grids.
+``repeat`` limit or last bit, and on the engine's own step grids.
 """
 
 import bisect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,8 @@ def ref_pulse(spec: Pulse, t: float) -> float:
         return spec.v_low
     n = int(t // spec.period)
     if spec.repeat is not None and n >= spec.repeat:
+        return spec.v_low
+    if spec.bits is not None and (n >= len(spec.bits) or not spec.bits[n]):
         return spec.v_low
     return spec.v_high if (t - n * spec.period) < spec.width else spec.v_low
 
@@ -98,8 +101,10 @@ def pulse_cases(draw):
     period = draw(SPAN)
     spec = Pulse(draw(VOLTS), draw(VOLTS), delay=draw(st.just(0.0) | SPAN),
                  width=draw(st.floats(0.01, 0.99)) * period, period=period,
-                 repeat=draw(st.none() | st.integers(0, 6)))
-    last = (spec.repeat if spec.repeat is not None else 6) + 2
+                 repeat=draw(st.none() | st.integers(0, 6)),
+                 bits=draw(st.none() | st.lists(st.integers(0, 1), max_size=8).map(tuple)))
+    limits = [n for n in (spec.repeat, None if spec.bits is None else len(spec.bits)) if n is not None]
+    last = min(limits, default=6) + 2  # past the last pulse
     marks = [spec.delay + k * period + e for k in range(last) for e in (0.0, spec.width)]
     marks += [k * period for k in range(last)]
     return spec, ref_pulse, draw(times_for(marks, spec.delay + last * period))
@@ -137,19 +142,22 @@ def test_array_call_equals_the_scalar_law(case):
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: PiecewiseLinear(()), "PWL source needs at least one breakpoint"),
-    (lambda: PiecewiseLinear(((0.0, 1.0), (0.0, 2.0))), "PWL breakpoint times must be strictly increasing"),
+    (lambda: PiecewiseLinear(()), "PiecewiseLinear: points must hold at least one breakpoint, got ()"),
+    (lambda: PiecewiseLinear(((0.0, 1.0), (0.0, 2.0))),
+     "PiecewiseLinear: times[1] must exceed times[0] = 0.0, got 0.0"),
     (lambda: PiecewiseLinear(((0.0, 1.0), (2e-6, 2.0), (1e-6, 0.0))),
-     "PWL breakpoint times must be strictly increasing"),
-    (lambda: Pulse(0.0, 1.0, width=2e-6, period=2e-6), "require 0 < width < period"),
-    (lambda: Pulse(0.0, 1.0, width=3e-6, period=2e-6), "require 0 < width < period"),
-    (lambda: Pulse(0.0, 1.0, width=0.0, period=2e-6), "require 0 < width < period"),
-    (lambda: Triangle(1.0, 0.0, 1e-6), "rise and fall times must be positive"),
-    (lambda: Triangle(1.0, -1e-6, 1e-6), "rise and fall times must be positive"),
-    (lambda: Triangle(1.0, 1e-6, 0.0), "rise and fall times must be positive"),
+     "PiecewiseLinear: times[2] must exceed times[1] = 2e-06, got 1e-06"),
+    (lambda: Pulse(0.0, 1.0, width=2e-6, period=2e-6), "Pulse: width must lie in (0, period = 2e-06), got 2e-06"),
+    (lambda: Pulse(0.0, 1.0, width=3e-6, period=2e-6), "Pulse: width must lie in (0, period = 2e-06), got 3e-06"),
+    (lambda: Pulse(0.0, 1.0, width=0.0, period=2e-6), "Pulse: width must lie in (0, period = 2e-06), got 0.0"),
+    (lambda: Pulse(0.0, 1.0, bits=(2,)), "Pulse: bits[0] must be 0 or 1, got 2"),
+    (lambda: Pulse(0.0, 1.0, bits=[1, 0, 0.5]), "Pulse: bits[2] must be 0 or 1, got 0.5"),
+    (lambda: Triangle(1.0, 0.0, 1e-6), "Triangle: t_rise must be positive, got 0.0"),
+    (lambda: Triangle(1.0, -1e-6, 1e-6), "Triangle: t_rise must be positive, got -1e-06"),
+    (lambda: Triangle(1.0, 1e-6, 0.0), "Triangle: t_fall must be positive, got 0.0"),
 ])
 def test_a_waveform_out_of_range_names_the_field(make, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
 
 
@@ -163,3 +171,9 @@ def test_pulse_repeat_must_be_an_integer(repeat):
 def test_pulse_repeat_is_stored_as_an_int(repeat):
     spec = Pulse(0.0, 1.0, repeat=repeat)
     assert type(spec.repeat) is int and spec.repeat == repeat
+
+
+def test_pulse_bits_are_stored_as_a_tuple_of_ints():
+    spec = Pulse(0.0, 1.0, bits=[1, np.int64(0), True, 0.0])
+    assert spec.bits == (1, 0, 1, 0) and all(type(b) is int for b in spec.bits)
+    assert spec == Pulse(0.0, 1.0, bits=(1, 0, 1, 0))
