@@ -6,9 +6,9 @@ is the one of the type or function the setting feeds."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
-from .device import DT_DEVICE, OtsParams, default_params
+from .device import DT_DEVICE, OtsParams
 from .energy import ScalingLaw
 from .engine import whole_steps
 from .gates import DT_LOGIC, LogicEncoding
@@ -19,14 +19,14 @@ from .pipeline import GRADIENT_WINDOW, StreamSettings
 
 @dataclass(frozen=True)
 class RunConfig:
-    # device parameter overrides (None = calibrated default)
-    v_th: float | None = None
-    v_hold: float | None = None
-    r_on: float | None = None
-    g_off: float | None = None
-    i_hold: float | None = None
-    tau_on: float | None = None
-    tau_off: float | None = None
+    # device parameters
+    v_th: float = OtsParams.v_th
+    v_hold: float = OtsParams.v_hold
+    r_on: float = OtsParams.r_on
+    g_off: float = OtsParams.g_off
+    i_hold: float = OtsParams.i_hold
+    tau_on: float = OtsParams.tau_on
+    tau_off: float = OtsParams.tau_off
     # solver
     dt_device: float = DT_DEVICE   # device-physics runs (I-V, oscillator)
     dt_logic: float = DT_LOGIC     # logic and pipeline runs
@@ -75,8 +75,7 @@ class RunConfig:
                 raise ValueError(f"{name} ({span:g} s) is not a whole number of steps of dt_logic")
 
     def device_params(self) -> OtsParams:
-        overrides = {k: getattr(self, k) for k in _OTS_KEYS if getattr(self, k) is not None}
-        return replace(default_params(), **overrides) if overrides else default_params()
+        return OtsParams(**{k: getattr(self, k) for k in _OTS_KEYS})
 
     def encoding(self) -> LogicEncoding:
         return LogicEncoding(v_high=self.v_high, bit_width=self.bit_width, settle=self.settle)
@@ -99,7 +98,7 @@ def load_config(path: str) -> RunConfig:
 
 
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-_TYPE_PARSERS = {"float": parse_si, "float | None": parse_si, "int": int, "bool": lambda v: _BOOLS[v.lower()]}
+_TYPE_PARSERS = {"float": parse_si, "int": int, "bool": lambda v: _BOOLS[v.lower()]}
 _KEY_TYPES = {f.name: f.type for f in fields(RunConfig)}  # annotations, as strings
 
 
@@ -117,7 +116,7 @@ def parse_setting(line: str, origin: str) -> tuple[str, object]:
     try:
         return key, parse(raw)
     except (KeyError, ValueError):
-        raise ConfigError(f"{origin}: {key} expects {kind.removesuffix(' | None')}, got {raw!r}") from None
+        raise ConfigError(f"{origin}: {key} expects {kind}, got {raw!r}") from None
 
 
 def parse_config(text: str, origin: str = "<config>") -> RunConfig:

@@ -94,15 +94,6 @@ def ots_currents(p: OtsParams, on: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where(on, np.copysign(np.maximum(0.0, np.abs(v) - p.v_hold), v) / p.r_on, p.g_off * v)
 
 
-def ots_hold_bound(p: OtsParams, s: OtsState) -> float:
-    """A bound b such that `ots_step(p, s, v, dt)` returns `s` itself
-    whenever abs(v) < b and dt > 0: v_th for a switch that is off with no
-    transition pending, and 0.0 (no voltage) for any other state.  A NaN or
-    infinite v is never below it, so it still reaches `ots_step`, which
-    rejects it."""
-    return p.v_th if s == OFF_STATE else 0.0
-
-
 def ots_step(p: OtsParams, s: OtsState, v: float, dt: float) -> OtsState:
     """Advance the switching state by dt under applied voltage v.
 
@@ -110,7 +101,8 @@ def ots_step(p: OtsParams, s: OtsState, v: float, dt: float) -> OtsState:
     accumulates elapsed time while it holds; the phase flips once elapsed
     reaches the corresponding delay.  If the condition lapses the pending
     transition is cancelled.  With a zero delay the flip completes within
-    the same step.
+    the same step.  A state with no transition pending comes back as
+    `OFF_STATE` or `ON_STATE` itself.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
@@ -123,14 +115,14 @@ def ots_step(p: OtsParams, s: OtsState, v: float, dt: float) -> OtsState:
             if elapsed >= p.tau_on:
                 return ON_STATE
             return OtsState(False, elapsed)
-        return OFF_STATE if s.elapsed else s
+        return OFF_STATE
 
     if abs(ots_current(p, s, v)) < p.i_hold:
         elapsed = s.elapsed + dt
         if elapsed >= p.tau_off:
             return OFF_STATE
         return OtsState(True, elapsed)
-    return ON_STATE if s.elapsed else s
+    return ON_STATE
 
 
 def default_params(**overrides: float) -> OtsParams:

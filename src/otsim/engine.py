@@ -13,17 +13,20 @@ element back and forth, is accepted).  The system matrix depends only on the seg
 choice and on whether it is step 0, whose capacitor companions are stiffer,
 so every later step reuses the solve of its segment set.
 
-Each run has three phases.  A compile phase (``_Compiled``) turns the
-netlist into index arrays and plain tuples once: terminal indices into an
-extended solution vector whose entry 0 is ground, per-kind parameters,
-capacitor stamps and OTS slots.  The step loop then works on those tuples
-and on floats in lists only: it solves, advances the integrator and OTS
-states, and records per sample only its solution and its segment set's id.
-Its fixed cost per step is kept small: ``Dc`` drives are read once per run
-into the RHS list every step starts from, and every other drive is called
-once per batch of _CHUNK steps, on the array of that batch's sample times,
-so a step reads its value from a list; and an OTS whose state ``ots_step``
-would return unchanged (``device.ots_hold_bound``) is not stepped.
+Each run has three phases.  A compile phase (``_Compiled``) makes one pass
+over the netlist and keeps only what the step loop and the residual gate
+read: the matrix stamps, the RHS every step starts from, the varying
+drives, the capacitor companions, the segment-selection and stamp tables
+and the OTS slots, all addressed by terminal indices into an extended
+solution vector whose entry 0 is ground.  The step loop then works on those
+tuples and on floats in lists only: it solves, advances the integrator and
+OTS states, and records per sample only its solution and its segment set's
+id.  Its fixed cost per step is kept small: ``Dc`` drives are read once per
+run into the RHS list every step starts from, and every other drive is
+called once per batch of _CHUNK steps, on the array of that batch's sample
+times, so a step reads its value from a list; and an OTS whose state is
+``OFF_STATE`` itself, below its threshold, is not stepped, since
+``ots_step`` would return ``OFF_STATE`` again.
 
 Every solve, step 0's included, runs a Python function generated from the
 segment set's LU factors (``_straight_line``, after Gustavson's
@@ -71,10 +74,10 @@ raises, the samples it solved are checked first, so a residual failure at
 an earlier step still wins.  The drives are sampled over the same batches,
 when a batch's first step starts, so no drive is called for times beyond
 the batch being solved.  Every element current is computed for all samples
-at once after the loop, one array per element: a source current is a view
-of its column of the solution record, resistor and capacitor currents come
-from the solution, and the others from the solution and the recorded
-segment sets.
+at once after the loop, one array per element, in netlist order and from
+the element's own parameters: a source current is a view of its column of
+the solution record, resistor and capacitor currents come from the
+solution, and the others from the solution and the recorded segment sets.
 
 When every drive is a ``Dc``, the state a step leaves fixes every later
 step: the bits of its solution (hence the capacitor voltages), the segment
@@ -103,7 +106,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import DT_DEVICE, OFF_STATE, ots_currents, ots_hold_bound, ots_step
+from .device import DT_DEVICE, OFF_STATE, ots_currents, ots_step
 from .netlist import Capacitor, Comparator, Diode, Netlist, NetlistError, Ots, Resistor, VoltageSource
 from .waveforms import Dc, SourceSpec, Triangle, require_finite
 
@@ -152,11 +155,6 @@ _SEG_REV = 2        # diode breakdown / OTS negative branch
 _SEG_DEAD = 3       # OTS on-phase dead zone |v| < v_hold
 _CMP_LOW = 0
 _CMP_HIGH = 1
-
-# Kinds of segment-switched elements in the compiled tables.
-_DIODE = 0
-_OTS = 1
-_CMP = 2
 
 
 @dataclass
@@ -224,7 +222,7 @@ def firing_rate(st: SpikeTrain) -> float:
     """Spike count divided by the observation window length, in hertz."""
     t0, t1 = st.window
     if t1 <= t0:
-        raise ValueError("window length must be positive")
+        raise ValueError(f"firing_rate: window must be of positive length, got {st.window!r}")
     return st.count / (t1 - t0)
 
 
@@ -254,7 +252,7 @@ def extract_spikes(tr: Trace, node: str | int, threshold: float, refractory: flo
                    window: tuple[float, float] | None = None) -> SpikeTrain:
     """One spike per upward threshold crossing of a node voltage."""
     if refractory < 2.0 * tr.dt:
-        raise ValueError(f"refractory must be at least 2*dt = {2 * tr.dt:g} s")
+        raise ValueError(f"extract_spikes: refractory must be at least 2*dt = {2 * tr.dt:g} s, got {refractory!r}")
     v = tr.voltage(node)
     t = tr.times
     if window is None:
@@ -388,7 +386,9 @@ def _stamp(mat: np.ndarray, a: int, b: int, g: float) -> None:
 
 
 class _Compiled:
-    """One netlist at one dt, reduced to index arrays and plain tuples.
+    """One netlist at one dt, reduced to the index arrays and plain tuples
+    the step loop and the residual gate read; the element currents after
+    the loop are read from the netlist's elements themselves (`currents`).
 
     Terminal indices address the extended solution vector ``xe``: entry 0
     is ground (always 0.0), entries 1..nv the node voltages and entries
@@ -405,115 +405,90 @@ class _Compiled:
         nn = net.node_count
         self.nv = nv = nn - 1
         els = net.elements
-        src = [el for el in els if isinstance(el.kind, VoltageSource)]
-        self.n = n = nv + len(src)
+        known = {el.name for el in els if isinstance(el.kind, VoltageSource)}
+        self.n = n = nv + len(known)
         overrides = dict(sources) if sources else {}
-        known = {el.name for el in src}
         for name in overrides:
             if name not in known:
                 raise NetlistError(f"no voltage source named {name!r}")
-        self.source_names = [el.name for el in src]
-        # (xe row, waveform) of every source
-        self.drives = [(nn + j, overrides.get(el.name, el.kind.spec)) for j, el in enumerate(src)]
 
+        # One pass in element order.  Sources, resistors and capacitors stamp
+        # the matrix; a source's drive is read once into the RHS every step
+        # starts from if it is a Dc, and sampled per batch otherwise.
+        # Segment selection: (a, b, upper knee, lower knee, segment between
+        # the knees); v = xe[a] - xe[b] above the upper knee selects _SEG_FWD
+        # (_CMP_HIGH for a comparator), below the lower one _SEG_REV.  An OTS
+        # has one entry per phase, the off one with knees at +-inf.  Stamps:
+        # segment -> (a, b, g, g * offset), or None for no stamp.
         g_ext = np.zeros((n + 1, n + 1))
-        self.res: list[tuple[str, int, int, float]] = []     # (name, a, b, ohms)
-        self.caps: list[tuple[int, int, float]] = []         # (a, b, farads / dt)
-        self.cap_ic: list[float] = []
-        self.cap_names: list[str] = []
+        self.base = base = [0.0] * (n + 1)
+        self.varying: list[tuple] = []                       # (name, row, waveform) of every other drive
+        self.caps: list[tuple[int, int, float, float]] = []  # (a, b, farads / dt, initial volts)
+        self.select: list[tuple] = []
+        self.stamps: list[dict[int, tuple | None]] = []
+        # per OTS slot: (n+, n-, params, position, off and on selection entries)
+        self.ots: list[tuple] = []
         r = nn  # xe row of the next source
         for el in els:
-            k = el.kind
-            a, b = el.terminals[0], el.terminals[1]
+            k, t = el.kind, el.terminals
+            a, b = t[0], t[1]
             if isinstance(k, VoltageSource):
                 g_ext[a, r] += 1.0
                 g_ext[r, a] += 1.0
                 g_ext[b, r] -= 1.0
                 g_ext[r, b] -= 1.0
+                spec = overrides.get(el.name, k.spec)
+                if type(spec) is Dc:
+                    base[r] = float(spec(0.0))
+                else:
+                    self.varying.append((el.name, r, spec))
                 r += 1
             elif isinstance(k, Resistor):
                 _stamp(g_ext, a, b, 1.0 / k.ohms)
-                self.res.append((el.name, a, b, k.ohms))
             elif isinstance(k, Capacitor):
                 g = k.farads / dt
                 _stamp(g_ext, a, b, g)
-                self.caps.append((a, b, g))
-                self.cap_ic.append(k.ic)
-                self.cap_names.append(el.name)
+                self.caps.append((a, b, g, k.ic))
+            elif isinstance(k, Diode):
+                g = 1.0 / k.r_series
+                self.select.append((a, b, k.v_f, -k.v_z, _SEG_OFF))
+                self.stamps.append({_SEG_OFF: None,
+                                    _SEG_FWD: (a, b, g, g * -k.v_f),
+                                    _SEG_REV: (a, b, g, g * k.v_z)})
+            elif isinstance(k, Ots):
+                p = k.params
+                g = 1.0 / p.r_on
+                off = (a, b, math.inf, -math.inf, _SEG_OFF)
+                self.ots.append((a, b, p, len(self.select), off, (a, b, p.v_hold, -p.v_hold, _SEG_DEAD)))
+                self.select.append(off)
+                self.stamps.append({_SEG_OFF: (a, b, p.g_off, p.g_off * 0.0),
+                                    _SEG_DEAD: None,
+                                    _SEG_FWD: (a, b, g, g * -p.v_hold),
+                                    _SEG_REV: (a, b, g, g * p.v_hold)})
+            else:
+                # the output drive is a conductance to ground carrying g*e
+                g = 1.0 / k.r_out
+                self.select.append((a, b, 0.0, -math.inf, _CMP_LOW))
+                self.stamps.append({_CMP_HIGH: (t[2], 0, g, g * -k.v_out_high),
+                                    _CMP_LOW: (t[2], 0, g, g * -k.v_out_low)})
         self.g_ext = g_ext
 
         # Step 0 pins every capacitor branch to its initial voltage with a
         # companion stiffened by _PIN (the extra (_PIN - 1) * g conductance
-        # is stamped on a zero matrix first, as its own sum).
+        # is stamped on a zero matrix first, as its own sum), and starts from
+        # the pinned history.
         g_extra = np.zeros((n + 1, n + 1))
-        for a, b, g in self.caps:
-            _stamp(g_extra, a, b, (_PIN - 1.0) * g)
-        self.g_pin_ext = g_ext + g_extra
-        self.cap_g_pin = [_PIN * g for _, _, g in self.caps]
-
-        # The RHS every step starts from holds the Dc drives, read once per run,
-        # and at step 0 the pinned history; drives write only source rows.
-        self.base = base = [0.0] * (n + 1)
-        self.varying: list[tuple] = []                       # (name, row, waveform) of every other drive
-        for name, (row, spec) in zip(self.source_names, self.drives):
-            if type(spec) is Dc:
-                base[row] = float(spec(0.0))
-            else:
-                self.varying.append((name, row, spec))
         self.base_pin = base_pin = base.copy()
-        for (a, b, _), g, v in zip(self.caps, self.cap_g_pin, self.cap_ic):
-            hist = g * v
+        for a, b, g, ic in self.caps:
+            _stamp(g_extra, a, b, (_PIN - 1.0) * g)
+            hist = (_PIN * g) * ic
             base_pin[a] += hist
             base_pin[b] -= hist
-
-        # Segment selection: (a, b, upper knee, lower knee, segment between
-        # the knees); v = xe[a] - xe[b] above the upper knee selects _SEG_FWD
-        # (_CMP_HIGH for a comparator), below the lower one _SEG_REV.  An OTS
-        # has one entry per phase, the off one with knees at +-inf.  Current
-        # law: (kind, a, b, p, q, r) as diode (anode, cathode, v_f, v_z,
-        # r_series), OTS (n+, n-, params, -, -), comparator (out, -,
-        # v_out_high, v_out_low, r_out).  Stamps: segment -> (a, b, g,
-        # g * offset), or None for no stamp.
-        dyn = [el for el in els if isinstance(el.kind, (Diode, Ots, Comparator))]
-        self.dyn_names = [el.name for el in dyn]
-        self.select: list[tuple] = []
-        self.laws: list[tuple] = []
-        self.stamps: list[dict[int, tuple | None]] = []
-        # per OTS slot: (n+, n-, params, position, off and on selection entries)
-        self.ots: list[tuple] = []
-        for el in dyn:
-            k = el.kind
-            t = el.terminals
-            if isinstance(k, Diode):
-                g = 1.0 / k.r_series
-                self.select.append((t[0], t[1], k.v_f, -k.v_z, _SEG_OFF))
-                self.laws.append((_DIODE, t[0], t[1], k.v_f, k.v_z, k.r_series))
-                self.stamps.append({_SEG_OFF: None,
-                                    _SEG_FWD: (t[0], t[1], g, g * -k.v_f),
-                                    _SEG_REV: (t[0], t[1], g, g * k.v_z)})
-            elif isinstance(k, Ots):
-                p = k.params
-                g = 1.0 / p.r_on
-                off = (t[0], t[1], math.inf, -math.inf, _SEG_OFF)
-                self.select.append(off)
-                self.laws.append((_OTS, t[0], t[1], p, None, None))
-                self.stamps.append({_SEG_OFF: (t[0], t[1], p.g_off, p.g_off * 0.0),
-                                    _SEG_DEAD: None,
-                                    _SEG_FWD: (t[0], t[1], g, g * -p.v_hold),
-                                    _SEG_REV: (t[0], t[1], g, g * p.v_hold)})
-                self.ots.append((t[0], t[1], p, len(self.laws) - 1, off,
-                                 (t[0], t[1], p.v_hold, -p.v_hold, _SEG_DEAD)))
-            else:
-                # the output drive is a conductance to ground carrying g*e
-                g = 1.0 / k.r_out
-                self.select.append((t[0], t[1], 0.0, -math.inf, _CMP_LOW))
-                self.laws.append((_CMP, t[2], 0, k.v_out_high, k.v_out_low, k.r_out))
-                self.stamps.append({_CMP_HIGH: (t[2], 0, g, g * -k.v_out_high),
-                                    _CMP_LOW: (t[2], 0, g, g * -k.v_out_low)})
+        self.g_pin_ext = g_ext + g_extra
 
         # the generated solves read only the rows of zl any step writes: the
         # source rows and the capacitor terminals
-        self.rhs_rows = tuple(sorted({row for row, _ in self.drives} | {i for cap in self.caps for i in cap[:2]} - {0}))
+        self.rhs_rows = tuple(sorted({*range(nn, n + 1)} | {i for cap in self.caps for i in cap[:2]} - {0}))
 
         # per-run memos keyed by segment set: the solves after step 0, and for
         # each post-flip start set the set the last step from it accepted
@@ -568,8 +543,8 @@ class _Compiled:
         bad = rows[0] if rows.size else int(np.argmin(np.abs(mat).sum(axis=1)))
         if bad < self.nv:
             raise SingularSystemError(self.net.node_names[bad + 1])
-        source = self.source_names[bad - self.nv]
-        raise SingularSystemError(self.net.node_names[self.net.element(source).terminals[0]], source)
+        source = [el for el in self.net.elements if isinstance(el.kind, VoltageSource)][bad - self.nv]
+        raise SingularSystemError(self.net.node_names[source.terminals[0]], source.name)
 
     def node_rhs(self, sol: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Rows 0..nv of the RHS samples lo..hi-1 were solved with: step 0's
@@ -579,7 +554,7 @@ class _Compiled:
         z = np.zeros((hi - lo, self.nv + 1))
         z[:first - lo] = self.base_pin[:self.nv + 1]
         x, later = sol[first - 1:max(hi, first) - 1], z[first - lo:]
-        for a, b, g in self.caps:
+        for a, b, g, _ in self.caps:
             hist = g * (x[:, a] - x[:, b])
             later[:, a] += hist
             later[:, b] -= hist
@@ -590,7 +565,7 @@ class _Compiled:
         (at most _CHUNK of them), z the `node_rhs` plus the set's dynamic RHS,
         one batched product per segment set, or SimulationError naming the
         first sample whose residual is above _RESIDUAL_TOL or not a number."""
-        res = np.zeros(hi - lo)
+        worst = np.zeros(hi - lo)
         if self.nv:
             z = self.node_rhs(sol, lo, hi)
             ids = set_id[lo:hi]
@@ -599,33 +574,44 @@ class _Compiled:
                 _, mat, zd = self.sets[sid]
                 x = sol[lo + rows, 1:]
                 r = np.matmul(np.broadcast_to(mat, (len(rows), *mat.shape)), x[:, :, None])[:, :self.nv, 0]
-                res[rows] = np.max(np.abs(r - (z[rows, 1:] + zd[:self.nv])), axis=1)
-        bad = np.flatnonzero(~(res <= _RESIDUAL_TOL))
+                worst[rows] = np.max(np.abs(r - (z[rows, 1:] + zd[:self.nv])), axis=1)
+        bad = np.flatnonzero(~(worst <= _RESIDUAL_TOL))
         if bad.size:
             k = int(bad[0])
-            raise SimulationError(f"nodal residual {float(res[k]):.3g} A exceeds {_RESIDUAL_TOL:g} A at step {lo + k}")
-        return float(res.max(initial=0.0))
+            raise SimulationError(f"nodal residual {float(worst[k]):.3g} A exceeds {_RESIDUAL_TOL:g} A at step {lo + k}")
+        return float(worst.max(initial=0.0))
 
-    def currents(self, sol: np.ndarray, segs: np.ndarray) -> dict[str, np.ndarray]:
-        """Every element current over all samples, by element name, from the
-        segment sets `segs` they were solved with; a source current is a view
+    def currents(self, sol: np.ndarray, segs: np.ndarray, dt: float) -> dict[str, np.ndarray]:
+        """Every element current over all samples, by element name in
+        netlist order, from each element's own parameters and the segment
+        sets `segs` the samples were solved with; a source current is a view
         of its column of `sol`."""
-        cur = {name: sol[:, row] for name, (row, _) in zip(self.source_names, self.drives)}
-        for name, (kind, a, b, p, q, r), seg in zip(self.dyn_names, self.laws, segs.T):
-            if kind == _DIODE:
-                v = sol[:, a] - sol[:, b]
-                cur[name] = np.where(seg == _SEG_FWD, (v - p) / r, np.where(seg == _SEG_REV, (v + q) / r, 0.0))
-            elif kind == _OTS:
-                cur[name] = ots_currents(p, seg != _SEG_OFF, sol[:, a] - sol[:, b])
+        cur = {}
+        row = self.net.node_count  # xe row of the next source
+        seg = iter(segs.T)         # segment column of the next segment-switched element
+        for el in self.net.elements:
+            k, t = el.kind, el.terminals
+            if isinstance(k, VoltageSource):
+                i = sol[:, row]
+                row += 1
+            elif isinstance(k, Comparator):
+                i = (np.where(next(seg) == _CMP_HIGH, k.v_out_high, k.v_out_low) - sol[:, t[2]]) / k.r_out
             else:
-                cur[name] = (np.where(seg == _CMP_HIGH, p, q) - sol[:, a]) / r
-        for name, a, b, ohms in self.res:
-            cur[name] = (sol[:, a] - sol[:, b]) / ohms
-        # sample 0 is solved with the pinned companion of _PIN times the conductance
-        for name, (a, b, g), g_pin, ic in zip(self.cap_names, self.caps, self.cap_g_pin, self.cap_ic):
-            v = sol[:, a] - sol[:, b]
-            cur[name] = i = g * np.diff(v, prepend=ic)
-            i[0] = g_pin * (v[0] - ic)
+                v = sol[:, t[0]] - sol[:, t[1]]
+                if isinstance(k, Resistor):
+                    i = v / k.ohms
+                elif isinstance(k, Capacitor):
+                    # sample 0 is solved with the pinned companion of _PIN times the conductance
+                    g = k.farads / dt
+                    i = g * np.diff(v, prepend=k.ic)
+                    i[0] = (_PIN * g) * (v[0] - k.ic)
+                elif isinstance(k, Diode):
+                    sk = next(seg)
+                    i = np.where(sk == _SEG_FWD, (v - k.v_f) / k.r_series,
+                                 np.where(sk == _SEG_REV, (v + k.v_z) / k.r_series, 0.0))
+                else:
+                    i = ots_currents(k.params, next(seg) != _SEG_OFF, v)
+            cur[el.name] = i
         return cur
 
 
@@ -650,12 +636,13 @@ def _cycle_error(c: _Compiled, seq: list[tuple[int, ...]], step: int, t: float) 
     """The error for a step whose segment iteration did not settle: `seq`
     holds the segment sets it solved, in order, and the one it selected
     last; names the cycle of sets it ends in."""
-    flips = [name for name, a, b in zip(c.dyn_names, seq[-2], seq[-1]) if a != b]
+    names = [el.name for el in c.net.elements if isinstance(el.kind, (Diode, Ots, Comparator))]
+    flips = [name for name, a, b in zip(names, seq[-2], seq[-1]) if a != b]
     last = flips[-1] if flips else ""
     if seq[-1] not in seq[:-1]:
         return ConvergenceError(step, t, last)
     cycle = seq[len(seq) - 2 - seq[-2::-1].index(seq[-1]):-1]
-    changing = tuple(name for col, name in enumerate(c.dyn_names) if len({s[col] for s in cycle}) > 1)
+    changing = tuple(name for col, name in enumerate(names) if len({s[col] for s in cycle}) > 1)
     return ConvergenceError(step, t, last, len(cycle), changing)
 
 
@@ -714,11 +701,12 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     before it, nor, but for `Trace.kcl_residual`, on the host's BLAS.
     """
     require_finite("transient", t_stop=t_stop, dt=dt)
-    if dt <= 0.0 or t_stop < dt:
-        raise ValueError("require 0 < dt <= t_stop")
+    if dt <= 0.0:
+        raise ValueError(f"transient: dt must be positive, got {dt!r}")
+    if t_stop < dt:
+        raise ValueError(f"transient: t_stop must be at least dt = {dt!r}, got {t_stop!r}")
     c = _Compiled(net, dt, sources)
     states = [OFF_STATE] * len(c.ots)
-    hold = [ots_hold_bound(p, OFF_STATE) for _, _, p, *_ in c.ots]
 
     n_steps = whole_steps(t_stop, dt)
     if n_steps is None:
@@ -752,7 +740,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
             for row, col in batch:
                 zl[row] = col[step - checked]
             if step:  # backward-Euler history from the previous solution
-                for a, b, g in caps:
+                for a, b, g, _ in caps:
                     hist = g * (xe[a] - xe[b])
                     zl[a] += hist
                     zl[b] -= hist
@@ -793,16 +781,16 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
             if step and ots:  # step 0 only establishes the initial operating point
                 for slot, (a, b, p, pos, off_entry, on_entry) in enumerate(ots):
                     v = xe[a] - xe[b]
-                    if abs(v) < hold[slot]:  # ots_step would return the state it was given
+                    s = states[slot]
+                    if s is OFF_STATE and abs(v) < p.v_th:  # ots_step would return OFF_STATE
                         continue
-                    st = ots_step(p, states[slot], v, dt)
-                    if st != states[slot]:
+                    st = ots_step(p, s, v, dt)
+                    if st != s:
                         unchanged = False
-                        if st.on != states[slot].on:
+                        if st.on != s.on:
                             select[pos] = on_entry if st.on else off_entry
                             flipped = True
                         states[slot] = st
-                        hold[slot] = ots_hold_bound(p, st)
                 if flipped:
                     segments = _select(select, xe)
 
@@ -844,14 +832,13 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     positions = [pos for _, _, _, pos, *_ in ots]
     on = segs[1:, positions] != _SEG_OFF
     ots_on = np.vstack((on, [on[-period] if period else [s.on for s in states]]))
-    currents = c.currents(sol, segs)
     return Trace(
         dt=dt,
         times=times,
         node_names=net.node_names,
         voltages=sol[:, : net.node_count],
-        currents={el.name: currents[el.name] for el in net.elements},
-        ots_on={c.dyn_names[pos]: ots_on[:, slot] for slot, pos in enumerate(positions)},
+        currents=c.currents(sol, segs, dt),
+        ots_on={el.name: ots_on[:, slot] for slot, el in enumerate(net.ots_elements())},
         kcl_residual=kcl_residual,
         solved_steps=solved,
         period=period,

@@ -72,9 +72,10 @@ class StreamSettings:
 
     def __post_init__(self) -> None:
         if not (0.0 < self.dt < PULSE_WIDTH):
-            raise ValueError(f"dt must be positive and below the pulse width {PULSE_WIDTH:g} s, got {self.dt!r}")
+            raise ValueError(f"StreamSettings: dt must be positive and below the pulse width {PULSE_WIDTH:g} s, "
+                             f"got {self.dt!r}")
         if any(whole_steps(span, self.dt) is None for span in (PULSE_WIDTH, CLOCK_PERIOD)):
-            raise ValueError(f"dt must divide the pulse width {PULSE_WIDTH:g} s and the clock period "
+            raise ValueError(f"StreamSettings: dt must divide the pulse width {PULSE_WIDTH:g} s and the clock period "
                              f"{CLOCK_PERIOD:g} s, got {self.dt!r}")
         if isinstance(self.segment_clocks, (bool, np.bool_)) or not hasattr(type(self.segment_clocks), "__index__"):
             raise ValueError(f"StreamSettings: segment_clocks must be an integer, got {self.segment_clocks!r}")
@@ -176,12 +177,12 @@ def gradient_rate(c_a: float, c_b: float, window: float = GRADIENT_WINDOW,
     sustained analog levels v_high*(c/255); the rate encodes the contrast
     difference.  Bursts are counted from `enc.settle` to the end of the
     window."""
-    for c in (c_a, c_b):
+    for name, c in (("c_a", c_a), ("c_b", c_b)):
         if not (0 <= c <= 255):
-            raise ValueError(f"contrast {c} outside [0, 255]")
+            raise ValueError(f"gradient_rate: {name} must be in [0, 255], got {c!r}")
     enc = enc or LogicEncoding()
     if window <= enc.settle:
-        raise ValueError("window must exceed the settle interval")
+        raise ValueError(f"gradient_rate: window must exceed the settle interval {enc.settle!r} s, got {window!r}")
     p = p or default_params()
     tr = _xor_stream(Dc(enc.v_high * c_a / 255.0), Dc(enc.v_high * c_b / 255.0), p, window, dt)
     mask = tr.times >= enc.settle

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otsim.device import (OFF_STATE, ON_STATE, OtsParams, OtsState, default_params, ots_current,
-                          ots_hold_bound, ots_step)
+from otsim.device import OFF_STATE, ON_STATE, OtsParams, OtsState, default_params, ots_current, ots_step
 
 
 def make_params(**kw):
@@ -149,26 +148,40 @@ def voltages(v_th):
     return st.one_of(st.floats(), st.sampled_from(edges + [math.nan, math.inf, -math.inf]))
 
 
-class TestHoldBound:
+class TestIdleOffState:
+    """The step loop skips `ots_step` for a switch whose state is
+    `OFF_STATE` itself while |v| < v_th; these are the facts that rule
+    rests on."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=valid_params(), data=st.data(),
+           dt=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_off_state_stays_itself_exactly_below_the_threshold(self, p, data, dt):
+        v = data.draw(voltages(p.v_th))
+        if not math.isfinite(v):
+            with pytest.raises(ValueError):
+                ots_step(p, OFF_STATE, v, dt)
+            return
+        assert (ots_step(p, OFF_STATE, v, dt) is OFF_STATE) == (abs(v) < p.v_th)
+
     @settings(max_examples=300, deadline=None)
     @given(p=valid_params(), s=states(), data=st.data(),
            dt=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
-    def test_below_the_bound_ots_step_returns_its_state(self, p, s, data, dt):
+    def test_every_idle_state_returned_is_the_shared_one(self, p, s, data, dt):
         v = data.draw(voltages(p.v_th))
-        keeps = abs(v) < ots_hold_bound(p, s)
         try:
             out = ots_step(p, s, v, dt)
         except ValueError:
-            assert not keeps
+            assert not math.isfinite(v)
             return
-        if keeps:
-            assert out is s
+        if not out.elapsed:
+            assert out is (ON_STATE if out.on else OFF_STATE)
 
-    def test_bound_is_the_threshold_only_when_off_and_idle(self):
+    def test_an_equal_off_state_comes_back_as_the_shared_one(self):
         p = make_params()
-        assert ots_hold_bound(p, OFF_STATE) == ots_hold_bound(p, OtsState()) == p.v_th
-        for s in (ON_STATE, OtsState(False, 1e-9), OtsState(True, 1e-9)):
-            assert ots_hold_bound(p, s) == 0.0
+        idle = OtsState(False, 0.0)
+        assert idle == OFF_STATE and idle is not OFF_STATE
+        assert ots_step(p, idle, 0.5 * p.v_th, 1e-9) is OFF_STATE
 
 
 class TestParams:

@@ -22,6 +22,7 @@ from otsim import (
     firing_rate,
     transient,
 )
+from otsim.device import OtsState, ots_current
 from otsim.engine import SpikeTrain, count_crossings
 from otsim.netlist import Capacitor, Comparator, Diode, Resistor
 from otsim.gates import GateKind, truth_table
@@ -209,6 +210,55 @@ class TestNonlinearElements:
         assert tr.currents["OTS1"][-1] == pytest.approx(1.0 * p.g_off, rel=1e-3)
 
 
+class TestElementCurrents:
+    """`Trace.currents` follows the netlist's element order, and each current
+    is its element's law evaluated on the recorded voltages."""
+
+    def test_currents_follow_the_element_order_and_laws(self):
+        p = default_params()
+        net = Netlist()
+        net.add_source("V1", "in", "0", PiecewiseLinear(((0.0, 0.0), (1e-6, 6.0), (2e-6, 6.0), (3e-6, -6.0),
+                                                         (4e-6, 0.0))))
+        net.add_capacitor("C1", "a", "0", 100e-12, ic=0.2)
+        net.add_diode("D1", "in", "a", v_z=2.0)
+        net.add_resistor("R1", "a", "0", 1e3)
+        net.add_ots("OTS1", "a", "b", p)
+        net.add_comparator("CMP1", "b", "ref", "out")
+        net.add_source("V2", "ref", "0", Dc(0.3))
+        net.add_resistor("R2", "b", "0", 500.0)
+        net.add_resistor("R3", "out", "0", 1e3)
+        net.add_resistor("R4", "ref", "0", 1e3)
+        dt = 10e-9
+        tr = transient(net, 4e-6, dt)
+        assert list(tr.currents) == [el.name for el in net.elements]
+
+        def v(name):
+            a, b = net.element(name).terminals[:2]
+            return tr.voltages[:, a] - tr.voltages[:, b]
+
+        expect = {}
+        vd = v("D1")
+        assert (vd > 0.7).any() and (vd < -2.0).any()  # both conducting segments are exercised
+        expect["D1"] = np.where(vd > 0.7, vd - 0.7, np.where(vd < -2.0, vd + 2.0, 0.0))  # r_series = 1
+        # a sample is solved in the phase the step before it left; sample 0 is off
+        on = np.concatenate(([False], tr.ots_on["OTS1"][:-1]))
+        assert on.any() and not on.all()
+        expect["OTS1"] = [ots_current(p, OtsState(bool(o)), float(x)) for o, x in zip(on, v("OTS1"))]
+        high = tr.voltage("b") > tr.voltage("ref")
+        assert high.any() and not high.all()
+        expect["CMP1"] = (np.where(high, 5.0, 0.0) - tr.voltage("out")) / 50.0
+        vc = v("C1")
+        g = 100e-12 / dt
+        expect["C1"] = np.concatenate(([engine._PIN * g * (vc[0] - 0.2)], g * np.diff(vc)))
+        for name, ohms in (("R1", 1e3), ("R2", 500.0), ("R3", 1e3), ("R4", 1e3)):
+            expect[name] = v(name) / ohms
+        # the source currents close KCL at their nodes; comparator inputs draw none
+        expect["V1"] = -expect["D1"]
+        expect["V2"] = -expect["R4"]
+        for name, want in expect.items():
+            np.testing.assert_allclose(tr.currents[name], want, rtol=1e-9, atol=1e-12, err_msg=name)
+
+
 class TestValidation:
     def test_floating_node_rejected(self):
         net = Netlist()
@@ -228,9 +278,11 @@ class TestValidation:
             transient(net, 1e-6, 10e-9)
 
     def test_bad_timestep(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^transient: dt must be positive, got -1e-08$"):
+            transient(rc_lowpass(), 1e-6, -10e-9)
+        with pytest.raises(ValueError, match=r"^transient: dt must be positive, got 0\.0$"):
             transient(rc_lowpass(), 1e-6, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^transient: t_stop must be at least dt = 1e-08, got 1e-09$"):
             transient(rc_lowpass(), 1e-9, 10e-9)
 
     @pytest.mark.parametrize("t_stop", [1.06e-6, 1.04e-6])
@@ -516,7 +568,8 @@ class TestSpikes:
 
     @pytest.mark.parametrize("window", [(1e-5, 1e-5), (2e-5, 1e-5)])
     def test_firing_rate_needs_a_positive_window(self, window):
-        with pytest.raises(ValueError, match=r"^window length must be positive$"):
+        with pytest.raises(ValueError, match=rf"^firing_rate: window must be of positive length, "
+                                             rf"got \({window[0]!r}, {window[1]!r}\)$"):
             firing_rate(SpikeTrain((), 0.5, window))
 
     def test_firing_rate_arithmetic(self):
@@ -525,7 +578,7 @@ class TestSpikes:
 
     def test_refractory_requires_two_samples(self):
         tr = transient(rc_lowpass(), 1e-6, 10e-9)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^extract_spikes: refractory must be at least 2\*dt = 2e-08 s, got 1e-09$"):
             extract_spikes(tr, "out", 0.5, 1e-9)
 
     def test_refractory_merges_close_events(self):

@@ -31,14 +31,16 @@ class TestGradientRate:
         rates = [gradient_rate(d, 0, window=400e-6).rate for d in (160, 200, 240)]
         assert rates[0] < rates[1] < rates[2]
 
-    def test_contrast_range_checked(self):
-        with pytest.raises(ValueError):
-            gradient_rate(300, 0)
+    @pytest.mark.parametrize("c_a, c_b, name, value", [(300, 0, "c_a", 300), (0, -1.5, "c_b", -1.5)])
+    def test_contrast_range_checked(self, c_a, c_b, name, value):
+        with pytest.raises(ValueError, match=rf"^gradient_rate: {name} must be in \[0, 255\], got {value!r}$"):
+            gradient_rate(c_a, c_b)
 
     @pytest.mark.parametrize("window", [50e-6, 10e-6])
     def test_window_must_exceed_the_settle_interval(self, window):
         # the default settle is 50 us; nothing is simulated before the check
-        with pytest.raises(ValueError, match=r"^window must exceed the settle interval$"):
+        with pytest.raises(ValueError, match=rf"^gradient_rate: window must exceed the settle interval 5e-05 s, "
+                                             rf"got {window!r}$"):
             gradient_rate(255, 0, window=window)
 
     @pytest.mark.parametrize("delta_c", [224, 255])

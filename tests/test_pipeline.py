@@ -183,5 +183,12 @@ class TestStreamSettings:
         assert StreamSettings(dt=dt).dt == dt
 
     def test_step_off_the_pulse_grid_rejected(self):
-        with pytest.raises(ValueError, match=r"^dt must divide the pulse width 5e-06 s and the clock period 1e-05 s, got 3e-08$"):
+        with pytest.raises(ValueError, match=r"^StreamSettings: dt must divide the pulse width 5e-06 s and "
+                                             r"the clock period 1e-05 s, got 3e-08$"):
             StreamSettings(dt=30e-9)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-8, 5e-6, math.nan])
+    def test_step_outside_the_pulse_rejected(self, dt):
+        with pytest.raises(ValueError, match=rf"^StreamSettings: dt must be positive and below the pulse width "
+                                             rf"5e-06 s, got {dt!r}$"):
+            StreamSettings(dt=dt)
