@@ -21,7 +21,7 @@ import numpy as np
 from . import circuits as circuit_files
 from .config import ConfigError, RunConfig, load_config, parse_setting
 from .energy import table1_report
-from .engine import SimulationError, dynamic_iv, whole_steps
+from .engine import SimulationError, dynamic_iv, step_count
 from .gates import GateKind, build_gate, evaluate, gate_arity, truth_table
 from .imaging import ColorImage, ImageError, binarize, color_to_gray, load_image, otsu_threshold, reference_edges, save_pgm
 from .netlist import NetlistError
@@ -35,8 +35,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-class CliError(Exception):
-    """Input or usage problem; maps to exit code 2."""
+class CliError(ValueError):
+    """Input or usage problem; maps to exit code 2.  A ValueError, so that
+    the shared input rules (`engine.step_count`) can raise it."""
 
 
 def _si(text: str) -> float:
@@ -44,15 +45,6 @@ def _si(text: str) -> float:
         return parse_si(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _check_dt(key: str, dt: float, t_stop: float, what: str) -> None:
-    """Refuse a time step that does not fit in the run it steps, or a run
-    that is not a whole number of such steps."""
-    if dt > t_stop:
-        raise CliError(f"{key} = {dt!r}: longer than {what} ({t_stop:g} s)")
-    if whole_steps(t_stop, dt) is None:
-        raise CliError(f"{what} ({t_stop:g} s) is not a whole number of steps of {key} = {dt!r}")
 
 
 def _build_config(args) -> RunConfig:
@@ -92,7 +84,7 @@ def cmd_iv(args) -> int:
         if value <= 0.0:
             raise CliError(f"{flag} must be positive, got {value!r}")
     ramp = Triangle(args.peak, args.rise, fall)
-    _check_dt("dt_device", cfg.dt_device, ramp.duration, "the ramp (--rise plus --fall)")
+    step_count("otsim iv", "the ramp (--rise plus --fall)", ramp.duration, "dt_device", cfg.dt_device, CliError)
     pts = dynamic_iv(net, ramp, ots[0].name, dt=cfg.dt_device)
     _write_csv(args.out, "v,i", pts)
     print(f"wrote {len(pts)} (v, i) samples to {args.out}")
@@ -105,7 +97,7 @@ def cmd_oscillate(args) -> int:
     if not args.duration > CHARGE_UP:
         raise CliError(f"--duration ({args.duration:g} s) must exceed the {format_si(CHARGE_UP)}s charge-up "
                        "interval skipped before spikes are counted")
-    _check_dt("dt_device", cfg.dt_device, args.duration, "--duration")
+    step_count("otsim oscillate", "--duration", args.duration, "dt_device", cfg.dt_device, CliError)
     if args.sweep:
         try:
             v0, v1, steps = args.sweep.split(":")

@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 
 from .device import DT_DEVICE, OtsParams
 from .energy import ScalingLaw
-from .engine import whole_steps
+from .engine import step_count
 from .gates import DT_LOGIC, LogicEncoding
 from .imaging import BINARIZE_THRESHOLD, check_threshold
 from .netlist_io import parse_si
@@ -48,9 +48,12 @@ class RunConfig:
         for keys, derive in (
             (_OTS_KEYS, self.device_params),
             (("v_high", "bit_width", "settle"), self.encoding),
-            (("dt_device", "dt_logic", "gradient_window", "settle", "bit_width"), self._check_times),
+            (("dt_device", "dt_logic", "gradient_window", "settle"), self._check_times),
             (("segment_clocks", "dt_logic"), self.stream_settings),
-            (("dt_logic", "settle", "bit_width", "gradient_window"), self._check_grid),
+            (("dt_logic", "settle", "bit_width"), lambda: step_count(
+                "RunConfig", "settle + bit_width", self.settle + self.bit_width, "dt_logic", self.dt_logic)),
+            (("dt_logic", "gradient_window"), lambda: step_count(
+                "RunConfig", "gradient_window", self.gradient_window, "dt_logic", self.dt_logic)),
             (("binarize_threshold",), lambda: check_threshold(self.binarize_threshold)),
             (("exponent",), lambda: ScalingLaw(self.exponent)),
         ):
@@ -65,14 +68,6 @@ class RunConfig:
             raise ValueError("time steps must be positive and finite")
         if self.gradient_window <= self.settle:
             raise ValueError("gradient_window must exceed settle")
-        if self.dt_logic > min(self.settle + self.bit_width, self.gradient_window):
-            raise ValueError(f"dt_logic is longer than settle + bit_width ({self.settle + self.bit_width:g} s) "
-                             f"or gradient_window ({self.gradient_window:g} s)")
-
-    def _check_grid(self) -> None:
-        for name, span in (("settle + bit_width", self.settle + self.bit_width), ("gradient_window", self.gradient_window)):
-            if whole_steps(span, self.dt_logic) is None:
-                raise ValueError(f"{name} ({span:g} s) is not a whole number of steps of dt_logic")
 
     def device_params(self) -> OtsParams:
         return OtsParams(**{k: getattr(self, k) for k in _OTS_KEYS})

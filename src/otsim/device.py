@@ -62,7 +62,7 @@ class OtsState(namedtuple("OtsState", "on elapsed")):
 
     def __new__(cls, on: bool = False, elapsed: float = 0.0) -> OtsState:
         if not elapsed >= 0.0:
-            raise ValueError(f"elapsed must be non-negative, got {elapsed!r}")
+            raise ValueError(f"OtsState: elapsed must be non-negative, got {elapsed!r}")
         return super().__new__(cls, on, elapsed)
 
     @classmethod
@@ -81,7 +81,7 @@ def ots_current(p: OtsParams, s: OtsState, v: float) -> float:
     holding voltage, odd in v, zero inside the |v| < v_hold dead zone.
     """
     if not math.isfinite(v):
-        raise ValueError(f"non-finite device voltage: {v!r}")
+        raise ValueError(f"ots_current: v must be finite, got {v!r}")
     if not s.on:
         return p.g_off * v
     return math.copysign(max(0.0, abs(v) - p.v_hold), v) / p.r_on
@@ -105,9 +105,9 @@ def ots_step(p: OtsParams, s: OtsState, v: float, dt: float) -> OtsState:
     `OFF_STATE` or `ON_STATE` itself.
     """
     if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+        raise ValueError(f"ots_step: dt must be positive, got {dt!r}")
     if not math.isfinite(v):
-        raise ValueError(f"non-finite device voltage: {v!r}")
+        raise ValueError(f"ots_step: v must be finite, got {v!r}")
 
     if not s.on:
         if abs(v) >= p.v_th:

@@ -275,13 +275,21 @@ _SOLVES_MAX = 1024       # generated solves kept across runs; the dict is cleare
 _solves: dict[tuple[bytes, bool, tuple[int, ...]], object] = {}
 
 
-def whole_steps(span: float, dt: float) -> int | None:
-    """The number of steps of dt that make up span, or None if span is not
-    a whole number of them to a relative tolerance of 1e-9 (so that, say,
+def step_count(owner: str, span_name: str, span: float, dt_name: str, dt: float,
+               error: type[ValueError] = ValueError) -> int:
+    """The number of steps of dt that make up span.  Raises `error` in the
+    ``Owner: field must ..., got value`` form, naming both fields, unless
+    both are finite, dt is positive, span is at least dt and span is a whole
+    number of steps to a relative tolerance of 1e-9 (so that, say,
     5e-6 / 50e-9 = 100.00000000000001 is 100 steps)."""
+    require_finite(owner, error, **{span_name: span, dt_name: dt})
+    if dt <= 0.0:
+        raise error(f"{owner}: {dt_name} must be positive, got {dt!r}")
+    if span < dt:
+        raise error(f"{owner}: {span_name} must be at least {dt_name} = {dt!r}, got {span!r}")
     steps = span / dt
     if not (math.isfinite(steps) and math.isclose(steps, round(steps), rel_tol=1e-9)):
-        return None
+        raise error(f"{owner}: {span_name} must be a whole number of steps of {dt_name} = {dt!r}, got {span!r}")
     return round(steps)
 
 
@@ -675,10 +683,16 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     all of them.  A `Dc` is called once per run; any other waveform once per
     batch of _CHUNK sample times, as the loop reaches the batch.
 
-    Raises ValueError naming t_stop and dt unless t_stop is a whole number
-    of steps of dt (`whole_steps`), NetlistError for an unknown source name,
-    ValueError naming the source if a waveform returns values of another
-    shape, ConvergenceError if the segment iteration does not settle within
+    The run takes the steps of dt that make up t_stop, under the one
+    time-grid rule of `step_count`: both finite, dt positive, and t_stop at
+    least dt and a whole number of steps of it (to a relative tolerance of
+    1e-9).  Any other pair raises ValueError naming both fields, as in
+    ``transient: t_stop must be a whole number of steps of dt = 1e-07, got
+    1.06e-06``.
+
+    Raises NetlistError for an unknown source name, ValueError naming the
+    source if a waveform returns values of another shape,
+    ConvergenceError if the segment iteration does not settle within
     2 * (_MAX_RESELECTIONS + 1) solves plus one per segment-switched
     element, so that a feed-forward chain that re-selects one stage per
     solve settles at any length (after _MAX_RESELECTIONS re-selections, the
@@ -700,17 +714,9 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     system has the same bytes, so a run's bits do not depend on the runs
     before it, nor, but for `Trace.kcl_residual`, on the host's BLAS.
     """
-    require_finite("transient", t_stop=t_stop, dt=dt)
-    if dt <= 0.0:
-        raise ValueError(f"transient: dt must be positive, got {dt!r}")
-    if t_stop < dt:
-        raise ValueError(f"transient: t_stop must be at least dt = {dt!r}, got {t_stop!r}")
+    n_steps = step_count("transient", "t_stop", t_stop, "dt", dt)
     c = _Compiled(net, dt, sources)
     states = [OFF_STATE] * len(c.ots)
-
-    n_steps = whole_steps(t_stop, dt)
-    if n_steps is None:
-        raise ValueError(f"t_stop = {t_stop!r} s is not a whole number of steps of dt = {dt!r} s")
     times = np.arange(n_steps + 1) * dt
     n = c.n
     sol = np.zeros((n_steps + 1, n + 1))     # extended solution per sample, column 0 is ground
@@ -815,11 +821,9 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                     period = step - j
                     break
                 prev = xe
-    except Exception:
-        c.residual_gate(sol, set_id, checked, solved)
-        raise
+    finally:  # the solved samples not yet checked, before any error the loop raised
+        kcl_residual = max(kcl_residual, c.residual_gate(sol, set_id, checked, solved))
 
-    kcl_residual = max(kcl_residual, c.residual_gate(sol, set_id, checked, solved))
     if period:
         # later samples repeat the last `period` solved ones
         for a in (sol, set_id):

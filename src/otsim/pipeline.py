@@ -17,16 +17,15 @@ clock periods so no pixel pair ever straddles a reset.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .device import OtsParams, default_params
-from .engine import Trace, burst_refractory, count_crossings, transient, whole_steps
+from .engine import Trace, burst_refractory, count_crossings, step_count, transient
 from .gates import DT_LOGIC, GateKind, LogicEncoding, build_gate
 from .imaging import BinaryImage, ImageError, ShiftDirection, shift
-from .waveforms import Dc, Pulse, require_bits
+from .waveforms import Dc, Pulse, require_bits, require_int
 
 _BURST_CURRENT = 3e-4  # A, switch current that marks a conduction burst, in streams and gradients
 PULSE_WIDTH = 5e-6     # s, length of a stream's pulse for a 1 bit
@@ -74,12 +73,9 @@ class StreamSettings:
         if not (0.0 < self.dt < PULSE_WIDTH):
             raise ValueError(f"StreamSettings: dt must be positive and below the pulse width {PULSE_WIDTH:g} s, "
                              f"got {self.dt!r}")
-        if any(whole_steps(span, self.dt) is None for span in (PULSE_WIDTH, CLOCK_PERIOD)):
-            raise ValueError(f"StreamSettings: dt must divide the pulse width {PULSE_WIDTH:g} s and the clock period "
-                             f"{CLOCK_PERIOD:g} s, got {self.dt!r}")
-        if isinstance(self.segment_clocks, (bool, np.bool_)) or not hasattr(type(self.segment_clocks), "__index__"):
-            raise ValueError(f"StreamSettings: segment_clocks must be an integer, got {self.segment_clocks!r}")
-        object.__setattr__(self, "segment_clocks", operator.index(self.segment_clocks))
+        for name, span in (("PULSE_WIDTH", PULSE_WIDTH), ("CLOCK_PERIOD", CLOCK_PERIOD)):
+            step_count("StreamSettings", name, span, "dt", self.dt)
+        object.__setattr__(self, "segment_clocks", require_int("StreamSettings", "segment_clocks", self.segment_clocks))
         if not (0 < self.segment_clocks <= 4096):
             raise ValueError(f"StreamSettings: segment_clocks must be in 1..4096, got {self.segment_clocks!r}")
 

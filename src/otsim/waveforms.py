@@ -25,6 +25,14 @@ def require_finite(owner: str, error: type[ValueError] = ValueError, **values: f
             raise error(f"{owner}: {name} must be finite, got {value!r}")
 
 
+def require_int(owner: str, name: str, value) -> int:
+    """`value` as an int, or ValueError naming the owner and the field if it
+    is not an integer (has no ``__index__``) or is a bool."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{owner}: {name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def require_bits(owner: str, name: str, bits) -> tuple[int, ...]:
     """`bits` as a tuple of ints, or ValueError naming the owner and the
     first entry that is not 0 or 1."""
@@ -103,9 +111,7 @@ class Pulse:
         if not (0.0 < self.width < self.period):
             raise ValueError(f"Pulse: width must lie in (0, period = {self.period!r}), got {self.width!r}")
         if self.repeat is not None:
-            if isinstance(self.repeat, (bool, np.bool_)) or not hasattr(type(self.repeat), "__index__"):
-                raise ValueError(f"Pulse: repeat must be None or an integer, got {self.repeat!r}")
-            object.__setattr__(self, "repeat", operator.index(self.repeat))
+            object.__setattr__(self, "repeat", require_int("Pulse", "repeat", self.repeat))
             if self.repeat < 0:
                 raise ValueError(f"Pulse: repeat must be non-negative, got {self.repeat!r}")
         if self.bits is not None:

@@ -175,29 +175,29 @@ class TestGradientCmd:
 
 
 class TestTimeStepFitsTheRun:
-    @pytest.mark.parametrize("argv, key", [
-        (["iv", "--set", "dt_device=1m"], "dt_device"),
-        (["oscillate", "--set", "dt_device=1m"], "dt_device"),
-        (["gate", "--kind", "and", "--set", "dt_logic=1m"], "dt_logic"),
-        (["gradient", "--set", "dt_logic=2m"], "dt_logic"),
-        (["edge", "--in", "{pgm}", "--set", "dt_logic=1"], "dt_logic"),
-        (["edge", "--in", "{pgm}", "--set", "dt_logic=10u"], "dt_logic"),  # fits the run, not a 5 us pulse
+    @pytest.mark.parametrize("argv, prefix", [
+        (["iv", "--set", "dt_device=1m"], "otsim iv: the ramp (--rise plus --fall) must be at least dt_device = "),
+        (["oscillate", "--set", "dt_device=1m"], "otsim oscillate: --duration must be at least dt_device = "),
+        (["gate", "--kind", "and", "--set", "dt_logic=1m"], "dt_logic = "),
+        (["gradient", "--set", "dt_logic=2m"], "dt_logic = "),
+        (["edge", "--in", "{pgm}", "--set", "dt_logic=1"], "dt_logic = "),
+        (["edge", "--in", "{pgm}", "--set", "dt_logic=10u"], "dt_logic = "),  # fits the run, not a 5 us pulse
     ], ids=["iv", "oscillate", "gate", "gradient", "edge", "edge_pulse"])
-    def test_step_longer_than_the_run_is_a_usage_error(self, argv, key, uniform_pgm, tmp_path, capsys):
+    def test_step_longer_than_the_run_is_a_usage_error(self, argv, prefix, uniform_pgm, tmp_path, capsys):
         argv = [a.format(pgm=uniform_pgm) for a in argv]
         if argv[0] != "gate":
             argv = argv + ["--out", str(tmp_path / "out.csv")]
         assert main(argv) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith(f"error: {key} = ")
+        assert capsys.readouterr().err.startswith(f"error: {prefix}")
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("argv, what", [
-        (["oscillate", "--duration", "100.005u"], "--duration"),
-        (["iv", "--rise", "10.005u", "--fall", "10u"], "the ramp (--rise plus --fall)"),
+        (["oscillate", "--duration", "100.005u"], "otsim oscillate: --duration"),
+        (["iv", "--rise", "10.005u", "--fall", "10u"], "otsim iv: the ramp (--rise plus --fall)"),
     ], ids=["oscillate", "iv"])
     def test_run_off_the_step_grid_is_a_usage_error(self, argv, what, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith(f"error: {what} (")
+        assert capsys.readouterr().err.startswith(f"error: {what} must be a whole number of steps of dt_device = 1e-08, got ")
         assert not (tmp_path / "out.csv").exists()
 
 

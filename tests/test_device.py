@@ -222,8 +222,20 @@ class TestParams:
 
     @pytest.mark.parametrize("dt", [0.0, -1e-9])
     def test_ots_step_needs_a_positive_dt(self, dt):
-        with pytest.raises(ValueError, match=rf"^dt must be positive, got {dt!r}$"):
+        with pytest.raises(ValueError, match=rf"^ots_step: dt must be positive, got {dt!r}$"):
             ots_step(default_params(), OFF_STATE, 1.0, dt)
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_voltage_is_named_by_its_owner(self, v):
+        with pytest.raises(ValueError, match=rf"^ots_step: v must be finite, got {v!r}$"):
+            ots_step(default_params(), OFF_STATE, v, 1e-9)
+        with pytest.raises(ValueError, match=rf"^ots_current: v must be finite, got {v!r}$"):
+            ots_current(default_params(), ON_STATE, v)
+
+    @pytest.mark.parametrize("elapsed", [-1e-09, math.nan])
+    def test_a_negative_elapsed_is_named_by_its_owner(self, elapsed):
+        with pytest.raises(ValueError, match=rf"^OtsState: elapsed must be non-negative, got {elapsed!r}$"):
+            OtsState(True, elapsed)
 
     def test_non_finite_params_rejected(self):
         with pytest.raises(ValueError, match="r_on must be finite"):

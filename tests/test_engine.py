@@ -1,10 +1,13 @@
 """Transient-engine validation: analytic circuits, element laws, errors."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from otsim import (
     ConvergenceError,
@@ -23,9 +26,12 @@ from otsim import (
     transient,
 )
 from otsim.device import OtsState, ots_current
-from otsim.engine import SpikeTrain, count_crossings
+from otsim.cli import EXIT_USAGE, main
+from otsim.config import RunConfig
+from otsim.engine import SpikeTrain, count_crossings, step_count
 from otsim.netlist import Capacitor, Comparator, Diode, Resistor
 from otsim.gates import GateKind, truth_table
+from otsim.pipeline import PULSE_WIDTH, StreamSettings
 from otsim.rig import measurement_netlist
 
 
@@ -288,7 +294,8 @@ class TestValidation:
     @pytest.mark.parametrize("t_stop", [1.06e-6, 1.04e-6])
     def test_t_stop_off_the_step_grid(self, t_stop):
         # rounding would run 1.06 us to 1.1 us and stop 1.04 us at 1.0 us
-        with pytest.raises(ValueError, match=rf"^t_stop = {t_stop!r} s is not a whole number of steps of dt = 1e-07 s$"):
+        with pytest.raises(ValueError, match=rf"^transient: t_stop must be a whole number of steps of dt = 1e-07, "
+                                             rf"got {t_stop!r}$"):
             transient(rc_lowpass(), t_stop, 1e-7)
 
     def test_t_stop_on_the_grid_up_to_rounding(self):
@@ -342,6 +349,94 @@ class TestValidation:
         net.add_resistor("R1", "a", "0", 1.0)
         with pytest.raises(NetlistError):
             net.add_resistor("R1", "a", "0", 2.0)
+
+
+def _raised(make):
+    """A refusal that `make` raises as a ValueError, as its message."""
+    def refusal(tmp_path, capsys) -> str:
+        with pytest.raises(ValueError) as exc:
+            make()
+        return str(exc.value)
+    return refusal
+
+
+def _cli_refused(*argv):
+    """A refusal of ``otsim ARGV`` at dt_device = 50 ns, which must exit 2
+    and write nothing, as its error line."""
+    def refusal(tmp_path, capsys) -> str:
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--set", "dt_device=50n", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        return capsys.readouterr().err.removeprefix("error: ").removesuffix("\n")
+    return refusal
+
+
+class TestStepCount:
+    """`step_count`, the one time-grid rule of every run and setting."""
+
+    class Refused(ValueError):
+        pass
+
+    dt_ns = st.sampled_from([10, 12.5, 25, 50, 100])  # steps in ns
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 10**6), dt_ns=dt_ns)
+    @example(k=3, dt_ns=10)    # 30e-9 / 10e-9 is 2.9999999999999996
+    @example(k=100, dt_ns=50)  # 5e-6 / 50e-9 is 100.00000000000001
+    def test_a_whole_number_of_steps_gives_its_count(self, k, dt_ns):
+        # the span both as the product k * dt and as the decimal k * dt_ns ns
+        # written out, as a setting or a flag gives it
+        dt = float(f"{dt_ns}e-9")
+        for span in (k * dt, float(f"{k * dt_ns}e-9")):
+            assert step_count("Clock", "window", span, "tick", dt) == k
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 10**6), dt_ns=dt_ns)
+    def test_a_half_step_off_the_grid_is_refused_naming_both_fields(self, k, dt_ns):
+        dt = float(f"{dt_ns}e-9")
+        span = (k + 0.5) * dt
+        with pytest.raises(self.Refused, match=rf"^Clock: window must be a whole number of steps of tick = "
+                                               rf"{re.escape(repr(dt))}, got {re.escape(repr(span))}$"):
+            step_count("Clock", "window", span, "tick", dt, self.Refused)
+
+    @settings(max_examples=300, deadline=None)
+    @given(frac=st.floats(-1e6, 1.0, exclude_max=True), dt_ns=dt_ns)
+    def test_a_span_below_dt_is_refused_naming_both_fields(self, frac, dt_ns):
+        dt = float(f"{dt_ns}e-9")
+        span = frac * dt
+        assume(span < dt)
+        with pytest.raises(self.Refused, match=rf"^Clock: window must be at least tick = {re.escape(repr(dt))}, "
+                                               rf"got {re.escape(repr(span))}$"):
+            step_count("Clock", "window", span, "tick", dt, self.Refused)
+
+    @pytest.mark.parametrize("span, dt, message", [
+        (math.nan, 1e-8, "window must be finite, got nan"),
+        (1e-6, math.inf, "tick must be finite, got inf"),
+        (1e-6, 0.0, "tick must be positive, got 0.0"),
+        (1e-6, -1e-8, "tick must be positive, got -1e-08"),
+    ])
+    def test_a_non_finite_value_or_a_step_not_positive_is_refused(self, span, dt, message):
+        with pytest.raises(ValueError, match=f"^Clock: {re.escape(message)}$"):
+            step_count("Clock", "window", span, "tick", dt)
+
+    # a span of 2000.5 steps, refused by every owner under the names it
+    # gives its span and its step
+    @pytest.mark.parametrize("refusal, message", [
+        (_raised(lambda: transient(rc_lowpass(), 100.025e-6, 50e-9)),
+         "transient: t_stop must be a whole number of steps of dt = 5e-08, got 0.000100025"),
+        (_raised(lambda: StreamSettings(dt=PULSE_WIDTH / 2000.5)),
+         "StreamSettings: PULSE_WIDTH must be a whole number of steps of dt = 2.4993751562109475e-09, got 5e-06"),
+        (_raised(lambda: RunConfig(gradient_window=100.025e-6)),
+         "gradient_window = 0.000100025: RunConfig: gradient_window must be a whole number of steps of "
+         "dt_logic = 5e-08, got 0.000100025"),
+        (_cli_refused("oscillate", "--duration", "100.025u"),
+         "otsim oscillate: --duration must be a whole number of steps of dt_device = 5e-08, got 0.000100025"),
+        (_cli_refused("iv", "--rise", "50u", "--fall", "50.025u"),
+         f"otsim iv: the ramp (--rise plus --fall) must be a whole number of steps of dt_device = 5e-08, "
+         f"got {50e-6 + 50.025e-6!r}"),
+    ], ids=["transient", "StreamSettings", "RunConfig", "otsim_oscillate", "otsim_iv"])
+    def test_every_owner_refuses_an_off_grid_span_under_its_own_names(self, refusal, message, tmp_path, capsys):
+        assert refusal(tmp_path, capsys) == message
 
 
 class TestStepZeroSolve:

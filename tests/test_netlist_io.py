@@ -367,7 +367,8 @@ class TestRunConfig:
         ("exponent = 3", r"run\.cfg: exponent = 3\.0: scaling exponent 3\.0 outside \[1\.6, 2\.1\]"),
         ("binarize_threshold = 300", r"run\.cfg: binarize_threshold = 300: threshold 300 outside \[0, 255\]"),
         ("binarize_threshold = -4", r"run\.cfg: binarize_threshold = -4: threshold -4 outside \[0, 255\]"),
-        ("dt_logic = 30n", r"run\.cfg: dt_logic = 3e-08: StreamSettings: dt must divide the pulse width"),
+        ("dt_logic = 30n", r"run\.cfg: dt_logic = 3e-08: StreamSettings: PULSE_WIDTH must be a whole number of steps "
+                           r"of dt = 3e-08, got 5e-06$"),
     ])
     def test_bad_value_is_named_by_its_key(self, text, match):
         with pytest.raises(ConfigError, match=match):

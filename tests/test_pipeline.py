@@ -183,8 +183,8 @@ class TestStreamSettings:
         assert StreamSettings(dt=dt).dt == dt
 
     def test_step_off_the_pulse_grid_rejected(self):
-        with pytest.raises(ValueError, match=r"^StreamSettings: dt must divide the pulse width 5e-06 s and "
-                                             r"the clock period 1e-05 s, got 3e-08$"):
+        with pytest.raises(ValueError, match=r"^StreamSettings: PULSE_WIDTH must be a whole number of steps of "
+                                             r"dt = 3e-08, got 5e-06$"):
             StreamSettings(dt=30e-9)
 
     @pytest.mark.parametrize("dt", [0.0, -1e-8, 5e-6, math.nan])

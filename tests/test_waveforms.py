@@ -163,7 +163,7 @@ def test_a_waveform_out_of_range_names_the_field(make, message):
 
 @pytest.mark.parametrize("repeat", [2.5, 3.0, np.float64(3.0), True, np.True_, "3"])
 def test_pulse_repeat_must_be_an_integer(repeat):
-    with pytest.raises(ValueError, match=r"^Pulse: repeat must be None or an integer, got "):
+    with pytest.raises(ValueError, match=r"^Pulse: repeat must be an integer, got "):
         Pulse(0.0, 1.0, repeat=repeat)
 
 
