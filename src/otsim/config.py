@@ -48,7 +48,7 @@ class RunConfig:
         for keys, derive in (
             (_OTS_KEYS, self.device_params),
             (("v_high", "bit_width", "settle"), self.encoding),
-            (("dt_device", "dt_logic", "gradient_window", "settle"), self._check_times),
+            (("dt_device", "gradient_window", "settle"), self._check_times),
             (("segment_clocks", "dt_logic"), self.stream_settings),
             (("dt_logic", "settle", "bit_width"), lambda: step_count(
                 "RunConfig", "settle + bit_width", self.settle + self.bit_width, "dt_logic", self.dt_logic)),
@@ -64,10 +64,12 @@ class RunConfig:
                 raise ConfigError(", ".join(f"{k} = {getattr(self, k)!r}" for k in named) + f": {exc}") from None
 
     def _check_times(self) -> None:
-        if not (0.0 < self.dt_device < math.inf and 0.0 < self.dt_logic < math.inf):
-            raise ValueError("time steps must be positive and finite")
-        if self.gradient_window <= self.settle:
-            raise ValueError("gradient_window must exceed settle")
+        # dt_logic is checked by the stream settings and step counts it feeds
+        if not 0.0 < self.dt_device < math.inf:
+            raise ValueError(f"RunConfig: dt_device must be positive and finite, got {self.dt_device!r}")
+        if not self.gradient_window > self.settle:
+            raise ValueError(f"RunConfig: gradient_window must exceed settle = {self.settle!r}, "
+                             f"got {self.gradient_window!r}")
 
     def device_params(self) -> OtsParams:
         return OtsParams(**{k: getattr(self, k) for k in _OTS_KEYS})

@@ -15,34 +15,41 @@ so every later step reuses the solve of its segment set.
 
 Each run has three phases.  A compile phase (``_Compiled``) makes one pass
 over the netlist and keeps only what the step loop and the residual gate
-read: the matrix stamps, the RHS every step starts from, the varying
+read: the matrix stamps, the RHS list a run starts from, the varying
 drives, the capacitor companions, the segment-selection and stamp tables
 and the OTS slots, all addressed by terminal indices into an extended
 solution vector whose entry 0 is ground.  The step loop then works on those
-tuples and on floats in lists only: it solves, advances the integrator and
-OTS states, and records per sample only its solution and its segment set's
-id.  Its fixed cost per step is kept small: ``Dc`` drives are read once per
-run into the RHS list every step starts from, and every other drive is
-called once per batch of _CHUNK steps, on the array of that batch's sample
-times, so a step reads its value from a list; and an OTS whose state is
+tuples and on floats in lists only: it solves, advances the OTS states, and
+records per sample only its solution and its segment set's id.  Its fixed
+cost per step is kept small: ``Dc`` drives are read once per run into the
+RHS list, and every other drive is called once per batch of _CHUNK steps,
+on the array of that batch's sample times, so a step writes its value from
+a list into its row of the RHS list, in place; and an OTS whose state is
 ``OFF_STATE`` itself, below its threshold, is not stepped, since
 ``ots_step`` would return ``OFF_STATE`` again.
 
-Every solve, step 0's included, runs a Python function generated from the
-segment set's LU factors (``_straight_line``, after Gustavson's
-straight-line code for a fixed sparsity pattern): forward and back
-substitution over the nonzero factors only, loading only the RHS rows a
-step can write and adding the set's dynamic RHS as constants.  It takes the
-RHS list and returns a single solution list, with no array built per step.
-The factors come from ``_factor``, a plain Python elimination with a
+Every solve, step 0's included, runs a Python function generated for the
+segment set (``_straight_line``, after Gustavson's straight-line code for a
+fixed sparsity pattern, here carried from the solve to the whole step).
+The step builds its RHS: it reads the drive rows of the RHS list and, after
+step 0, derives each capacitor's backward-Euler history from the previous
+solution, capacitor by capacitor, with the operations ``node_rhs``
+repeats for the residual gate; step 0 reads its pinned history from the RHS
+list.  It adds the set's dynamic RHS as constants, runs forward and back
+substitution over the nonzero factors only, and tests whether the solution
+selects the set again, in one ``and`` chain over the set's knees.  It
+returns a single solution list and that test, with no array built per
+step; only when the test fails does the loop call ``_select`` for the next
+set.  The factors come from ``_factor``, a plain Python elimination with a
 written pivot rule (that of LAPACK's ``dgetf2``), as Kundert's Sparse and
 KLU factorize for themselves, so no solution bit depends on a BLAS or
 LAPACK library or on the kernel it picks for the host CPU.  The same
 segment sets recur across truth-table rows, stream segments and runs, so
-the generated solves are shared by every run (``_solves``), keyed by a
-digest of the assembled matrix and dynamic RHS bytes; a set whose bytes
-were solved before is neither factorized nor compiled again, and gives the
-same bits.
+the generated steps are shared by every run (``_solves``), keyed by a
+digest of what the code is generated from: the rows and capacitors it
+reads, the selection entries and segments it tests, and the assembled
+matrix and dynamic RHS bytes; such a set is neither factorized nor
+compiled again, and gives the same bits.
 
 A step after an OTS flip starts from the segment set selected at the
 flipped phases, and its iteration can walk a chain of comparators one stage
@@ -269,10 +276,11 @@ _KNEE_TOL = 1e-12        # V, knee ties accepted once the reselection budget is 
 _RESIDUAL_TOL = 1e-9     # A, largest nodal-current residual of an accepted step
 _CHUNK = 4096            # samples per batch of residuals
 _FLIP_STATES = 128       # flip-step states remembered; a period with more flips is not found
-_SOLVES_MAX = 1024       # generated solves kept across runs; the dict is cleared when full
-# generated solve of every system solved so far, by (digest of its matrix and
-# dynamic RHS bytes, pinned, RHS rows read)
-_solves: dict[tuple[bytes, bool, tuple[int, ...]], object] = {}
+_SOLVES_MAX = 1024       # generated steps kept across runs; the dict is cleared when full
+# generated step of every system solved so far, by (digest of what its code is
+# generated from: the rows and capacitors it reads, its selection entries and
+# segments, its matrix and dynamic RHS bytes; pinned)
+_solves: dict[tuple[bytes, bool], object] = {}
 
 
 def step_count(owner: str, span_name: str, span: float, dt_name: str, dt: float,
@@ -328,16 +336,23 @@ def _factor(mat: np.ndarray, pinned: bool) -> tuple[list[list[float]], list[int]
     return a, order
 
 
-def _straight_line(lu: list[list[float]], order: list[int], zd: np.ndarray, rows: tuple[int, ...]):
-    """A function solving one segment set's system from its `_factor` factors.
+def _straight_line(lu: list[list[float]], order: list[int], zd: np.ndarray, rows: tuple[int, ...],
+                   caps: tuple[tuple[int, int, float], ...], table: tuple[tuple, ...], segments: tuple[int, ...]):
+    """One segment set's step, generated from its `_factor` factors.
 
-    It takes the extended source and history RHS `zl` (a list, entry 0
-    ground), reads only the entries at `rows` (extended indices of the rows
-    any step can write: source rows and capacitor terminals), adds the set's
-    dynamic RHS `zd`, and returns the extended solution list ``xe`` (entry 0
-    ground).  Forward substitution on unit L and back substitution on U
-    subtract in column order (ascending in L, descending in U), skipping
-    zero factors and operands that are always zero.  The source holds only
+    ``step(zl, xp)`` builds the extended RHS (entry 0 ground) and solves it.
+    Row r of the RHS starts from ``zl[r]`` if r is in `rows`, else from 0.0;
+    each capacitor (a, b, g) of `caps` in turn adds ``hist = g * (xp[a] -
+    xp[b])``, xp being the previous step's solution, to row a and subtracts
+    it from row b; then the set's dynamic RHS `zd` is added.  Rows that are
+    always zero are not read.  Forward substitution on unit L and back
+    substitution on U subtract in column order (ascending in L, descending
+    in U), skipping zero factors and operands that are always zero.  The
+    step returns the extended solution list ``xe`` (entry 0 ground) and
+    whether xe selects the set again, ``_select(table, xe) == segments``,
+    tested knee by knee in one ``and`` chain; an entry whose knees are both
+    infinite always selects its middle segment and is not tested, and every
+    entry's lower knee lies below its upper one.  The source holds only
     indices and ``repr`` floats."""
     n = len(order)
     zd = zd.tolist()
@@ -360,13 +375,27 @@ def _straight_line(lu: list[list[float]], order: list[int], zd: np.ndarray, rows
         lines.append(f"{name} = {expr}")
         return name
 
+    # the history terms of each row, in capacitor order; xp[0] is ground, and
+    # x - 0.0 is x, bit for bit
+    history: dict[int, str] = {}
+    for k, (a, b, g) in enumerate(caps):
+        hist = f"{g!r} * " + (f"xp[{a}]" if not b else f"({f'xp[{a}]' if a else '0.0'} - xp[{b}])")
+        if a and b:
+            lines.append(f"h{k} = {hist}")
+            hist = f"h{k}"
+        if a:
+            history[a] = history.get(a, "") + f" + {hist}"
+        if b:
+            history[b] = history.get(b, "") + f" - {hist}"
     z: list[str | None] = []
     for i in range(n):
-        if i + 1 in rows:
-            lines.append(f"z{i} = zl[{i + 1}]" + (f" + {zd[i]!r}" if zd[i] else ""))
-        elif zd[i]:
-            lines.append(f"z{i} = {zd[i]!r}")
-        z.append(f"z{i}" if i + 1 in rows or zd[i] else None)
+        start = f"zl[{i + 1}]" if i + 1 in rows else "0.0" if i + 1 in history else None
+        expr = start and start + history.get(i + 1, "")
+        if zd[i]:
+            expr = f"{expr} + {zd[i]!r}" if expr else repr(zd[i])
+        if expr:
+            lines.append(f"z{i} = {expr}")
+        z.append(f"z{i}" if expr else None)
     b = [z[i] for i in order]
     y: list[str | None] = []
     for k in range(n):
@@ -375,13 +404,31 @@ def _straight_line(lu: list[list[float]], order: list[int], zd: np.ndarray, rows
     for k in reversed(range(n)):
         x[k] = assign(f"x{k}", y[k], [(lu[k][j], x[j]) for j in range(n - 1, k, -1) if lu[k][j] and x[j]],
                       lu[k][k])
-    lines.append(f"return [0.0, {', '.join(v or '0.0' for v in x)}]")
+    xe = ["0.0", *(v or "0.0" for v in x)]
+
+    # the self-check: an entry's segment is _SEG_FWD above the upper knee,
+    # _SEG_REV below the lower one, and its middle segment otherwise, NaN
+    # included
+    checks = []
+    for (a, b, hi, lo, mid), seg in zip(table, segments):
+        v = xe[a] if not b else f"{xe[a]} - {xe[b]}"
+        if seg == _SEG_FWD:
+            checks.append(f"{v} > {hi!r}")
+        elif seg == _SEG_REV:
+            checks.append(f"{v} < {lo!r}")
+        elif seg != mid:
+            checks.append("False")
+        else:
+            outside = ([f"{v} > {hi!r}"] if hi < math.inf else []) + ([f"{v} < {lo!r}"] if lo > -math.inf else [])
+            if outside:
+                checks.append(f"not ({' or '.join(outside)})")
+    lines.append(f"return [{', '.join(xe)}], {' and '.join(checks) or 'True'}")
     # the namespace holds no reference back to the function, so that no
     # reference cycle keeps a run's code alive
     namespace = {"inf": math.inf, "nan": math.nan}
-    exec(compile("def solve(zl):\n    " + "\n    ".join(lines) + "\n", "<straight-line LU solve>", "exec"),
+    exec(compile("def step(zl, xp):\n    " + "\n    ".join(lines) + "\n", "<straight-line step>", "exec"),
          namespace)
-    return namespace.pop("solve")
+    return namespace.pop("step")
 
 
 def _stamp(mat: np.ndarray, a: int, b: int, g: float) -> None:
@@ -421,15 +468,15 @@ class _Compiled:
                 raise NetlistError(f"no voltage source named {name!r}")
 
         # One pass in element order.  Sources, resistors and capacitors stamp
-        # the matrix; a source's drive is read once into the RHS every step
-        # starts from if it is a Dc, and sampled per batch otherwise.
+        # the matrix; a source's drive is read once into the RHS list every
+        # run starts from if it is a Dc, and sampled per batch otherwise.
         # Segment selection: (a, b, upper knee, lower knee, segment between
         # the knees); v = xe[a] - xe[b] above the upper knee selects _SEG_FWD
         # (_CMP_HIGH for a comparator), below the lower one _SEG_REV.  An OTS
         # has one entry per phase, the off one with knees at +-inf.  Stamps:
         # segment -> (a, b, g, g * offset), or None for no stamp.
         g_ext = np.zeros((n + 1, n + 1))
-        self.base = base = [0.0] * (n + 1)
+        self.base_pin = base_pin = [0.0] * (n + 1)
         self.varying: list[tuple] = []                       # (name, row, waveform) of every other drive
         self.caps: list[tuple[int, int, float, float]] = []  # (a, b, farads / dt, initial volts)
         self.select: list[tuple] = []
@@ -447,7 +494,7 @@ class _Compiled:
                 g_ext[r, b] -= 1.0
                 spec = overrides.get(el.name, k.spec)
                 if type(spec) is Dc:
-                    base[r] = float(spec(0.0))
+                    base_pin[r] = float(spec(0.0))
                 else:
                     self.varying.append((el.name, r, spec))
                 r += 1
@@ -483,10 +530,9 @@ class _Compiled:
 
         # Step 0 pins every capacitor branch to its initial voltage with a
         # companion stiffened by _PIN (the extra (_PIN - 1) * g conductance
-        # is stamped on a zero matrix first, as its own sum), and starts from
-        # the pinned history.
+        # is stamped on a zero matrix first, as its own sum), and reads the
+        # pinned history from the node rows of the RHS list.
         g_extra = np.zeros((n + 1, n + 1))
-        self.base_pin = base_pin = base.copy()
         for a, b, g, ic in self.caps:
             _stamp(g_extra, a, b, (_PIN - 1.0) * g)
             hist = (_PIN * g) * ic
@@ -494,11 +540,17 @@ class _Compiled:
             base_pin[b] -= hist
         self.g_pin_ext = g_ext + g_extra
 
-        # the generated solves read only the rows of zl any step writes: the
-        # source rows and the capacitor terminals
-        self.rhs_rows = tuple(sorted({*range(nn, n + 1)} | {i for cap in self.caps for i in cap[:2]} - {0}))
+        # What a generated step reads, pinned (step 0) and not: the rows of zl
+        # that hold drives, and at step 0 the capacitor terminals' pinned
+        # history; after step 0 each capacitor's history comes from the
+        # previous solution.  `key_bytes` holds these and every selection
+        # entry a set's self-check can test, for the `_solves` key.
+        source_rows = tuple(range(nn, n + 1))
+        pin_rows = tuple(sorted({*source_rows, *(i for a, b, _, _ in self.caps for i in (a, b))} - {0}))
+        self.reads = {True: (pin_rows, ()), False: (source_rows, tuple((a, b, g) for a, b, g, _ in self.caps))}
+        self.key_bytes = repr((self.reads, self.select, [on for *_, on in self.ots])).encode()
 
-        # per-run memos keyed by segment set: the solves after step 0, and for
+        # per-run memos keyed by segment set: the steps after step 0, and for
         # each post-flip start set the set the last step from it accepted
         self.solves: dict[tuple[int, ...], tuple] = {}
         self.landing: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -520,27 +572,35 @@ class _Compiled:
         return np.ascontiguousarray(mat[1:, 1:]), z
 
     def factorized(self, segments: tuple[int, ...], pinned: bool):
-        """(solve, set id) for a segment set, with the set's generated
-        `_straight_line` solve from its `_factor` factors; cached per run
-        after step 0 (which runs once), and across runs in `_solves`, where a
-        system whose matrix and dynamic RHS bytes were solved before is not
-        factorized again.
+        """(step, set id) for a segment set, with the set's `_straight_line`
+        step generated from its `_factor` factors; cached per run after step 0
+        (which runs once), and across runs in `_solves`, where a system whose
+        code would be the same as one compiled before is neither factorized
+        nor compiled again.
 
         SingularSystemError if `_factor` finds the system singular.  The
         shared key holds `pinned`, so that a step-0 system never stands in
         for the same bytes after step 0, whose pivot test may refuse them."""
         mat, z = self.assemble(self.g_pin_ext if pinned else self.g_ext, segments)
         zd = z[1:]
-        key = (hashlib.blake2b(mat.tobytes() + zd.tobytes(), digest_size=16).digest(), pinned, self.rhs_rows)
-        solve = _solves.get(key)
-        if solve is None:
+        # `key_bytes` is a repr, which ends where its brackets close, and it
+        # fixes the length of each part after it, so no two sets hash the
+        # same bytes
+        digest = hashlib.blake2b(self.key_bytes + bytes(segments) + mat.tobytes() + zd.tobytes(), digest_size=16)
+        key = (digest.digest(), pinned)
+        step = _solves.get(key)
+        if step is None:
             factors = _factor(mat, pinned)
             if factors is None:
                 self.raise_singular(mat)
             if len(_solves) == _SOLVES_MAX:  # bounds the memory of runs that never recur
                 _solves.clear()
-            solve = _solves[key] = _straight_line(*factors, zd, self.rhs_rows)
-        entry = (solve, len(self.sets))
+            table = list(self.select)  # the entries of the phases the set fixes
+            for *_, pos, _, on in self.ots:
+                if segments[pos] != _SEG_OFF:
+                    table[pos] = on
+            step = _solves[key] = _straight_line(*factors, zd, *self.reads[pinned], tuple(table), segments)
+        entry = (step, len(self.sets))
         if not pinned:
             self.solves[segments] = entry
         self.sets.append((segments, mat, zd))
@@ -557,7 +617,8 @@ class _Compiled:
     def node_rhs(self, sol: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Rows 0..nv of the RHS samples lo..hi-1 were solved with: step 0's
         pinned history, then that of each previous solution, added capacitor by
-        capacitor as the loop adds it (drives write only source rows)."""
+        capacitor as a generated step adds it (drives write only source
+        rows)."""
         first = max(lo, 1)
         z = np.zeros((hi - lo, self.nv + 1))
         z[:first - lo] = self.base_pin[:self.nv + 1]
@@ -711,8 +772,8 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     cycle report included, from the set that the last step from the same
     start set accepted.  Every step solves in code generated from its
     segment set's LU factors (`_factor`) and shared by every run whose
-    system has the same bytes, so a run's bits do not depend on the runs
-    before it, nor, but for `Trace.kcl_residual`, on the host's BLAS.
+    set would generate the same code, so a run's bits do not depend on the
+    runs before it, nor, but for `Trace.kcl_residual`, on the host's BLAS.
     """
     n_steps = step_count("transient", "t_stop", t_stop, "dt", dt)
     c = _Compiled(net, dt, sources)
@@ -722,13 +783,13 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     sol = np.zeros((n_steps + 1, n + 1))     # extended solution per sample, column 0 is ground
     set_id = np.empty(n_steps + 1, dtype=np.int32)  # c.sets entry each sample was solved with
 
-    base, base_pin, varying, caps = c.base, c.base_pin, c.varying, c.caps
+    varying = c.varying
     constant = not varying
+    zl = list(c.base_pin)                    # RHS drive rows, written in place; step 0 reads its node rows
     batch = []                               # (row, samples) of each varying drive over the current batch
     ots = c.ots
     select = list(c.select)                  # per run: OTS entries follow the phase
     xe = [0.0] * (n + 1)
-    prev = None                              # xe of the previous step
     segments = _select(select, xe)
     solved = checked = 0                     # samples solved, and residual-checked
     kcl_residual = 0.0
@@ -740,16 +801,11 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
 
     try:
         for step in range(n_steps + 1):
-            zl = base.copy() if step else base_pin.copy()
             if step == checked:  # a batch starts: sample the varying drives over it
                 batch = [(row, _drive_values(name, spec, times[step:step + _CHUNK])) for name, row, spec in varying]
             for row, col in batch:
                 zl[row] = col[step - checked]
-            if step:  # backward-Euler history from the previous solution
-                for a, b, g, _ in caps:
-                    hist = g * (xe[a] - xe[b])
-                    zl[a] += hist
-                    zl[b] -= hist
+            xp = xe  # the previous solution: every solve of this step derives its capacitor history from it
 
             # After a flip the iteration starts from the set the last step
             # from the same start set accepted.  A segment set that rounding
@@ -761,11 +817,12 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                 segments = landing.get(start, start)
             tried = [segments]                   # the sets solved, then the last one selected
             for attempt in budget:
-                solve, sid = solves.get(segments) or c.factorized(segments, not step)
-                xe = solve(zl)
+                step_set, sid = solves.get(segments) or c.factorized(segments, not step)
+                xe, stays = step_set(zl, xp)
+                if stays:
+                    break
                 desired = _select(select, xe)
-                if desired == segments or (attempt > _MAX_RESELECTIONS
-                                           and _knee_gap(select, segments, desired, xe) <= _KNEE_TOL):
+                if attempt > _MAX_RESELECTIONS and _knee_gap(select, segments, desired, xe) <= _KNEE_TOL:
                     break
                 segments = desired
                 tried.append(segments)
@@ -810,7 +867,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
             # and the OTS phases.
             if constant:
                 j = step
-                if (unchanged and segments == start and xe == prev
+                if (step and unchanged and segments == start and xe == xp
                         and sol[step].tobytes() == sol[step - 1].tobytes()):
                     j = step - 1
                 elif flipped:
@@ -820,7 +877,6 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                 if j < step:
                     period = step - j
                     break
-                prev = xe
     finally:  # the solved samples not yet checked, before any error the loop raised
         kcl_residual = max(kcl_residual, c.residual_gate(sol, set_id, checked, solved))
 

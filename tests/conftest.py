@@ -51,20 +51,21 @@ class SolveCounter:
 
 @pytest.fixture
 def solves(monkeypatch) -> SolveCounter:
-    """Counts every linear solve of the engine while the test runs.  The
-    test starts from an empty shared solve cache (``engine._solves``), so
-    that every segment set compiles through the counting wrapper."""
+    """Counts every linear solve of the engine while the test runs: every
+    call of a segment set's generated step, which solves once.  The test
+    starts from an empty shared cache (``engine._solves``), so that every
+    segment set compiles through the counting wrapper."""
     counter = SolveCounter()
     straight_line = engine._straight_line
 
     def counting_straight_line(*args):
-        solve = straight_line(*args)
+        step = straight_line(*args)
 
-        def counting_solve(zl):
+        def counting_step(zl, xp):
             counter.count += 1
-            return solve(zl)
+            return step(zl, xp)
 
-        return counting_solve
+        return counting_step
 
     monkeypatch.setattr(engine, "_solves", {})
     monkeypatch.setattr(engine, "_straight_line", counting_straight_line)

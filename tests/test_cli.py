@@ -2,10 +2,12 @@
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from otsim import circuits
 from otsim.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _parse_sweep_list, main, make_parser
 from otsim.gates import GateKind
 from otsim.imaging import GrayImage, load_image, save_pgm
@@ -357,8 +359,11 @@ class TestConfigPlumbing:
     def test_seed_circuits(self, tmp_path, capsys):
         rc = main(["--seed-circuits", str(tmp_path / "circuits")])
         assert rc == EXIT_OK
-        files = sorted((tmp_path / "circuits").glob("*.cir"))
-        assert len(files) == 8
+        # each written file is byte-identical to the shipped one of its name
+        shipped = {f.name: f.read_bytes() for f in Path(circuits.__file__).parent.glob("*.cir")}
+        written = {f.name: f.read_bytes() for f in (tmp_path / "circuits").glob("*.cir")}
+        assert len(shipped) == 8
+        assert written == shipped
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == EXIT_USAGE

@@ -299,8 +299,8 @@ class TestValidation:
             transient(rc_lowpass(), t_stop, 1e-7)
 
     def test_t_stop_on_the_grid_up_to_rounding(self):
-        # 0.3e-6 / 0.1e-6 is 2.9999999999999996
-        assert len(transient(rc_lowpass(), 0.3e-6, 0.1e-6).times) == 4
+        # 30e-9 / 10e-9 is 2.9999999999999996, three steps within the tolerance
+        assert len(transient(rc_lowpass(), 30e-9, 10e-9).times) == 4
 
     @pytest.mark.parametrize("make, message", [
         (lambda: Resistor("R1", 0.0), "R1: resistance must be positive"),

@@ -33,11 +33,13 @@ import gc
 import hashlib
 import itertools
 import json
+import math
 import os
 import pickle
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -78,12 +80,13 @@ def gradient_xor():
     return gates.build_gate(GateKind.XOR).net, {"S_S1": Dc(enc.v_high * 255 / 255.0), "S_S2": Dc(0.0)}
 
 
-def xor_stream_segment():
-    """A 16-clock segment of the edge-detection stream: the XOR gate driven
-    by two seeded pulse trains at the stream's dt."""
+def xor_stream_segment(p=None):
+    """A 16-clock segment of the edge-detection stream: the XOR gate, with
+    switch parameters `p` (the defaults if None), driven by two seeded pulse
+    trains at the stream's dt."""
     rng = np.random.default_rng(13)
     a, b = (pipeline.PulseTrain(tuple(rng.integers(0, 2, 16).tolist())) for _ in range(2))
-    return pipeline._xor_stream(a, b, default_params(), len(a.bits) * pipeline.CLOCK_PERIOD, 50e-9)
+    return pipeline._xor_stream(a, b, p or default_params(), len(a.bits) * pipeline.CLOCK_PERIOD, 50e-9)
 
 
 def pulse_ladder():
@@ -777,17 +780,27 @@ def dgetrf_factor(mat, pinned):
     return lu, piv
 
 
-def dgetrs_solve(lu, piv, zd, rows):
-    """A solve of one segment set by LAPACK's dgetrs on its dgetrf factors,
-    in place of its generated code."""
+def dgetrs_solve(lu, piv, zd, rows, caps, table, segments):
+    """A step of one segment set by LAPACK's dgetrs on its dgetrf factors,
+    in place of its generated code: it builds the RHS from the same inputs,
+    the rows `rows` of zl and each capacitor's history from the previous
+    solution xp, in the loop's order, and tests the solution with
+    `engine._select`."""
     zd = zd.copy()
 
-    def solve(zl):
-        z = np.array(zl[1:]) + zd
-        x = dgetrs(lu, piv, z)[0]
-        return [0.0, *x.tolist()]
+    def step(zl, xp):
+        z = [0.0] * len(zl)
+        for r in rows:
+            z[r] = zl[r]
+        for a, b, g in caps:
+            hist = g * (xp[a] - xp[b])
+            z[a] += hist
+            z[b] -= hist
+        x = dgetrs(lu, piv, np.array(z[1:]) + zd)[0]
+        xe = [0.0, *x.tolist()]
+        return xe, engine._select(table, xe) == segments
 
-    return solve
+    return step
 
 
 def save_lapack_runs(path: str) -> None:
@@ -899,10 +912,12 @@ def test_a_perturbed_generated_solve_fails_the_residual_gate(run, monkeypatch):
     straight_line = engine._straight_line
 
     def perturbed(*args):
-        solve = straight_line(*args)
+        step = straight_line(*args)
+        *_, table, segments = args
 
-        def off(zl):
-            return [v * (1.0 + 1e-6) for v in solve(zl)]
+        def off(zl, xp):
+            xe = [v * (1.0 + 1e-6) for v in step(zl, xp)[0]]
+            return xe, engine._select(table, xe) == segments
 
         return off
 
@@ -916,7 +931,10 @@ def test_a_perturbed_generated_solve_fails_the_residual_gate(run, monkeypatch):
 def test_the_gate_derives_the_rhs_each_accepted_solve_received(case, monkeypatch):
     # the residual gate keeps no record of the RHS: per batch of _CHUNK
     # samples, `node_rhs` derives its node rows from the solutions, and they
-    # must be the bits of the list the step's accepted solve was given
+    # must be the bits of the node rows the step loop used to build before
+    # each accepted solve: at step 0 those of the RHS list the step got, and
+    # later zeros plus each capacitor's history from the previous solution
+    # the step got, added capacitor by capacitor
     compiled, received = [], []
 
     class Recorded(engine._Compiled):
@@ -927,21 +945,73 @@ def test_the_gate_derives_the_rhs_each_accepted_solve_received(case, monkeypatch
     straight_line = engine._straight_line
 
     def recording(*args):
-        solve = straight_line(*args)
-        return lambda zl: received.append(zl) or solve(zl)
+        step = straight_line(*args)
+        return lambda zl, xp: received.append((list(zl), xp)) or step(zl, xp)
 
     monkeypatch.setattr(engine, "_Compiled", Recorded)
     monkeypatch.setattr(engine, "_solves", {})
     monkeypatch.setattr(engine, "_straight_line", recording)
     tr = GOLDEN[case][0]()
     (c,) = compiled
-    # every solve of a step gets that step's list, and the last one is accepted
-    steps = [zl for k, zl in enumerate(received) if k + 1 == len(received) or zl is not received[k + 1]]
+    # every solve of a step gets the previous solution, and the last one is accepted
+    steps = [k for k, (_, xp) in enumerate(received) if k + 1 == len(received) or xp is not received[k + 1][1]]
     n = tr.solved_steps
     assert len(steps) == n
+    rebuilt = []
+    for step, k in enumerate(steps):
+        zl, xp = received[k]
+        z = zl[:c.nv + 1] if step == 0 else [0.0] * (c.nv + 1)
+        if step:
+            for a, b, g, _ in c.caps:
+                hist = g * (xp[a] - xp[b])
+                z[a] += hist
+                z[b] -= hist
+        rebuilt.append(z)
     derived = np.vstack([c.node_rhs(tr.voltages, lo, min(lo + engine._CHUNK, n)) for lo in range(0, n, engine._CHUNK)])
-    assert derived.tobytes() == np.array(steps)[:, :c.nv + 1].tobytes()
+    assert derived.tobytes() == np.array(rebuilt).tobytes()
     assert c.node_rhs(tr.voltages, 0, 0).shape == (0, c.nv + 1)  # the loop raised at step 0
+
+
+def selection_forms(v_f: float, v_z: float, v_hold: float) -> list[tuple]:
+    """(upper knee, lower knee, middle segment) of the selection entries the
+    engine compiles for a diode, an OTS in its off and on phases and a
+    comparator."""
+    net = Netlist()
+    net.add_diode("D1", "a", "0", v_f=v_f, v_z=v_z)
+    net.add_ots("S1", "a", "0", replace(default_params(), v_hold=v_hold))
+    net.add_comparator("K1", "a", "0", "o")
+    net.add_resistor("R1", "o", "0", 1e3)
+    c = engine._Compiled(net, 1e-8, None)
+    ((*_, on),) = c.ots
+    return [entry[2:] for entry in (*c.select, on)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.floats(1e-3, 50.0), st.floats(1e-3, 50.0), st.floats(1e-3, 2.9))
+def test_a_generated_self_check_is_select(data, v_f, v_z, v_hold):
+    """A generated step's `stays` is ``_select(table, xe) == segments`` for
+    the entries of diodes, OTSs in either phase and comparators on random
+    terminals, at solutions whose voltages include each knee exactly,
+    signed zeros, infinities and NaN.  The system is the identity, so the
+    step returns its RHS as the solution."""
+    forms = selection_forms(v_f, v_z, v_hold)
+    n = data.draw(st.integers(1, 5))
+    special = (0.0, -0.0, math.inf, -math.inf, math.nan, *(k for hi, lo, _ in forms for k in (hi, lo)))
+    x = [0.0, *data.draw(st.lists(st.sampled_from(special) | st.floats(-100.0, 100.0), min_size=n, max_size=n))]
+    terminal = st.integers(0, n)
+    table = tuple((data.draw(terminal), data.draw(terminal), *data.draw(st.sampled_from(forms)))
+                  for _ in range(data.draw(st.integers(1, 6))))
+    # the segments the solution selects, or those with one entry changed
+    segments = list(engine._select(table, x))
+    k = data.draw(st.none() | st.integers(0, len(table) - 1))
+    if k is not None:
+        segments[k] = data.draw(st.sampled_from([engine._SEG_OFF, engine._SEG_FWD, engine._SEG_REV, engine._SEG_DEAD]))
+    segments = tuple(segments)
+    lu = [[float(i == j) for j in range(n)] for i in range(n)]
+    step = engine._straight_line(lu, list(range(n)), np.zeros(n), tuple(range(1, n + 1)), (), table, segments)
+    xe, stays = step(x, [0.0] * (n + 1))
+    assert np.array(xe).tobytes() == np.array(x).tobytes()
+    assert stays is (engine._select(table, xe) == segments)
 
 
 def test_a_run_leaves_no_reference_cycle(monkeypatch):
@@ -1018,6 +1088,29 @@ class TestSharedSolves:
         second = GOLDEN[self.ROW][0]()
         assert compiles == []
         assert field_digests(second) == field_digests(first)
+
+    def test_the_key_holds_the_knees(self, monkeypatch):
+        # two XOR streams whose switches differ only in v_hold: a set whose
+        # switch sits in the on-phase dead zone stamps nothing of the switch,
+        # so it has the same matrix and dynamic RHS bytes in both, but its
+        # self-check tests other knees
+        params = [replace(default_params(), v_hold=v) for v in (1.0, 1.2)]
+        alone = []
+        for p in params:
+            count_compiles(monkeypatch, {})
+            alone.append(field_digests(xor_stream_segment(p)))
+        compiles = count_compiles(monkeypatch, {})
+        together = [field_digests(xor_stream_segment(params[0]))]
+        first = len(compiles)
+        together.append(field_digests(xor_stream_segment(params[1])))
+
+        def system(args):
+            lu, order, zd, *_, segments = args
+            return repr(lu), order, zd.tobytes(), segments
+
+        dead = [system(args) for args in compiles[:first] if args[-1] == (engine._SEG_DEAD,)]
+        assert dead and dead[0] in [system(args) for args in compiles[first:]]
+        assert together == alone
 
     def test_a_cache_of_two_gives_the_same_bits(self, monkeypatch, blas_platform):
         sizes = []

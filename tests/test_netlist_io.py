@@ -362,8 +362,11 @@ class TestRunConfig:
         ("v_high = -1", r"run\.cfg: v_high = -1\.0: LogicEncoding: v_high must be positive, got -1\.0$"),
         ("segment_clocks = 0",
          r"run\.cfg: segment_clocks = 0: StreamSettings: segment_clocks must be in 1\.\.4096, got 0$"),
-        ("dt_logic = 0", r"run\.cfg: dt_logic = 0\.0: time steps must be positive"),
-        ("settle = 2m", r"run\.cfg: settle = 0\.002: gradient_window must exceed settle"),
+        ("dt_logic = 0", r"run\.cfg: dt_logic = 0\.0: StreamSettings: dt must be positive and below the pulse width "
+                         r"5e-06 s, got 0\.0$"),
+        ("dt_device = 0", r"run\.cfg: dt_device = 0\.0: RunConfig: dt_device must be positive and finite, got 0\.0$"),
+        ("settle = 2m", r"run\.cfg: settle = 0\.002: RunConfig: gradient_window must exceed settle = 0\.002, "
+                        r"got 0\.001$"),
         ("exponent = 3", r"run\.cfg: exponent = 3\.0: scaling exponent 3\.0 outside \[1\.6, 2\.1\]"),
         ("binarize_threshold = 300", r"run\.cfg: binarize_threshold = 300: threshold 300 outside \[0, 255\]"),
         ("binarize_threshold = -4", r"run\.cfg: binarize_threshold = -4: threshold -4 outside \[0, 255\]"),
