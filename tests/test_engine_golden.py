@@ -23,10 +23,12 @@ LAPACK's dgetrf and dgetrs, in a fresh interpreter under OpenBLAS's
 `Sandybridge` kernel, and must differ only by rounding; the factors
 match dgetrf's on every matrix the truth tables and the oscillator meet;
 the right-hand side the residual gate derives from a golden run's
-solutions is, bit for bit, the one each accepted solve received; the
-generated solves that runs share give a run the same bits whatever ran
-before it; and a fresh interpreter under another OpenBLAS kernel gives a
-golden run's bits but for its residual.
+solutions is, bit for bit, the one rebuilt from the inputs each accepted
+step received; a generated step's self-check decides as `_select` does, at
+knees, signed zeros, infinities and NaN too; the generated steps that runs
+share give a run the same bits whatever ran before it, also where two sets
+differ only in their knees; and a fresh interpreter under another OpenBLAS
+kernel gives a golden run's bits but for its residual.
 """
 
 import gc
