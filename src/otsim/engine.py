@@ -38,8 +38,8 @@ repeats for the residual gate; step 0 reads its pinned history from the RHS
 list.  It adds the set's dynamic RHS as constants, runs forward and back
 substitution over the nonzero factors only, and tests whether the solution
 selects the set again, in one ``and`` chain over the set's knees.  It
-returns a single solution list and that test, with no array built per
-step; only when the test fails does the loop call ``_select`` for the next
+returns the solution as one list, with no array built per step, and that
+test; only when the test fails does the loop call ``_select`` for the next
 set.  The factors come from ``_factor``, a plain Python elimination with a
 written pivot rule (that of LAPACK's ``dgetf2``), as Kundert's Sparse and
 KLU factorize for themselves, so no solution bit depends on a BLAS or
@@ -50,6 +50,24 @@ digest of what the code is generated from: the rows and capacitors it
 reads, the selection entries and segments it tests, and the assembled
 matrix and dynamic RHS bytes; such a set is neither factorized nor
 compiled again, and gives the same bits.
+
+Most steps of an oscillator's charging phase or of a pulse-driven stream
+only solve: their set selects itself, and every OTS is ``OFF_STATE`` itself
+and stays below its threshold, so it is not stepped.  The same generated
+function therefore also solves such quiet stretches of steps in one call
+(latency exploitation, after Newton and Sangiovanni-Vincentelli's
+relaxation-based simulation, here without skipping any step).  After a
+step that flipped no OTS phase and left every OTS ``OFF_STATE``, from step
+2 on and not on a batch's first step, the loop lets the step's first solve
+go on: while the solution selects its set, differs from the previous one
+and leaves every OTS below its threshold, and the next step lies in the
+same batch, the function accepts it, writes the next step's drive values
+from the batch's columns into the RHS list and solves that step.  The loop
+stores the accepted solutions with one slice assignment and takes the last
+solve as the first solve of the step the stretch stopped at, so no step is
+solved twice and each step gets the bits it would get alone.  The
+fixed-point and period tests, the OTS updates and the residual batches
+stay with the loop.
 
 A step after an OTS flip starts from the segment set selected at the
 flipped phases, and its iteration can walk a chain of comparators one stage
@@ -337,23 +355,32 @@ def _factor(mat: np.ndarray, pinned: bool) -> tuple[list[list[float]], list[int]
 
 
 def _straight_line(lu: list[list[float]], order: list[int], zd: np.ndarray, rows: tuple[int, ...],
-                   caps: tuple[tuple[int, int, float], ...], table: tuple[tuple, ...], segments: tuple[int, ...]):
-    """One segment set's step, generated from its `_factor` factors.
+                   caps: tuple[tuple[int, int, float], ...], switches: tuple[tuple[int, int], ...],
+                   table: tuple[tuple, ...], segments: tuple[int, ...]):
+    """One segment set's steps, generated from its `_factor` factors.
 
-    ``step(zl, xp)`` builds the extended RHS (entry 0 ground) and solves it.
-    Row r of the RHS starts from ``zl[r]`` if r is in `rows`, else from 0.0;
-    each capacitor (a, b, g) of `caps` in turn adds ``hist = g * (xp[a] -
-    xp[b])``, xp being the previous step's solution, to row a and subtracts
-    it from row b; then the set's dynamic RHS `zd` is added.  Rows that are
-    always zero are not read.  Forward substitution on unit L and back
-    substitution on U subtract in column order (ascending in L, descending
-    in U), skipping zero factors and operands that are always zero.  The
-    step returns the extended solution list ``xe`` (entry 0 ground) and
-    whether xe selects the set again, ``_select(table, xe) == segments``,
-    tested knee by knee in one ``and`` chain; an entry whose knees are both
-    infinite always selects its middle segment and is not tested, and every
-    entry's lower knee lies below its upper one.  The source holds only
-    indices and ``repr`` floats."""
+    ``step(zl, xp, k=0, stop=1, cols=(), vth=())`` builds the extended RHS
+    (entry 0 ground) and solves it.  Row r of the RHS starts from ``zl[r]``
+    if r is in `rows`, else from 0.0; each capacitor (a, b, g) of `caps` in
+    turn adds ``hist = g * (xp[a] - xp[b])``, xp being the previous step's
+    solution, to row a and subtracts it from row b; then the set's dynamic
+    RHS `zd` is added.  Rows that are always zero are not read.  Forward
+    substitution on unit L and back substitution on U subtract in column
+    order (ascending in L, descending in U), skipping zero factors and
+    operands that are always zero.  The solution ``xe`` (entry 0 ground) is
+    tested for whether it selects the set again, ``_select(table, xe) ==
+    segments``, knee by knee in one ``and`` chain; an entry whose knees are
+    both infinite always selects its middle segment and is not tested, and
+    every entry's lower knee lies below its upper one.
+
+    The step is step k of a batch whose drive columns are `cols`, (row,
+    values) pairs.  It accepts xe and solves step k + 1 in the same call (a
+    stretch) while xe selects the set, k + 1 < stop, xe != xp and the switch
+    (a, b) of every `switches` entry i has ``abs(xe[a] - xe[b]) < vth[i]``;
+    it then writes each drive's value at k + 1 into its row of zl, in
+    place, and derives the history from xe.  It returns the list of the
+    solutions it accepted, the solution of the last solve and that
+    solution's test.  The source holds only indices and ``repr`` floats."""
     n = len(order)
     zd = zd.tolist()
     lines = []
@@ -422,12 +449,20 @@ def _straight_line(lu: list[list[float]], order: list[int], zd: np.ndarray, rows
             outside = ([f"{v} > {hi!r}"] if hi < math.inf else []) + ([f"{v} < {lo!r}"] if lo > -math.inf else [])
             if outside:
                 checks.append(f"not ({' or '.join(outside)})")
-    lines.append(f"return [{', '.join(xe)}], {' and '.join(checks) or 'True'}")
+    lines.append(f"xe = [{', '.join(xe)}]")
+    lines.append(f"stays = {' and '.join(checks) or 'True'}")
+    # the stretch goes on only where the loop would do nothing but solve
+    # the next step: the fixed-point test and every switch step stay there
+    quiet = "".join(f" and abs({xe[a] if not b else f'{xe[a]} - {xe[b]}'}) < vth[{i}]"
+                    for i, (a, b) in enumerate(switches))
+    lines += [f"if not (stays and k + 1 < stop and xe != xp{quiet}):", "    return rows, xe, stays",
+              "rows.append(xe)", "xp = xe", "k += 1", "for r, col in cols:", "    zl[r] = col[k]"]
     # the namespace holds no reference back to the function, so that no
     # reference cycle keeps a run's code alive
     namespace = {"inf": math.inf, "nan": math.nan}
-    exec(compile("def step(zl, xp):\n    " + "\n    ".join(lines) + "\n", "<straight-line step>", "exec"),
-         namespace)
+    source = ("def step(zl, xp, k=0, stop=1, cols=(), vth=()):\n    rows = []\n    while True:\n        "
+              + "\n        ".join(lines) + "\n")
+    exec(compile(source, "<straight-line step>", "exec"), namespace)
     return namespace.pop("step")
 
 
@@ -543,11 +578,14 @@ class _Compiled:
         # What a generated step reads, pinned (step 0) and not: the rows of zl
         # that hold drives, and at step 0 the capacitor terminals' pinned
         # history; after step 0 each capacitor's history comes from the
-        # previous solution.  `key_bytes` holds these and every selection
+        # previous solution, and a stretch tests every OTS's terminals (step 0
+        # never starts one).  `key_bytes` holds these and every selection
         # entry a set's self-check can test, for the `_solves` key.
         source_rows = tuple(range(nn, n + 1))
         pin_rows = tuple(sorted({*source_rows, *(i for a, b, _, _ in self.caps for i in (a, b))} - {0}))
-        self.reads = {True: (pin_rows, ()), False: (source_rows, tuple((a, b, g) for a, b, g, _ in self.caps))}
+        self.reads = {True: (pin_rows, (), ()),
+                      False: (source_rows, tuple((a, b, g) for a, b, g, _ in self.caps),
+                              tuple((a, b) for a, b, *_ in self.ots))}
         self.key_bytes = repr((self.reads, self.select, [on for *_, on in self.ots])).encode()
 
         # per-run memos keyed by segment set: the steps after step 0, and for
@@ -787,7 +825,10 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     constant = not varying
     zl = list(c.base_pin)                    # RHS drive rows, written in place; step 0 reads its node rows
     batch = []                               # (row, samples) of each varying drive over the current batch
+    end = 0                                  # the step after the current batch
     ots = c.ots
+    vth = tuple(p.v_th for _, _, p, *_ in ots)
+    off = True                               # whether every OTS state is OFF_STATE itself
     select = list(c.select)                  # per run: OTS entries follow the phase
     xe = [0.0] * (n + 1)
     segments = _select(select, xe)
@@ -799,10 +840,12 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     budget = range(2 * (_MAX_RESELECTIONS + 1) + len(select))  # solves of one step's segment iteration
     period = None
 
+    step = 0
     try:
-        for step in range(n_steps + 1):
+        while step <= n_steps:
             if step == checked:  # a batch starts: sample the varying drives over it
-                batch = [(row, _drive_values(name, spec, times[step:step + _CHUNK])) for name, row, spec in varying]
+                end = min(step + _CHUNK, n_steps + 1)
+                batch = [(row, _drive_values(name, spec, times[step:end])) for name, row, spec in varying]
             for row, col in batch:
                 zl[row] = col[step - checked]
             xp = xe  # the previous solution: every solve of this step derives its capacitor history from it
@@ -815,10 +858,23 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
             start = segments
             if flipped:
                 segments = landing.get(start, start)
+            # After a step that flipped no OTS and left every one OFF_STATE,
+            # from step 2 on and not at a batch's first step, the first
+            # solve may run a stretch up to the batch's end; its rows are
+            # this step and the ones after it, and its last solve is the
+            # first solve of the step it stops at.
+            stop = end - checked if off and not flipped and step > 1 and step != checked else 0
             tried = [segments]                   # the sets solved, then the last one selected
             for attempt in budget:
                 step_set, sid = solves.get(segments) or c.factorized(segments, not step)
-                xe, stays = step_set(zl, xp)
+                rows, xe, stays = step_set(zl, xp, step - checked, stop, batch, vth)
+                if rows:
+                    m = len(rows)
+                    sol[step:step + m] = rows
+                    set_id[step:step + m] = sid
+                    step = solved = step + m
+                    xp = rows[-1]
+                stop = 0
                 if stays:
                     break
                 desired = _select(select, xe)
@@ -854,6 +910,8 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                             select[pos] = on_entry if st.on else off_entry
                             flipped = True
                         states[slot] = st
+                if not unchanged:
+                    off = all(s is OFF_STATE for s in states)
                 if flipped:
                     segments = _select(select, xe)
 
@@ -877,6 +935,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                 if j < step:
                     period = step - j
                     break
+            step += 1
     finally:  # the solved samples not yet checked, before any error the loop raised
         kcl_residual = max(kcl_residual, c.residual_gate(sol, set_id, checked, solved))
 

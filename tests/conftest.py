@@ -52,7 +52,8 @@ class SolveCounter:
 @pytest.fixture
 def solves(monkeypatch) -> SolveCounter:
     """Counts every linear solve of the engine while the test runs: every
-    call of a segment set's generated step, which solves once.  The test
+    call of a segment set's generated step solves once for each step of its
+    stretch it accepts, and once more for the solve it returns.  The test
     starts from an empty shared cache (``engine._solves``), so that every
     segment set compiles through the counting wrapper."""
     counter = SolveCounter()
@@ -61,9 +62,10 @@ def solves(monkeypatch) -> SolveCounter:
     def counting_straight_line(*args):
         step = straight_line(*args)
 
-        def counting_step(zl, xp):
-            counter.count += 1
-            return step(zl, xp)
+        def counting_step(*call):
+            rows, xe, stays = step(*call)
+            counter.count += 1 + len(rows)
+            return rows, xe, stays
 
         return counting_step
 

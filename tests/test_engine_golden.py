@@ -679,6 +679,59 @@ def test_random_gate_networks_do_not_depend_on_the_batch_size(net, dt):
             assert outcome(lambda: transient(net, GATE_NETWORK_STOP, dt)) == want, chunk
 
 
+def without_stretches(straight_line):
+    """`engine._straight_line` whose steps run no stretch: each call's stop
+    is clamped to one step."""
+
+    def generate(*args):
+        step = straight_line(*args)
+        return lambda zl, xp, k=0, stop=1, cols=(), vth=(): step(zl, xp, k, min(stop, k + 1), cols, vth)
+
+    return generate
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(gate_core_networks(), GATE_NETWORK_DT)
+def test_random_gate_networks_do_not_depend_on_stretches(net, dt):
+    # batches of a prime size end stretches at steps of every phase of the
+    # pulse drives
+    for chunk in (7, 331):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_CHUNK", chunk)
+            want = outcome(lambda: transient(net, GATE_NETWORK_STOP, dt))
+            mp.setattr(engine, "_solves", {})
+            mp.setattr(engine, "_straight_line", without_stretches(engine._straight_line))
+            assert outcome(lambda: transient(net, GATE_NETWORK_STOP, dt)) == want, chunk
+
+
+def test_no_stretch_starts_on_a_batch_first_step(monkeypatch, blas_platform):
+    # a stretch is offered from a batch's second step on and ends inside
+    # its batch; at its first step the loop samples the batch's drives
+    calls = []
+    straight_line = engine._straight_line
+
+    def recording(*args):
+        step = straight_line(*args)
+
+        def record(zl, xp, k=0, stop=1, cols=(), vth=()):
+            rows, xe, stays = step(zl, xp, k, stop, cols, vth)
+            calls.append((k, stop, len(rows)))
+            return rows, xe, stays
+
+        return record
+
+    monkeypatch.setattr(engine, "_CHUNK", 7)
+    monkeypatch.setattr(engine, "_solves", {})
+    monkeypatch.setattr(engine, "_straight_line", recording)
+    run, steps, expected = GOLDEN["xor_stream_16_clocks"]
+    tr = run()
+    assert field_digests(tr) == expected, blas_platform
+    assert (tr.solved_steps, tr.period) == steps, blas_platform
+    stretches = [(k, stop, m) for k, stop, m in calls if stop > k + 1]
+    assert stretches and all(k > 0 and k + m < stop for k, stop, m in stretches)
+    assert (1, 7, 5) in stretches  # from a batch's second step to its last
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(gate_core_networks(), GATE_NETWORK_DT)
 def test_random_gate_networks_ots_phases_replay_ots_step(net, dt):
@@ -782,15 +835,38 @@ def dgetrf_factor(mat, pinned):
     return lu, piv
 
 
-def dgetrs_solve(lu, piv, zd, rows, caps, table, segments):
-    """A step of one segment set by LAPACK's dgetrs on its dgetrf factors,
-    in place of its generated code: it builds the RHS from the same inputs,
-    the rows `rows` of zl and each capacitor's history from the previous
-    solution xp, in the loop's order, and tests the solution with
-    `engine._select`."""
+def stretched(solve, switches):
+    """A generated step's stretch contract (`engine._straight_line`) around
+    `solve(zl, xp) -> (xe, stays)`, which solves one step: while the
+    solution selects its set, k + 1 < stop, xe != xp and every switch (a, b)
+    is below its threshold, accept xe, write the drives of step k + 1 from
+    `cols` into zl and solve again."""
+
+    def step(zl, xp, k=0, stop=1, cols=(), vth=()):
+        rows = []
+        while True:
+            xe, stays = solve(zl, xp)
+            if not (stays and k + 1 < stop and xe != xp
+                    and all(abs(xe[a] - xe[b]) < t for (a, b), t in zip(switches, vth))):
+                return rows, xe, stays
+            rows.append(xe)
+            xp = xe
+            k += 1
+            for r, col in cols:
+                zl[r] = col[k]
+
+    return step
+
+
+def dgetrs_solve(lu, piv, zd, rows, caps, switches, table, segments):
+    """The steps of one segment set by LAPACK's dgetrs on its dgetrf
+    factors, in place of its generated code: each solve builds the RHS from
+    the same inputs, the rows `rows` of zl and each capacitor's history from
+    the previous solution xp, in the loop's order, and tests the solution
+    with `engine._select`; `stretched` runs the stretches."""
     zd = zd.copy()
 
-    def step(zl, xp):
+    def solve(zl, xp):
         z = [0.0] * len(zl)
         for r in rows:
             z[r] = zl[r]
@@ -802,7 +878,13 @@ def dgetrs_solve(lu, piv, zd, rows, caps, table, segments):
         xe = [0.0, *x.tolist()]
         return xe, engine._select(table, xe) == segments
 
-    return step
+    return stretched(solve, switches)
+
+
+def one_step(step):
+    """`solve(zl, xp) -> (xe, stays)` of a generated step, which solves one
+    step only."""
+    return lambda zl, xp: step(zl, xp)[1:]
 
 
 def save_lapack_runs(path: str) -> None:
@@ -914,14 +996,14 @@ def test_a_perturbed_generated_solve_fails_the_residual_gate(run, monkeypatch):
     straight_line = engine._straight_line
 
     def perturbed(*args):
-        step = straight_line(*args)
-        *_, table, segments = args
+        solve = one_step(straight_line(*args))
+        *_, switches, table, segments = args
 
         def off(zl, xp):
-            xe = [v * (1.0 + 1e-6) for v in step(zl, xp)[0]]
+            xe = [v * (1.0 + 1e-6) for v in solve(zl, xp)[0]]
             return xe, engine._select(table, xe) == segments
 
-        return off
+        return stretched(off, switches)
 
     monkeypatch.setattr(engine, "_solves", {})
     monkeypatch.setattr(engine, "_straight_line", perturbed)
@@ -947,8 +1029,9 @@ def test_the_gate_derives_the_rhs_each_accepted_solve_received(case, monkeypatch
     straight_line = engine._straight_line
 
     def recording(*args):
-        step = straight_line(*args)
-        return lambda zl, xp: received.append((list(zl), xp)) or step(zl, xp)
+        solve = one_step(straight_line(*args))
+        *_, switches, _, _ = args
+        return stretched(lambda zl, xp: received.append((list(zl), xp)) or solve(zl, xp), switches)
 
     monkeypatch.setattr(engine, "_Compiled", Recorded)
     monkeypatch.setattr(engine, "_solves", {})
@@ -1010,8 +1093,9 @@ def test_a_generated_self_check_is_select(data, v_f, v_z, v_hold):
         segments[k] = data.draw(st.sampled_from([engine._SEG_OFF, engine._SEG_FWD, engine._SEG_REV, engine._SEG_DEAD]))
     segments = tuple(segments)
     lu = [[float(i == j) for j in range(n)] for i in range(n)]
-    step = engine._straight_line(lu, list(range(n)), np.zeros(n), tuple(range(1, n + 1)), (), table, segments)
-    xe, stays = step(x, [0.0] * (n + 1))
+    step = engine._straight_line(lu, list(range(n)), np.zeros(n), tuple(range(1, n + 1)), (), (), table, segments)
+    rows, xe, stays = step(x, [0.0] * (n + 1))
+    assert rows == []
     assert np.array(xe).tobytes() == np.array(x).tobytes()
     assert stays is (engine._select(table, xe) == segments)
 
