@@ -45,10 +45,11 @@ written pivot rule (that of LAPACK's ``dgetf2``), as Kundert's Sparse and
 KLU factorize for themselves, so no solution bit depends on a BLAS or
 LAPACK library or on the kernel it picks for the host CPU.  The same
 segment sets recur across truth-table rows, stream segments and runs, so
-the generated steps are shared by every run (``_solves``), keyed by a
-digest of what the code is generated from: the rows and capacitors it
-reads, the selection entries and segments it tests, and the assembled
-matrix and dynamic RHS bytes; such a set is neither factorized nor
+the generated steps are shared by every run (``_solves``), keyed by the
+segments and a digest, taken once per run, of everything else the code is
+generated from: the rows and capacitors it reads, the selection entries it
+tests, the stamped matrices and the segment stamps, so that ``Dc`` levels
+do not enter it.  A set found there is neither assembled, factorized nor
 compiled again, and gives the same bits.
 
 Most steps of an oscillator's charging phase or of a pulse-driven stream
@@ -295,10 +296,9 @@ _RESIDUAL_TOL = 1e-9     # A, largest nodal-current residual of an accepted step
 _CHUNK = 4096            # samples per batch of residuals
 _FLIP_STATES = 128       # flip-step states remembered; a period with more flips is not found
 _SOLVES_MAX = 1024       # generated steps kept across runs; the dict is cleared when full
-# generated step of every system solved so far, by (digest of what its code is
-# generated from: the rows and capacitors it reads, its selection entries and
-# segments, its matrix and dynamic RHS bytes; pinned)
-_solves: dict[tuple[bytes, bool], object] = {}
+# (generated step, matrix nonzeros as (flat indices, values), dynamic RHS) of
+# every system solved so far, by (`_Compiled.run_key`, segments, pinned)
+_solves: dict[tuple[bytes, tuple[int, ...], bool], tuple] = {}
 
 
 def step_count(owner: str, span_name: str, span: float, dt_name: str, dt: float,
@@ -579,55 +579,50 @@ class _Compiled:
         # that hold drives, and at step 0 the capacitor terminals' pinned
         # history; after step 0 each capacitor's history comes from the
         # previous solution, and a stretch tests every OTS's terminals (step 0
-        # never starts one).  `key_bytes` holds these and every selection
-        # entry a set's self-check can test, for the `_solves` key.
+        # never starts one).
         source_rows = tuple(range(nn, n + 1))
         pin_rows = tuple(sorted({*source_rows, *(i for a, b, _, _ in self.caps for i in (a, b))} - {0}))
         self.reads = {True: (pin_rows, (), ()),
                       False: (source_rows, tuple((a, b, g) for a, b, g, _ in self.caps),
                               tuple((a, b) for a, b, *_ in self.ots))}
-        self.key_bytes = repr((self.reads, self.select, [on for *_, on in self.ots])).encode()
+        # The run's `_solves` key: a digest of all that a set's code comes from
+        # but its segments (dt included, no Dc level).  The repr ends where its
+        # brackets close and both matrices have one size, so it is unambiguous.
+        self.run_key = hashlib.blake2b(
+            repr((self.reads, self.select, [on for *_, on in self.ots], self.stamps)).encode()
+            + g_ext.tobytes() + self.g_pin_ext.tobytes(), digest_size=16).digest()
 
-        # per-run memos keyed by segment set: the steps after step 0, and for
-        # each post-flip start set the set the last step from it accepted
+        # per-run memos keyed by segment set: (step, set id) after step 0, and
+        # for each post-flip start set the set the last step from it accepted
         self.solves: dict[tuple[int, ...], tuple] = {}
         self.landing: dict[tuple[int, ...], tuple[int, ...]] = {}
-        # (segments, matrix, dynamic RHS) of every system solved, indexed by set id
-        self.sets: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]] = []
-
-    def assemble(self, base_ext: np.ndarray, segments: tuple[int, ...]):
-        """System matrix (n x n) and extended dynamic RHS for a segment set."""
-        mat = base_ext.copy()
-        z = np.zeros(self.n + 1)
-        for table, seg in zip(self.stamps, segments):
-            st = table[seg]
-            if st is not None:
-                a, b, g, c = st
-                _stamp(mat, a, b, g)
-                # element current i = g*(v + offset); the constant part moves to the RHS
-                z[a] -= c
-                z[b] += c
-        return np.ascontiguousarray(mat[1:, 1:]), z
+        # (segments, matrix nonzeros, dynamic RHS) of every system solved, indexed by set id
+        self.sets: list[tuple[tuple[int, ...], tuple[np.ndarray, np.ndarray], np.ndarray]] = []
 
     def factorized(self, segments: tuple[int, ...], pinned: bool):
-        """(step, set id) for a segment set, with the set's `_straight_line`
-        step generated from its `_factor` factors; cached per run after step 0
-        (which runs once), and across runs in `_solves`, where a system whose
-        code would be the same as one compiled before is neither factorized
-        nor compiled again.
+        """(step, set id) for a segment set; its `_straight_line` step, matrix
+        nonzeros and dynamic RHS are shared by every run in `_solves`, keyed
+        by (`run_key`, segments, pinned), and only a set not found there is
+        assembled, factorized (`_factor`) and compiled.  `solves` keeps the
+        run's set ids after step 0 (which runs once).
 
         SingularSystemError if `_factor` finds the system singular.  The
         shared key holds `pinned`, so that a step-0 system never stands in
-        for the same bytes after step 0, whose pivot test may refuse them."""
-        mat, z = self.assemble(self.g_pin_ext if pinned else self.g_ext, segments)
-        zd = z[1:]
-        # `key_bytes` is a repr, which ends where its brackets close, and it
-        # fixes the length of each part after it, so no two sets hash the
-        # same bytes
-        digest = hashlib.blake2b(self.key_bytes + bytes(segments) + mat.tobytes() + zd.tobytes(), digest_size=16)
-        key = (digest.digest(), pinned)
-        step = _solves.get(key)
-        if step is None:
+        for the same system after step 0, whose pivot test may refuse it."""
+        key = (self.run_key, segments, pinned)
+        entry = _solves.get(key)
+        if entry is None:
+            mat = (self.g_pin_ext if pinned else self.g_ext).copy()
+            z = np.zeros(self.n + 1)
+            for table, seg in zip(self.stamps, segments):
+                st = table[seg]
+                if st is not None:
+                    a, b, g, c = st
+                    _stamp(mat, a, b, g)
+                    # element current i = g*(v + offset); the constant part moves to the RHS
+                    z[a] -= c
+                    z[b] += c
+            mat = np.ascontiguousarray(mat[1:, 1:])
             factors = _factor(mat, pinned)
             if factors is None:
                 self.raise_singular(mat)
@@ -637,12 +632,14 @@ class _Compiled:
             for *_, pos, _, on in self.ots:
                 if segments[pos] != _SEG_OFF:
                     table[pos] = on
-            step = _solves[key] = _straight_line(*factors, zd, *self.reads[pinned], tuple(table), segments)
-        entry = (step, len(self.sets))
+            flat = np.flatnonzero(mat)
+            entry = _solves[key] = (_straight_line(*factors, z[1:], *self.reads[pinned], tuple(table), segments),
+                                    (flat, mat.flat[flat]), z[1:])
+        out = (entry[0], len(self.sets))
         if not pinned:
-            self.solves[segments] = entry
-        self.sets.append((segments, mat, zd))
-        return entry
+            self.solves[segments] = out
+        self.sets.append((segments, *entry[1:]))
+        return out
 
     def raise_singular(self, mat: np.ndarray):
         rows = np.flatnonzero(~(np.abs(mat).sum(axis=1) > 0.0))
@@ -678,7 +675,9 @@ class _Compiled:
             ids = set_id[lo:hi]
             for sid in np.unique(ids):
                 rows = np.flatnonzero(ids == sid)
-                _, mat, zd = self.sets[sid]
+                _, (flat, vals), zd = self.sets[sid]
+                mat = np.zeros((self.n, self.n))
+                mat.flat[flat] = vals
                 x = sol[lo + rows, 1:]
                 r = np.matmul(np.broadcast_to(mat, (len(rows), *mat.shape)), x[:, :, None])[:, :self.nv, 0]
                 worst[rows] = np.max(np.abs(r - (z[rows, 1:] + zd[:self.nv])), axis=1)
@@ -809,9 +808,10 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     A step after an OTS flip starts its segment iteration, budget and
     cycle report included, from the set that the last step from the same
     start set accepted.  Every step solves in code generated from its
-    segment set's LU factors (`_factor`) and shared by every run whose
-    set would generate the same code, so a run's bits do not depend on the
-    runs before it, nor, but for `Trace.kcl_residual`, on the host's BLAS.
+    segment set's LU factors (`_factor`) and shared by every run of the
+    same stamped circuit at the same dt, whatever its `Dc` levels, so a
+    run's bits do not depend on the runs before it, nor, but for
+    `Trace.kcl_residual`, on the host's BLAS.
     """
     n_steps = step_count("transient", "t_stop", t_stop, "dt", dt)
     c = _Compiled(net, dt, sources)
@@ -828,7 +828,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     end = 0                                  # the step after the current batch
     ots = c.ots
     vth = tuple(p.v_th for _, _, p, *_ in ots)
-    off = True                               # whether every OTS state is OFF_STATE itself
+    busy = 0                                 # OTS states that are not OFF_STATE itself
     select = list(c.select)                  # per run: OTS entries follow the phase
     xe = [0.0] * (n + 1)
     segments = _select(select, xe)
@@ -863,7 +863,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
             # solve may run a stretch up to the batch's end; its rows are
             # this step and the ones after it, and its last solve is the
             # first solve of the step it stops at.
-            stop = end - checked if off and not flipped and step > 1 and step != checked else 0
+            stop = end - checked if not busy and not flipped and step > 1 and step != checked else 0
             tried = [segments]                   # the sets solved, then the last one selected
             for attempt in budget:
                 step_set, sid = solves.get(segments) or c.factorized(segments, not step)
@@ -909,9 +909,8 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                         if st.on != s.on:
                             select[pos] = on_entry if st.on else off_entry
                             flipped = True
+                        busy += (st is not OFF_STATE) - (s is not OFF_STATE)
                         states[slot] = st
-                if not unchanged:
-                    off = all(s is OFF_STATE for s in states)
                 if flipped:
                     segments = _select(select, xe)
 

@@ -27,8 +27,11 @@ solutions is, bit for bit, the one rebuilt from the inputs each accepted
 step received; a generated step's self-check decides as `_select` does, at
 knees, signed zeros, infinities and NaN too; the generated steps that runs
 share give a run the same bits whatever ran before it, also where two sets
-differ only in their knees; and a fresh interpreter under another OpenBLAS
-kernel gives a golden run's bits but for its residual.
+differ only in their knees or two circuits in one stamped value, while a
+run at another DC level compiles no set; the matrix the residual gate
+rebuilds from a set's shared nonzeros is the one assembled for it; and a
+fresh interpreter under another OpenBLAS kernel gives a golden run's bits
+but for its residual.
 """
 
 import gc
@@ -1123,7 +1126,7 @@ def test_a_run_leaves_no_reference_cycle(monkeypatch):
         gates.evaluate(GateKind.XOR, (1, 0))
         assert len(compiled) == 1 and solves
         assert compiled[0]() is None
-        assert sorted(map(id, cache.values())) == sorted(id(ref()) for ref in solves)
+        assert sorted(id(step) for step, *_ in cache.values()) == sorted(id(ref()) for ref in solves)
         cache.clear()
         assert all(ref() is None for ref in solves)
     finally:
@@ -1140,10 +1143,36 @@ def count_compiles(monkeypatch, cache: dict) -> list:
     return compiles
 
 
+def stamped_rig(v_in=4.3, ohms=9.1e3, farads=1e-9, dt=10e-9, v_f=0.4, v_z=15.0, r_series=1.0, r_on=100.0,
+                g_off=1e-8, v_hold=1.0, r_out=50.0, v_out_high=5.0, v_out_low=0.0):
+    """30 us of the oscillator rig with a diode and a comparator on its
+    sense node: the switch flips, the diode conducts and the comparator
+    output goes high and low, so every value but `v_z` (and `v_in`, a Dc
+    level) moves the trace."""
+    net = Netlist()
+    net.add_source("VIN", "in", "0", Dc(v_in))
+    net.add_source("VREF", "ref", "0", Dc(0.25))
+    net.add_resistor("RD", "in", "top", ohms)
+    net.add_capacitor("CP", "top", "0", farads)
+    net.add_ots("S1", "top", "mid", replace(default_params(), r_on=r_on, g_off=g_off, v_hold=v_hold))
+    net.add_resistor("RS", "mid", "0", 100.0)
+    net.add_diode("D1", "mid", "d", v_f=v_f, v_z=v_z, r_series=r_series)
+    net.add_resistor("R3", "d", "0", 1e3)
+    net.add_comparator("K1", "mid", "ref", "o", r_out=r_out, v_out_high=v_out_high, v_out_low=v_out_low)
+    net.add_resistor("RO", "o", "0", 1e3)
+    return transient(net, 30e-6, dt)
+
+
+# one changed value per field that a matrix, a knee or a constant of the generated code holds
+STAMPED_CHANGES = {"ohms": 9.2e3, "farads": 1.1e-9, "dt": 12.5e-9, "v_f": 0.45, "v_z": 14.0, "r_series": 2.0,
+                   "r_on": 110.0, "g_off": 2e-8, "v_hold": 1.1, "r_out": 60.0, "v_out_high": 4.5, "v_out_low": 0.5}
+
+
 class TestSharedSolves:
     """Generated solves are shared by every run through `engine._solves`,
-    keyed by the bytes of the system they solve, so a run's bits do not
-    depend on what ran before it."""
+    keyed by a digest of everything but the segments that their code is
+    generated from, taken once per run, so a run's bits do not depend on
+    what ran before it."""
 
     ROW = "full_adder_row_111"
 
@@ -1153,6 +1182,7 @@ class TestSharedSolves:
         run = GOLDEN[self.ROW][0]
         alone_compiles = count_compiles(monkeypatch, {})
         alone = run()
+        alone_count = len(alone_compiles)  # the list goes on counting through the next wrapper
         compiles = count_compiles(monkeypatch, {})
         for kind in GateKind:
             if kind is not GateKind.FULL_ADDER:
@@ -1162,7 +1192,7 @@ class TestSharedSolves:
                 gates.evaluate(GateKind.FULL_ADDER, bits)
         before = len(compiles)
         after = run()
-        assert len(compiles) - before < len(alone_compiles)
+        assert len(compiles) - before < alone_count
         assert field_digests(after) == field_digests(alone)
         assert (after.solved_steps, after.period) == (alone.solved_steps, alone.period)
 
@@ -1197,6 +1227,63 @@ class TestSharedSolves:
         dead = [system(args) for args in compiles[:first] if args[-1] == (engine._SEG_DEAD,)]
         assert dead and dead[0] in [system(args) for args in compiles[first:]]
         assert together == alone
+
+    @pytest.mark.parametrize("field", sorted(STAMPED_CHANGES))
+    def test_each_stamped_value_keys_its_own_sets(self, monkeypatch, field):
+        # after a run of the rig, a run whose one value differs compiles
+        # every set it compiles alone, and gets its bits alone
+        change = {field: STAMPED_CHANGES[field]}
+        compiles = count_compiles(monkeypatch, {})
+        alone = field_digests(stamped_rig(**change))
+        alone_compiles = len(compiles)
+        monkeypatch.setattr(engine, "_solves", {})
+        base = field_digests(stamped_rig())
+        before = len(compiles)
+        assert field_digests(stamped_rig(**change)) == alone
+        assert len(compiles) - before == alone_compiles > 0
+        assert (alone == base) is (field == "v_z")
+
+    def test_a_run_at_another_dc_level_compiles_no_set(self, monkeypatch):
+        monkeypatch.setattr(engine, "_solves", {})
+        alone = field_digests(stamped_rig(v_in=4.4))
+        compiles = count_compiles(monkeypatch, {})
+        base = field_digests(stamped_rig())
+        compiles.clear()
+        assert field_digests(stamped_rig(v_in=4.4)) == alone != base
+        assert compiles == []
+
+    def test_the_gate_rebuilds_each_assembled_matrix(self, monkeypatch):
+        # for every set of the eight truth tables, the matrix the residual
+        # gate rebuilds from the shared nonzeros is, bit for bit, the one
+        # assembled and factorized when the set was compiled
+        keys, assembled = [], {}  # the shared key of each set of each run, in set id order
+
+        class Recorded(engine._Compiled):
+            def factorized(self, segments, pinned):
+                key = (self.run_key, segments, pinned)
+                factor = engine._factor
+                keys.append((self, key))
+
+                def recording(mat, pinned):
+                    assembled[key] = mat.tobytes()
+                    return factor(mat, pinned)
+
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(engine, "_factor", recording)
+                    return super().factorized(segments, pinned)
+
+        monkeypatch.setattr(engine, "_Compiled", Recorded)
+        monkeypatch.setattr(engine, "_solves", {})
+        for kind in GateKind:
+            gates.truth_table(kind)
+        sids = {}
+        for c, key in keys:
+            sid = sids[c] = sids.get(c, -1) + 1
+            segments, (flat, vals), _ = c.sets[sid]
+            mat = np.zeros((c.n, c.n))  # as residual_gate rebuilds it
+            mat.flat[flat] = vals
+            assert segments == key[1] and mat.tobytes() == assembled[key]
+        assert len(assembled) == len(engine._solves) > 500 and len(keys) > len(assembled)
 
     def test_a_cache_of_two_gives_the_same_bits(self, monkeypatch, blas_platform):
         sizes = []
