@@ -88,13 +88,11 @@ step.  On the full adder's truth table the memo cuts 40,820 solves to
 14,538.
 
 The residual gate runs on batches of recorded samples: each sample's nodal
-residual ``mat @ x - z``, z its RHS plus the set's dynamic RHS, comes from
-one batched ``np.matmul`` per segment set, which gives the same bits as a
-per-step ``mat.dot(x)``.  z's node rows hold only capacitor history, which
-the gate derives from the previous sample's solution
-(``_Compiled.node_rhs``).  numpy runs the product in its BLAS, so
-``Trace.kcl_residual`` alone may differ in its last bits between BLAS
-kernels.  The loop checks every full batch of ``_CHUNK`` samples as soon as
+residual ``A x - z``, z its RHS plus the set's dynamic RHS, sums each node
+row's stored nonzeros in a written order, with no BLAS call; z's node rows
+hold only capacitor history, which the gate derives from the previous
+solution (``_Compiled.node_rhs``), so it needs no record of the right-hand
+side.  The loop checks every full batch of ``_CHUNK`` samples as soon as
 it is solved, and the last, partial batch after the loop.  If the loop
 raises, the samples it solved are checked first, so a residual failure at
 an earlier step still wins.  The drives are sampled over the same batches,
@@ -292,12 +290,13 @@ def extract_spikes(tr: Trace, node: str | int, threshold: float, refractory: flo
 _PIN = 1e6               # stiffness of the step-0 capacitor companions
 _MAX_RESELECTIONS = 8    # segment re-selections per step before knee ties are accepted
 _KNEE_TOL = 1e-12        # V, knee ties accepted once the reselection budget is spent
-_RESIDUAL_TOL = 1e-9     # A, largest nodal-current residual of an accepted step
+_RESIDUAL_TOL = 1e-9     # A, a step is refused if its nodal-current residual is above this
+_BACKWARD_TOL = 8 * np.finfo(float).eps  # and its componentwise backward error above this
 _CHUNK = 4096            # samples per batch of residuals
 _FLIP_STATES = 128       # flip-step states remembered; a period with more flips is not found
 _SOLVES_MAX = 1024       # generated steps kept across runs; the dict is cleared when full
-# (generated step, matrix nonzeros as (flat indices, values), dynamic RHS) of
-# every system solved so far, by (`_Compiled.run_key`, segments, pinned)
+# (generated step, node-row terms as (cols, coef), dynamic RHS) of every
+# system solved so far, by (`_Compiled.run_key`, segments, pinned)
 _solves: dict[tuple[bytes, tuple[int, ...], bool], tuple] = {}
 
 
@@ -596,15 +595,16 @@ class _Compiled:
         # for each post-flip start set the set the last step from it accepted
         self.solves: dict[tuple[int, ...], tuple] = {}
         self.landing: dict[tuple[int, ...], tuple[int, ...]] = {}
-        # (segments, matrix nonzeros, dynamic RHS) of every system solved, indexed by set id
+        # (segments, node-row terms, dynamic RHS) of every system solved, indexed by set id
         self.sets: list[tuple[tuple[int, ...], tuple[np.ndarray, np.ndarray], np.ndarray]] = []
 
     def factorized(self, segments: tuple[int, ...], pinned: bool):
-        """(step, set id) for a segment set; its `_straight_line` step, matrix
-        nonzeros and dynamic RHS are shared by every run in `_solves`, keyed
-        by (`run_key`, segments, pinned), and only a set not found there is
+        """(step, set id) for a segment set; its `_straight_line` step, node-row
+        terms and dynamic RHS are shared by every run in `_solves`, keyed by
+        (`run_key`, segments, pinned), and only a set not found there is
         assembled, factorized (`_factor`) and compiled.  `solves` keeps the
-        run's set ids after step 0 (which runs once).
+        run's set ids after step 0 (which runs once).  Rank k of the terms
+        (cols, coef) holds each node row's k-th nonzero column and its value.
 
         SingularSystemError if `_factor` finds the system singular.  The
         shared key holds `pinned`, so that a step-0 system never stands in
@@ -632,9 +632,11 @@ class _Compiled:
             for *_, pos, _, on in self.ots:
                 if segments[pos] != _SEG_OFF:
                     table[pos] = on
-            flat = np.flatnonzero(mat)
+            node = mat[:self.nv]  # nonzero columns ascend; ground and 0.0 pad a shorter row
+            col = np.argsort(node == 0.0, axis=1, kind="stable")[:, :np.count_nonzero(node, axis=1).max(initial=0)].T
+            coef = node[np.arange(self.nv), col]
             entry = _solves[key] = (_straight_line(*factors, z[1:], *self.reads[pinned], tuple(table), segments),
-                                    (flat, mat.flat[flat]), z[1:])
+                                    (np.where(coef != 0.0, col + 1, 0).astype(np.int32), coef), z[1:])
         out = (entry[0], len(self.sets))
         if not pinned:
             self.solves[segments] = out
@@ -665,23 +667,37 @@ class _Compiled:
         return z
 
     def residual_gate(self, sol: np.ndarray, set_id: np.ndarray, lo: int, hi: int) -> float:
-        """The largest max |mat @ x - z| over the node rows of samples lo..hi-1
-        (at most _CHUNK of them), z the `node_rhs` plus the set's dynamic RHS,
-        one batched product per segment set, or SimulationError naming the
-        first sample whose residual is above _RESIDUAL_TOL or not a number."""
+        """The largest max |A x - z| over the node rows of samples lo..hi-1
+        (at most _CHUNK of them), z the `node_rhs` plus the set's dynamic RHS
+        and A x its terms summed rank by rank, or SimulationError naming the
+        first sample whose residual is not finite, or is above _RESIDUAL_TOL
+        with a componentwise backward error, max_i |r_i| / (|A||x| + |z|)_i
+        (Oettli and Prager, 1964), above _BACKWARD_TOL too: at step 0 a pinned
+        capacitor's companion term can be so large that the rounding of the
+        sum alone exceeds _RESIDUAL_TOL."""
         worst = np.zeros(hi - lo)
+        refused = np.zeros(hi - lo, dtype=bool)
         if self.nv:
             z = self.node_rhs(sol, lo, hi)
             ids = set_id[lo:hi]
             for sid in np.unique(ids):
                 rows = np.flatnonzero(ids == sid)
-                _, (flat, vals), zd = self.sets[sid]
-                mat = np.zeros((self.n, self.n))
-                mat.flat[flat] = vals
-                x = sol[lo + rows, 1:]
-                r = np.matmul(np.broadcast_to(mat, (len(rows), *mat.shape)), x[:, :, None])[:, :self.nv, 0]
-                worst[rows] = np.max(np.abs(r - (z[rows, 1:] + zd[:self.nv])), axis=1)
-        bad = np.flatnonzero(~(worst <= _RESIDUAL_TOL))
+                _, (cols, coef), zd = self.sets[sid]
+                x = sol[lo + rows]
+                r = coef[0] * x[:, cols[0]]
+                for k in range(1, len(cols)):
+                    r += coef[k] * x[:, cols[k]]
+                zs = z[rows, 1:] + zd[:self.nv]
+                r = np.abs(r - zs)
+                worst[rows] = np.max(r, axis=1)
+                tall = ~(worst[rows] <= _RESIDUAL_TOL)
+                if tall.any():  # the scale |A| |x| + |z| of each row, from the same terms
+                    xa, scale = np.abs(x[tall]), np.abs(zs[tall])
+                    for k in range(len(cols)):
+                        scale += np.abs(coef[k]) * xa[:, cols[k]]
+                    refused[rows[tall]] = ~(np.isfinite(worst[rows[tall]])
+                                            & np.all(r[tall] <= _BACKWARD_TOL * scale, axis=1))
+        bad = np.flatnonzero(refused)
         if bad.size:
             k = int(bad[0])
             raise SimulationError(f"nodal residual {float(worst[k]):.3g} A exceeds {_RESIDUAL_TOL:g} A at step {lo + k}")
@@ -797,11 +813,12 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     rest accept an element that rounding keeps flipping across a knee; the
     error names the cycle of segment sets the iteration ends in),
     SingularSystemError for defective topologies, and SimulationError if
-    any accepted step violates (or cannot evaluate) the nodal-current
-    residual tolerance _RESIDUAL_TOL; that check runs on each batch of
-    _CHUNK solved samples, and before any other error the loop raises is
-    passed on.  With only `Dc` drives the loop stops once a step leaves the
-    state an earlier one left, and the rest of the run repeats that period;
+    an accepted step's nodal-current residual is not finite, or is above
+    _RESIDUAL_TOL with a componentwise backward error above _BACKWARD_TOL;
+    that check runs on each batch of _CHUNK solved samples, and before any
+    other error the loop raises is passed on.  With only `Dc` drives the
+    loop stops once a step leaves the state an earlier one left, and the
+    rest of the run repeats that period;
     `Trace.solved_steps` counts the samples the loop solved and
     `Trace.period` is the period (None if it solved them all).
 
@@ -810,8 +827,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     start set accepted.  Every step solves in code generated from its
     segment set's LU factors (`_factor`) and shared by every run of the
     same stamped circuit at the same dt, whatever its `Dc` levels, so a
-    run's bits do not depend on the runs before it, nor, but for
-    `Trace.kcl_residual`, on the host's BLAS.
+    run's bits do not depend on the runs before it, nor on the host's BLAS.
     """
     n_steps = step_count("transient", "t_stop", t_stop, "dt", dt)
     c = _Compiled(net, dt, sources)

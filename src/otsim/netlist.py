@@ -29,7 +29,7 @@ class Resistor:
     def __post_init__(self) -> None:
         require_finite(self.name, NetlistError, ohms=self.ohms)
         if self.ohms <= 0.0:
-            raise NetlistError(f"{self.name}: resistance must be positive")
+            raise NetlistError(f"{self.name}: ohms must be positive, got {self.ohms!r}")
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class Capacitor:
     def __post_init__(self) -> None:
         require_finite(self.name, NetlistError, farads=self.farads, ic=self.ic)
         if self.farads <= 0.0:
-            raise NetlistError(f"{self.name}: capacitance must be positive")
+            raise NetlistError(f"{self.name}: farads must be positive, got {self.farads!r}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,9 @@ class Diode:
 
     def __post_init__(self) -> None:
         require_finite(self.name, NetlistError, v_f=self.v_f, v_z=self.v_z, r_series=self.r_series)
-        if self.v_f <= 0.0 or self.v_z <= 0.0 or self.r_series <= 0.0:
-            raise NetlistError(f"{self.name}: diode parameters must be positive")
+        for field in ("v_f", "v_z", "r_series"):
+            if getattr(self, field) <= 0.0:
+                raise NetlistError(f"{self.name}: {field} must be positive, got {getattr(self, field)!r}")
 
 
 @dataclass(frozen=True)
@@ -90,9 +91,10 @@ class Comparator:
         require_finite(self.name, NetlistError, v_out_high=self.v_out_high,
                        v_out_low=self.v_out_low, r_out=self.r_out)
         if self.v_out_high <= self.v_out_low:
-            raise NetlistError(f"{self.name}: require v_out_high > v_out_low")
+            raise NetlistError(f"{self.name}: v_out_high must exceed v_out_low = {self.v_out_low!r}, "
+                               f"got {self.v_out_high!r}")
         if self.r_out <= 0.0:
-            raise NetlistError(f"{self.name}: r_out must be positive")
+            raise NetlistError(f"{self.name}: r_out must be positive, got {self.r_out!r}")
 
 
 ElementKind = Resistor | Capacitor | VoltageSource | Diode | Ots | Comparator

@@ -1,19 +1,16 @@
 """Shared fixtures.
 
-Every run factorizes its systems in ``engine._factor`` and solves them in
-generated Python code, with no BLAS or LAPACK call, so the pinned voltages,
-currents, OTS phases and step counts do not depend on the host's BLAS
-kernel.  One value still passes through a BLAS kernel: the residual gate's
-batched ``np.matmul``, which numpy's bundled OpenBLAS runs with the kernel
-it picks for the host CPU at load time, and which gives ``kcl_residual``.  The pins were made
-under the ``SkylakeX`` kernel.  Every digest and count assertion therefore
-names that kernel and the numpy version it ran on."""
+Every run factorizes its systems in ``engine._factor``, solves them in
+generated Python code and sums its nodal residuals in a written order, with
+no BLAS or LAPACK call, so no pinned voltage, current, OTS phase, residual or
+step count depends on the host's BLAS kernel.  ``openblas_core`` names the
+kernel that a package's bundled OpenBLAS runs with, for the tests that run
+LAPACK as a reference or a golden run under another kernel."""
 
 import ctypes
 import importlib.util
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from otsim import engine
@@ -34,12 +31,6 @@ def openblas_core(package: str = "numpy") -> str:
         corename.restype = ctypes.c_char_p
         return corename().decode()
     return "unknown"
-
-
-@pytest.fixture(scope="session")
-def blas_platform() -> str:
-    """What a pinned digest or count depends on, for its failure message."""
-    return f"OpenBLAS kernel {openblas_core()}, numpy {np.__version__}"
 
 
 class SolveCounter:

@@ -39,9 +39,9 @@ def bench():
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
-def test_round_zero_digest(bench, name, blas_platform):
+def test_round_zero_digest(bench, name):
     run, workloads = bench
     wl = workloads.WORKLOADS[name]
     results, _ = run.run_round(wl, wl.make_round(1, 0))
     assert sum(r.failed for r in results) == 0
-    assert run.round_digest(results) == DIGESTS[name], blas_platform
+    assert run.round_digest(results) == DIGESTS[name]

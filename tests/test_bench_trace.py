@@ -37,7 +37,7 @@ def _reject(constant: str):
 
 
 @pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
-def test_traced_run_reports_every_layer(workload, blas_platform):
+def test_traced_run_reports_every_layer(workload):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
@@ -50,4 +50,4 @@ def test_traced_run_reports_every_layer(workload, blas_platform):
         value = metrics[name]["value"]
         assert math.isfinite(value) and value != 0, f"{name} = {value!r}"
     names = ("engine.steps", "device.ots_step_calls", "waveforms.source_evals")
-    assert tuple(metrics[name]["value"] for name in names) == COUNTS[workload], blas_platform
+    assert tuple(metrics[name]["value"] for name in names) == COUNTS[workload]

@@ -28,10 +28,11 @@ step received; a generated step's self-check decides as `_select` does, at
 knees, signed zeros, infinities and NaN too; the generated steps that runs
 share give a run the same bits whatever ran before it, also where two sets
 differ only in their knees or two circuits in one stamped value, while a
-run at another DC level compiles no set; the matrix the residual gate
-rebuilds from a set's shared nonzeros is the one assembled for it; and a
-fresh interpreter under another OpenBLAS kernel gives a golden run's bits
-but for its residual.
+run at another DC level compiles no set; the node rows the residual gate
+reads from a set's shared terms are those assembled for it, and a golden
+run's `kcl_residual` is, bit for bit, the one a scalar plain-Python gate
+sums in the same written order; and a fresh interpreter under another
+OpenBLAS kernel gives every bit of a golden run, its residual included.
 """
 
 import gc
@@ -142,7 +143,7 @@ GOLDEN = {
             "voltages": "e6243575b84ce72e99f211ac1cf94bdba15febdd246397c0faa308e4be0c98c2",
             "currents": "566299dd78270cd6ae05293a496de30f88141f68d566e2f94bdeb389b8e8fdb0",
             "ots_on": "20c590791d2fbc0a8f4b01497e5effd3c8abea1796c2201923a762a9d1e4a3b9",
-            "kcl_residual": "0x1.0000000000000p-55",
+            "kcl_residual": "0x1.0000000000000p-53",
         },
     ),
     "full_adder_row_111": (
@@ -184,7 +185,7 @@ GOLDEN = {
             "voltages": "3645eaad7931a198c9b111afd976e0a18c565cc8b0b88974e591c775634c42ed",
             "currents": "fdab815d0a8efde89fa99fef6b31a432d35c88dc68bbd4d6bc29d1832e5422be",
             "ots_on": "4b268e68726fb606486ceec83e0b5653039f654d9972e898f26b5b325d0009a3",
-            "kcl_residual": "0x1.0000000000000p-55",
+            "kcl_residual": "0x1.0000000000000p-53",
         },
     ),
     # periodic with a period of 13 steps
@@ -217,7 +218,7 @@ GOLDEN = {
             "voltages": "4b3c9fb940666c222e55fd25e52cef6315ded992fcadbe2087475f9248a3adad",
             "currents": "c56d94db90bbfaef44127c99ada6aa0e01a857d99c56e23310a5f8762dab5ffd",
             "ots_on": "a868685a222439cb3d14049231dd9cc01779a2c20abc218a38386ac976581d82",
-            "kcl_residual": "0x1.0000000000000p-36",
+            "kcl_residual": "0x1.4000000000000p-37",
         },
     ),
     # pulse-driven runs: every sample is solved
@@ -238,7 +239,7 @@ GOLDEN = {
             "voltages": "4ced5f4e80d14ff085a1e0c1d80738d167a5ce20c434442500c6c573ce7d5371",
             "currents": "1baa5d902e58a3b51927855d317ab50b09317a6c690e40d1306bdaaf0e26e998",
             "ots_on": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-            "kcl_residual": "0x1.8000000000000p-53",
+            "kcl_residual": "0x1.4000000000000p-53",
         },
     ),
     "dynamic_iv_triangle": (
@@ -255,11 +256,11 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_golden_trace_digests(case, blas_platform):
+def test_golden_trace_digests(case):
     run, (solved_steps, period), expected = GOLDEN[case]
     tr = run()
-    assert field_digests(tr) == expected, blas_platform
-    assert (tr.solved_steps, tr.period) == (solved_steps, period), blas_platform
+    assert field_digests(tr) == expected
+    assert (tr.solved_steps, tr.period) == (solved_steps, period)
 
 
 # One SHA-256 over every row of all 8 truth tables at three logic levels:
@@ -270,11 +271,13 @@ def test_golden_trace_digests(case, blas_platform):
 # no other bit, when the small circuits' steps after step 0 moved to
 # generated straight-line solves, when step 0 and the larger circuits
 # followed, and when LAPACK's dgetrf gave way to `engine._factor`; these
-# moves changed bits by rounding.
-TRUTH_TABLE_SPACE = "acbe9ffe1aea87c63bcdae29c34c8c4d0ea117580b4fbfbfeb3d3e718561f1cd"
+# moves changed bits by rounding.  It was re-made once more when the residual
+# gate's batched matrix product gave way to its own written summation order,
+# which moved only `kcl_residual`.
+TRUTH_TABLE_SPACE = "1bbe89f5c6e27e4bd3fea6bbff39535ced6536a03d0aeeb543afe74359adf220"
 
 
-def test_truth_table_space_digest(blas_platform):
+def test_truth_table_space_digest():
     h = hashlib.sha256()
     for kind in GateKind:
         for v_high in (4.5, 5.0, 5.5):
@@ -282,7 +285,7 @@ def test_truth_table_space_digest(blas_platform):
                 tr = row.trace
                 h.update(repr((kind.value, v_high, row.inputs, sorted(field_digests(tr).items()),
                                tr.solved_steps, tr.period)).encode())
-    assert h.hexdigest() == TRUTH_TABLE_SPACE, blas_platform
+    assert h.hexdigest() == TRUTH_TABLE_SPACE
 
 
 def constant_pwl_sources(net: Netlist) -> dict:
@@ -367,9 +370,9 @@ class TestPeriodicTail:
         assert tr.period == 210 and tr.ots_on["OTSB"].any()
         assert field_digests(tr) == field_digests(transient(net, 40e-6, 10e-9, sources=constant_pwl_sources(net)))
 
-    def test_fixed_point_is_period_one(self, blas_platform):
+    def test_fixed_point_is_period_one(self):
         tr = gates.evaluate(GateKind.HALF_ADDER, (1, 1)).trace
-        assert (tr.period, tr.solved_steps) == (1, 736), blas_platform
+        assert (tr.period, tr.solved_steps) == (1, 736)
 
 
 @st.composite
@@ -707,7 +710,7 @@ def test_random_gate_networks_do_not_depend_on_stretches(net, dt):
             assert outcome(lambda: transient(net, GATE_NETWORK_STOP, dt)) == want, chunk
 
 
-def test_no_stretch_starts_on_a_batch_first_step(monkeypatch, blas_platform):
+def test_no_stretch_starts_on_a_batch_first_step(monkeypatch):
     # a stretch is offered from a batch's second step on and ends inside
     # its batch; at its first step the loop samples the batch's drives
     calls = []
@@ -728,8 +731,8 @@ def test_no_stretch_starts_on_a_batch_first_step(monkeypatch, blas_platform):
     monkeypatch.setattr(engine, "_straight_line", recording)
     run, steps, expected = GOLDEN["xor_stream_16_clocks"]
     tr = run()
-    assert field_digests(tr) == expected, blas_platform
-    assert (tr.solved_steps, tr.period) == steps, blas_platform
+    assert field_digests(tr) == expected
+    assert (tr.solved_steps, tr.period) == steps
     stretches = [(k, stop, m) for k, stop, m in calls if stop > k + 1]
     assert stretches and all(k > 0 and k + m < stop for k, stop, m in stretches)
     assert (1, 7, 5) in stretches  # from a batch's second step to its last
@@ -779,7 +782,7 @@ def test_random_gate_networks_do_not_depend_on_the_landing_memo(net, dt):
     assert without_landing(run) == outcome(run)
 
 
-def test_full_adder_without_the_landing_memo(monkeypatch, solves, blas_platform):
+def test_full_adder_without_the_landing_memo(monkeypatch, solves):
     # the memo changes no bit of the table; without it the table makes
     # 40,820 solves instead of the 14,538 that TestSolveCounts pins
     rows = gates.truth_table(GateKind.FULL_ADDER, keep_traces=True).rows
@@ -787,7 +790,7 @@ def test_full_adder_without_the_landing_memo(monkeypatch, solves, blas_platform)
     monkeypatch.setattr(engine, "_Compiled", CompiledWithoutLanding)
     without = gates.truth_table(GateKind.FULL_ADDER, keep_traces=True).rows
     assert [field_digests(r.trace) for r in without] == [field_digests(r.trace) for r in rows]
-    assert solves.count == 40820, blas_platform
+    assert solves.count == 40820
 
 
 def gate_bits(kind: GateKind, bits: tuple[int, ...], enc: LogicEncoding = LogicEncoding()):
@@ -976,9 +979,9 @@ def test_importing_otsim_loads_no_scipy():
 
 @pytest.mark.parametrize("kernel", ["Sandybridge", "Haswell"])
 def test_golden_under_another_blas_kernel(kernel):
-    # a run calls no BLAS routine but the residual gate's matmul, so only
-    # kcl_residual may differ under another OpenBLAS kernel; Haswell is the
-    # one AMD Zen and pre-AVX-512 Intel hosts get
+    # a run calls no BLAS routine, so every bit, kcl_residual included, is
+    # the same under another OpenBLAS kernel; Haswell is the one AMD Zen and
+    # pre-AVX-512 Intel hosts get
     case = "full_adder_row_111"
     out = json.loads(fresh_python(
         "import json; from conftest import openblas_core; from test_engine_golden import GOLDEN, field_digests; "
@@ -988,8 +991,7 @@ def test_golden_under_another_blas_kernel(kernel):
     core, digests, solved_steps, period = out
     _, steps, expected = GOLDEN[case]
     assert core in (kernel, "unknown")
-    assert {k: digests[k] for k in ("voltages", "currents", "ots_on")} == {
-        k: expected[k] for k in ("voltages", "currents", "ots_on")}, core
+    assert digests == expected, core
     assert (solved_steps, period) == steps, core
 
 
@@ -1058,6 +1060,62 @@ def test_the_gate_derives_the_rhs_each_accepted_solve_received(case, monkeypatch
     derived = np.vstack([c.node_rhs(tr.voltages, lo, min(lo + engine._CHUNK, n)) for lo in range(0, n, engine._CHUNK)])
     assert derived.tobytes() == np.array(rebuilt).tobytes()
     assert c.node_rhs(tr.voltages, 0, 0).shape == (0, c.nv + 1)  # the loop raised at step 0
+
+
+def record_assembly(monkeypatch) -> tuple[list, dict, list]:
+    """Puts an empty shared solve cache in place and records the compiled
+    circuit and shared key of each set a run meets, in set id order; the
+    matrix assembled for each key; and the compiled circuit, solution record
+    and set-id record of each residual gate call."""
+    keys, assembled, gated = [], {}, []
+
+    class Recorded(engine._Compiled):
+        def factorized(self, segments, pinned):
+            key = (self.run_key, segments, pinned)
+            factor = engine._factor
+            keys.append((self, key))
+
+            def recording(mat, pinned):
+                assembled[key] = mat.copy()
+                return factor(mat, pinned)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "_factor", recording)
+                return super().factorized(segments, pinned)
+
+        def residual_gate(self, sol, set_id, lo, hi):
+            gated.append((self, sol, set_id))
+            return super().residual_gate(sol, set_id, lo, hi)
+
+    monkeypatch.setattr(engine, "_Compiled", Recorded)
+    monkeypatch.setattr(engine, "_solves", {})
+    return keys, assembled, gated
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_kcl_residual_is_the_written_sum(case, monkeypatch):
+    # a scalar plain-Python gate: for each solved sample and node row, the
+    # products a_ij * x_j over the nonzeros of the matrix assembled for the
+    # sample's set, summed left to right in ascending column order from the
+    # first product, minus the `node_rhs` row plus the set's dynamic RHS;
+    # the largest |r| of all is kcl_residual, bit for bit
+    keys, assembled, gated = record_assembly(monkeypatch)
+    tr = GOLDEN[case][0]()
+    (c, sol, set_id), *_ = gated
+    n = tr.solved_steps
+    terms = []  # per set id: each node row's (column, value) nonzeros, and the dynamic RHS
+    for (_, key), (_, _, zd) in zip(keys, c.sets, strict=True):  # the run's sets, in set id order
+        mat = assembled[key].tolist()
+        terms.append(([[(j + 1, v) for j, v in enumerate(row) if v] for row in mat[:c.nv]], zd.tolist()))
+    worst = 0.0
+    for x, z, sid in zip(sol[:n].tolist(), c.node_rhs(sol, 0, n).tolist(), set_id[:n].tolist()):
+        rows, zd = terms[sid]
+        for i, ((j, a), *rest) in enumerate(rows):
+            r = a * x[j]
+            for j, a in rest:
+                r += a * x[j]
+            worst = max(worst, abs(r - (z[i + 1] + zd[i])))
+    assert worst.hex() == tr.kcl_residual.hex()
 
 
 def selection_forms(v_f: float, v_z: float, v_hold: float) -> list[tuple]:
@@ -1253,39 +1311,27 @@ class TestSharedSolves:
         assert compiles == []
 
     def test_the_gate_rebuilds_each_assembled_matrix(self, monkeypatch):
-        # for every set of the eight truth tables, the matrix the residual
-        # gate rebuilds from the shared nonzeros is, bit for bit, the one
-        # assembled and factorized when the set was compiled
-        keys, assembled = [], {}  # the shared key of each set of each run, in set id order
-
-        class Recorded(engine._Compiled):
-            def factorized(self, segments, pinned):
-                key = (self.run_key, segments, pinned)
-                factor = engine._factor
-                keys.append((self, key))
-
-                def recording(mat, pinned):
-                    assembled[key] = mat.tobytes()
-                    return factor(mat, pinned)
-
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(engine, "_factor", recording)
-                    return super().factorized(segments, pinned)
-
-        monkeypatch.setattr(engine, "_Compiled", Recorded)
-        monkeypatch.setattr(engine, "_solves", {})
+        # for every set of the eight truth tables, the node rows rebuilt from
+        # the shared terms are, bit for bit, those of the matrix assembled
+        # and factorized when the set was compiled; in each row the columns
+        # ascend with rank, and only ground pads a row, with 0.0
+        keys, assembled, _ = record_assembly(monkeypatch)
         for kind in GateKind:
             gates.truth_table(kind)
         sids = {}
         for c, key in keys:
             sid = sids[c] = sids.get(c, -1) + 1
-            segments, (flat, vals), _ = c.sets[sid]
-            mat = np.zeros((c.n, c.n))  # as residual_gate rebuilds it
-            mat.flat[flat] = vals
-            assert segments == key[1] and mat.tobytes() == assembled[key]
+            segments, (cols, coef), _ = c.sets[sid]
+            assert segments == key[1] and cols.dtype == np.int32 and cols.shape == coef.shape
+            node = np.zeros((c.nv, c.n + 1))
+            for k in range(len(cols)):
+                node[np.arange(c.nv), cols[k]] = coef[k]
+            assert node[:, 1:].tobytes() == assembled[key][:c.nv].tobytes()
+            assert np.all(cols[0] > 0) and np.any(cols[-1] > 0) and np.array_equal(cols == 0, coef == 0.0)
+            assert np.all(np.where(cols[:-1] > 0, (cols[1:] > cols[:-1]) | (cols[1:] == 0), cols[1:] == 0))
         assert len(assembled) == len(engine._solves) > 500 and len(keys) > len(assembled)
 
-    def test_a_cache_of_two_gives_the_same_bits(self, monkeypatch, blas_platform):
+    def test_a_cache_of_two_gives_the_same_bits(self, monkeypatch):
         sizes = []
 
         class Recorded(dict):
@@ -1298,5 +1344,5 @@ class TestSharedSolves:
         run, steps, expected = GOLDEN[self.ROW]
         tr = run()
         assert max(sizes) == 2 and len(sizes) > 2
-        assert field_digests(tr) == expected, blas_platform
-        assert (tr.solved_steps, tr.period) == steps, blas_platform
+        assert field_digests(tr) == expected
+        assert (tr.solved_steps, tr.period) == steps

@@ -149,6 +149,16 @@ R RD d 0 1k
             parse_netlist(f"R R1 a 0 1k\n{line}\n")
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("line, message", [
+        ("R R2 a 0 -1k", "R2: ohms must be positive, got -1000.0"),
+        ("C C1 a 0 0", "C1: farads must be positive, got 0.0"),
+        ("D D1 a 0 vz=-5", "D1: v_z must be positive, got -5.0"),
+        ("CMP CMP1 a 0 o vhigh=1 vlow=1", "CMP1: v_out_high must exceed v_out_low = 1.0, got 1.0"),
+    ])
+    def test_an_element_value_error_names_the_line_field_and_value(self, line, message):
+        with pytest.raises(NetlistParseError, match=rf"^line 2: {re.escape(message)}$"):
+            parse_netlist(f"R R1 a 0 1k\n{line}\n")
+
     def test_unknown_kind_and_options(self):
         with pytest.raises(NetlistParseError, match="line 1"):
             parse_netlist("L L1 a 0 1m\n")
