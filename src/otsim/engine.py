@@ -71,11 +71,14 @@ fixed-point and period tests, the OTS updates and the residual batches
 stay with the loop.
 
 A step after an OTS flip starts from the segment set selected at the
-flipped phases, and its iteration can walk a chain of comparators one stage
-per solve.  Each run remembers (``_Compiled.landing``), per such start set,
-the set the last step from it accepted (the landing), and the next step
-from the same start set begins its one segment iteration there instead,
-with the landing's cached solve.  If the landing's own solution selects it
+flipped phases.  Where the step's accepted set selected itself, its
+self-check has shown that every other entry selects what it did, so only
+the flipped entries are selected again (``_after_flip``).  The iteration
+from the start set can walk a chain of comparators one stage per solve.
+Each run remembers (``_Compiled.landing``), per such start set, the set the
+last step from it accepted (the landing), and the next step from the same
+start set begins its one segment iteration there instead, with the
+landing's cached solve.  If the landing's own solution selects it
 again, the step accepts it after one solve; otherwise the iteration goes on
 from the set that solution selects, and its result becomes the new landing.
 A set that selects itself gives the same solution bits whichever path
@@ -97,11 +100,12 @@ it is solved, and the last, partial batch after the loop.  If the loop
 raises, the samples it solved are checked first, so a residual failure at
 an earlier step still wins.  The drives are sampled over the same batches,
 when a batch's first step starts, so no drive is called for times beyond
-the batch being solved.  Every element current is computed for all samples
-at once after the loop, one array per element, in netlist order and from
-the element's own parameters: a source current is a view of its column of
-the solution record, resistor and capacitor currents come from the
-solution, and the others from the solution and the recorded segment sets.
+the batch being solved.  No element current is computed by the run:
+`Trace.currents` computes an element's array for all samples at once on
+its first read, and keeps it, from the element's own parameters: a source
+current is a view of its column of the solution record, resistor and
+capacitor currents come from the solution, and the others from the solution
+and the segment sets the samples were solved with.
 
 When every drive is a ``Dc``, the state a step leaves fixes every later
 step: the bits of its solution (hence the capacitor voltages), the segment
@@ -123,6 +127,7 @@ of them: the segment sets recorded for the samples give them.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import operator
 from collections.abc import Mapping
@@ -185,16 +190,18 @@ _CMP_HIGH = 1
 class Trace:
     """Sampled node voltages and element currents of one transient run.
 
-    `voltages`, the source currents in `currents` and the arrays in
-    `ots_on` are views into per-run record arrays, not separate copies;
-    every other element current is an array of its own.
+    `currents` is a read-only mapping in netlist order that computes an
+    element's array on its first read and keeps it, so a run pays only for
+    the currents its caller reads.  `voltages`, the source currents and the
+    arrays in `ots_on` are views into per-run record arrays, not separate
+    copies; every other element current is an array of its own.
     """
 
     dt: float
     times: np.ndarray                      # (n_samples,)
     node_names: list[str]
     voltages: np.ndarray                   # (n_samples, n_nodes), column 0 is ground
-    currents: dict[str, np.ndarray]        # element name -> (n_samples,), positive from n+ to n-
+    currents: Mapping[str, np.ndarray]     # element name -> (n_samples,), positive from n+ to n-
     ots_on: dict[str, np.ndarray]          # OTS name -> (n_samples,) bool, phase after the step
     kcl_residual: float                    # max |node current sum| over all accepted steps
     solved_steps: int                      # samples the step loop solved; later ones repeat
@@ -476,8 +483,8 @@ def _stamp(mat: np.ndarray, a: int, b: int, g: float) -> None:
 
 class _Compiled:
     """One netlist at one dt, reduced to the index arrays and plain tuples
-    the step loop and the residual gate read; the element currents after
-    the loop are read from the netlist's elements themselves (`currents`).
+    the step loop and the residual gate read; the element currents are read
+    from the netlist's elements themselves (`_Currents`).
 
     Terminal indices address the extended solution vector ``xe``: entry 0
     is ground (always 0.0), entries 1..nv the node voltages and entries
@@ -703,44 +710,90 @@ class _Compiled:
             raise SimulationError(f"nodal residual {float(worst[k]):.3g} A exceeds {_RESIDUAL_TOL:g} A at step {lo + k}")
         return float(worst.max(initial=0.0))
 
-    def currents(self, sol: np.ndarray, segs: np.ndarray, dt: float) -> dict[str, np.ndarray]:
-        """Every element current over all samples, by element name in
-        netlist order, from each element's own parameters and the segment
-        sets `segs` the samples were solved with; a source current is a view
-        of its column of `sol`."""
-        cur = {}
-        row = self.net.node_count  # xe row of the next source
-        seg = iter(segs.T)         # segment column of the next segment-switched element
-        for el in self.net.elements:
-            k, t = el.kind, el.terminals
-            if isinstance(k, VoltageSource):
-                i = sol[:, row]
-                row += 1
-            elif isinstance(k, Comparator):
-                i = (np.where(next(seg) == _CMP_HIGH, k.v_out_high, k.v_out_low) - sol[:, t[2]]) / k.r_out
-            else:
-                v = sol[:, t[0]] - sol[:, t[1]]
-                if isinstance(k, Resistor):
-                    i = v / k.ohms
-                elif isinstance(k, Capacitor):
-                    # sample 0 is solved with the pinned companion of _PIN times the conductance
-                    g = k.farads / dt
-                    i = g * np.diff(v, prepend=k.ic)
-                    i[0] = (_PIN * g) * (v[0] - k.ic)
-                elif isinstance(k, Diode):
-                    sk = next(seg)
-                    i = np.where(sk == _SEG_FWD, (v - k.v_f) / k.r_series,
-                                 np.where(sk == _SEG_REV, (v + k.v_z) / k.r_series, 0.0))
-                else:
-                    i = ots_currents(k.params, next(seg) != _SEG_OFF, v)
-            cur[el.name] = i
-        return cur
+
+class _Currents(Mapping):
+    """The element currents of one run, by element name in netlist order.
+    An element's array is computed on its first read and then kept.  It
+    comes from the element's own parameters and the solution record `sol`;
+    a segment-switched element also reads its column of `table`, the
+    segments of each set id, at each sample's `set_id`.  A source current
+    is a view of its column of `sol`."""
+
+    def __init__(self, elements: list, node_count: int, sol: np.ndarray, set_id: np.ndarray,
+                 table: np.ndarray, dt: float):
+        # element name -> (element, its column of sol if a source, else of table)
+        rows, cols = itertools.count(node_count), itertools.count()
+        self._columns = {el.name: (el, next(rows) if isinstance(el.kind, VoltageSource)
+                                   else None if isinstance(el.kind, (Resistor, Capacitor)) else next(cols))
+                         for el in elements}
+        self._sol, self._set_id, self._table, self._dt = sol, set_id, table, dt
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        i = self._arrays.get(name)
+        if i is None:
+            i = self._arrays[name] = self._current(*self._columns[name])
+        return i
+
+    def __iter__(self):
+        return iter(self._columns)
+
+    def __len__(self) -> int:
+        return len(self._columns)
+
+    def __contains__(self, name) -> bool:
+        return name in self._columns
+
+    def _current(self, el, col: int | None) -> np.ndarray:
+        k, t, sol = el.kind, el.terminals, self._sol
+        if isinstance(k, VoltageSource):
+            return sol[:, col]
+        if col is not None:
+            seg = self._table[self._set_id, col]
+        if isinstance(k, Comparator):
+            return (np.where(seg == _CMP_HIGH, k.v_out_high, k.v_out_low) - sol[:, t[2]]) / k.r_out
+        v = sol[:, t[0]] - sol[:, t[1]]
+        if isinstance(k, Resistor):
+            return v / k.ohms
+        if isinstance(k, Capacitor):
+            # sample 0 is solved with the pinned companion of _PIN times the conductance
+            g = k.farads / self._dt
+            i = g * np.diff(v, prepend=k.ic)
+            i[0] = (_PIN * g) * (v[0] - k.ic)
+            return i
+        if isinstance(k, Diode):
+            return np.where(seg == _SEG_FWD, (v - k.v_f) / k.r_series,
+                            np.where(seg == _SEG_REV, (v + k.v_z) / k.r_series, 0.0))
+        return ots_currents(k.params, seg != _SEG_OFF, v)
+
+
+def _segment(v: float, hi: float, lo: float, mid: int) -> int:
+    """The conduction segment that a selection entry (a, b, upper knee hi,
+    lower knee lo, middle segment mid) selects at v = xe[a] - xe[b]:
+    _SEG_FWD above the upper knee, _SEG_REV below the lower one, and the
+    middle segment otherwise, NaN included."""
+    return _SEG_FWD if v > hi else _SEG_REV if v < lo else mid
 
 
 def _select(table, xe: list[float]) -> tuple[int, ...]:
     """Conduction segment of every segment-switched element at solution xe."""
-    return tuple([_SEG_FWD if (v := xe[a] - xe[b]) > hi else _SEG_REV if v < lo else mid
-                  for a, b, hi, lo, mid in table])
+    return tuple([_segment(xe[a] - xe[b], hi, lo, mid) for a, b, hi, lo, mid in table])
+
+
+def _after_flip(table, xe: list[float], segments: tuple[int, ...], stays: bool,
+                flips: tuple[int, ...]) -> tuple[int, ...]:
+    """``_select(table, xe)`` after a step that accepted `segments` at xe and
+    then flipped the OTS phases whose entries sit at positions `flips` of
+    `table`.  If `segments` selected itself (`stays`), every other entry
+    selects what it did, so only the flipped ones are selected again; a set
+    accepted at a knee tie is selected entry by entry."""
+    if not stays:
+        return _select(table, xe)
+    out = list(segments)
+    for pos in flips:
+        a, b, hi, lo, mid = table[pos]
+        out[pos] = _segment(xe[a] - xe[b], hi, lo, mid)
+    return tuple(out)
 
 
 def _knee_gap(table, segments: tuple[int, ...], desired: tuple[int, ...], xe: list[float]) -> float:
@@ -852,7 +905,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     kcl_residual = 0.0
     seen: dict[tuple, int] = {}              # state left by each OTS flip step -> that step
     solves, landing = c.solves, c.landing
-    flipped = False                          # whether the previous step flipped an OTS phase
+    flips = ()                               # selection positions of the OTS phases the previous step flipped
     budget = range(2 * (_MAX_RESELECTIONS + 1) + len(select))  # solves of one step's segment iteration
     period = None
 
@@ -872,14 +925,14 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
             # budget is spent, a second one accepts a set whose own solution
             # contradicts it by at most _KNEE_TOL.
             start = segments
-            if flipped:
+            if flips:
                 segments = landing.get(start, start)
             # After a step that flipped no OTS and left every one OFF_STATE,
             # from step 2 on and not at a batch's first step, the first
             # solve may run a stretch up to the batch's end; its rows are
             # this step and the ones after it, and its last solve is the
             # first solve of the step it stops at.
-            stop = end - checked if not busy and not flipped and step > 1 and step != checked else 0
+            stop = end - checked if not busy and not flips and step > 1 and step != checked else 0
             tried = [segments]                   # the sets solved, then the last one selected
             for attempt in budget:
                 step_set, sid = solves.get(segments) or c.factorized(segments, not step)
@@ -900,7 +953,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                 tried.append(segments)
             else:
                 raise _cycle_error(c, tried, step, step * dt)
-            if flipped:
+            if flips:
                 landing[start] = segments
 
             sol[step] = xe
@@ -912,7 +965,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
 
             # advance device states using converged values
             unchanged = True
-            flipped = False
+            flips = ()
             if step and ots:  # step 0 only establishes the initial operating point
                 for slot, (a, b, p, pos, off_entry, on_entry) in enumerate(ots):
                     v = xe[a] - xe[b]
@@ -924,11 +977,11 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                         unchanged = False
                         if st.on != s.on:
                             select[pos] = on_entry if st.on else off_entry
-                            flipped = True
+                            flips += (pos,)
                         busy += (st is not OFF_STATE) - (s is not OFF_STATE)
                         states[slot] = st
-                if flipped:
-                    segments = _select(select, xe)
+                if flips:
+                    segments = _after_flip(select, xe, segments, stays, flips)
 
             # With constant drives, the state a step leaves (solution bits,
             # the segments the next step starts from, OTS states by value)
@@ -943,7 +996,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                 if (step and unchanged and segments == start and xe == xp
                         and sol[step].tobytes() == sol[step - 1].tobytes()):
                     j = step - 1
-                elif flipped:
+                elif flips:
                     if len(seen) == _FLIP_STATES:  # bounds the memory of a run that never recurs
                         seen.clear()
                     j = seen.setdefault((sol[step].tobytes(), tuple(states)), step)
@@ -959,19 +1012,19 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
         for a in (sol, set_id):
             _repeat(a, solved - period, solved)
 
-    segs = np.array([segments for segments, *_ in c.sets])[set_id]
+    table = np.array([segments for segments, *_ in c.sets])  # the segment set of each set id
     # An off OTS selects only _SEG_OFF and an on one never does, so a sample's
     # segment set holds the phases the step before it left; the last step left
     # those of the step it repeats, or the final states.
     positions = [pos for _, _, _, pos, *_ in ots]
-    on = segs[1:, positions] != _SEG_OFF
+    on = (table[:, positions] != _SEG_OFF)[set_id[1:]]
     ots_on = np.vstack((on, [on[-period] if period else [s.on for s in states]]))
     return Trace(
         dt=dt,
         times=times,
         node_names=net.node_names,
         voltages=sol[:, : net.node_count],
-        currents=c.currents(sol, segs, dt),
+        currents=_Currents(net.elements, net.node_count, sol, set_id, table, dt),
         ots_on={el.name: ots_on[:, slot] for slot, el in enumerate(net.ots_elements())},
         kcl_residual=kcl_residual,
         solved_steps=solved,

@@ -117,6 +117,7 @@ class Netlist:
         self._node_names: list[str] = ["0"]
         self._node_index: dict[str, int] = {"0": 0}
         self.elements: list[Element] = []
+        self._element_names: set[str] = set()
 
     # -- nodes ------------------------------------------------------------
 
@@ -148,10 +149,11 @@ class Netlist:
     # -- elements ---------------------------------------------------------
 
     def _add(self, kind: ElementKind, *nodes: str | int) -> Element:
-        if any(e.name == kind.name for e in self.elements):
+        if kind.name in self._element_names:
             raise NetlistError(f"duplicate element name {kind.name!r}")
         el = Element(kind, tuple(self.node(n) for n in nodes))
         self.elements.append(el)
+        self._element_names.add(kind.name)
         return el
 
     def add_resistor(self, name: str, np: str | int, nn: str | int, ohms: float) -> Element:

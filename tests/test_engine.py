@@ -4,6 +4,7 @@ import math
 import random
 import re
 import warnings
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +71,34 @@ class TestLinearCircuits:
             exact = 1.0 - np.exp(-tr.times / 1e-6)
             errs[dt] = np.max(np.abs(tr.voltage("out") - exact))
         assert errs[20e-9] / errs[10e-9] >= 1.98
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-4.0, 1.0), st.sampled_from((10.0, 1e3, 1e5)), st.sampled_from((1e-9, 10e-9, 50e-9)),
+           st.integers(1, 40), st.floats(-5.0, 5.0), st.floats(0.1, 5.0), st.booleans())
+    @example(-4.0, 1e3, 10e-9, 40, 1.0, 1.0, False)
+    @example(1.0, 10.0, 1e-9, 40, 5.0, 5.0, True)
+    def test_random_rcs_stay_within_the_first_order_bound(self, log_x, ohms, dt, steps, v, dv, up):
+        """A single RC driven by a Dc of v from ic = v -/+ dv, with x = dt / tau
+        drawn across five decades.  Backward Euler gives v_n - v = (v_0 - v) /
+        (1 + x)^n, and its error against the closed-form exponential, in units
+        of ic - v, lies between 0 (it never runs ahead) and the first-order
+        bound n x^2 / 2 (1 + x)^(1 - n) <= t_n dt / (2 tau^2), since 1 / (1 +
+        x) - e^-x <= x^2 / 2; below 0 only by the step-0 pin, which leaves
+        v_0 - ic = (v - ic) x / (x + _PIN), and rounding."""
+        x = 10.0 ** log_x
+        ic = v - dv if up else v + dv
+        net = Netlist()
+        net.add_source("V1", "in", "0", Dc(v))
+        net.add_resistor("R1", "in", "a", ohms)
+        net.add_capacitor("C1", "a", "0", dt / (x * ohms), ic=ic)
+        tr = transient(net, steps * dt, dt)
+        n = np.arange(steps + 1)
+        err = (tr.voltage("a") - v) / (ic - v) - np.exp(-n * x)
+        bound = n * x**2 / 2 * (1 + x) ** (1 - n)
+        pin = x / (x + engine._PIN) * (1 + x) ** -n
+        assert np.all(err <= bound + 1e-12)
+        assert np.all(err >= -pin - 1e-12)
+        assert np.all(bound <= n * dt * dt / (2 * (dt / x) ** 2) * (1 + 1e-12))
 
     def test_kirchhoff_residual_tiny(self):
         tr = transient(rc_lowpass(), 5e-6, 10e-9)
@@ -222,20 +251,27 @@ class TestElementCurrents:
     """`Trace.currents` follows the netlist's element order, and each current
     is its element's law evaluated on the recorded voltages."""
 
-    def test_currents_follow_the_element_order_and_laws(self):
-        p = default_params()
+    @staticmethod
+    def every_kind() -> Netlist:
+        """One netlist with every element kind, whose diode conducts both
+        ways, whose OTS turns on and whose comparator switches."""
         net = Netlist()
         net.add_source("V1", "in", "0", PiecewiseLinear(((0.0, 0.0), (1e-6, 6.0), (2e-6, 6.0), (3e-6, -6.0),
                                                          (4e-6, 0.0))))
         net.add_capacitor("C1", "a", "0", 100e-12, ic=0.2)
         net.add_diode("D1", "in", "a", v_z=2.0)
         net.add_resistor("R1", "a", "0", 1e3)
-        net.add_ots("OTS1", "a", "b", p)
+        net.add_ots("OTS1", "a", "b", default_params())
         net.add_comparator("CMP1", "b", "ref", "out")
         net.add_source("V2", "ref", "0", Dc(0.3))
         net.add_resistor("R2", "b", "0", 500.0)
         net.add_resistor("R3", "out", "0", 1e3)
         net.add_resistor("R4", "ref", "0", 1e3)
+        return net
+
+    def test_currents_follow_the_element_order_and_laws(self):
+        p = default_params()
+        net = self.every_kind()
         dt = 10e-9
         tr = transient(net, 4e-6, dt)
         assert list(tr.currents) == [el.name for el in net.elements]
@@ -265,6 +301,43 @@ class TestElementCurrents:
         expect["V2"] = -expect["R4"]
         for name, want in expect.items():
             np.testing.assert_allclose(tr.currents[name], want, rtol=1e-9, atol=1e-12, err_msg=name)
+
+    def test_names_length_and_membership_compute_no_current(self, monkeypatch):
+        net = self.every_kind()
+        tr = transient(net, 4e-6, 10e-9)
+        computed = []
+        current = engine._Currents._current
+        monkeypatch.setattr(engine._Currents, "_current", lambda self, el, col: computed.append(el.name)
+                            or current(self, el, col))
+        names = [el.name for el in net.elements]
+        assert isinstance(tr.currents, Mapping)
+        assert list(tr.currents) == list(tr.currents.keys()) == names
+        assert len(tr.currents) == len(names)
+        assert all(name in tr.currents for name in names)
+        assert "a" not in tr.currents and "X9" not in tr.currents and 0 not in tr.currents
+        assert computed == []
+        with pytest.raises(KeyError, match="X9"):
+            tr.currents["X9"]
+        with pytest.raises(TypeError):
+            tr.currents["R1"] = np.zeros(len(tr.times))
+        assert computed == []
+
+    def test_a_current_is_computed_once_on_its_first_read(self, monkeypatch):
+        net = self.every_kind()
+        tr = transient(net, 4e-6, 10e-9)
+        calls = []
+        ots_currents = engine.ots_currents
+        monkeypatch.setattr(engine, "ots_currents", lambda *args: calls.append(args) or ots_currents(*args))
+        resistor = tr.currents["R1"]
+        assert calls == []  # a resistor's current computes no OTS current
+        assert tr.currents["R1"] is resistor
+        ots = tr.currents["OTS1"]
+        assert len(calls) == 1 and tr.currents["OTS1"] is ots
+        assert [tr.currents[name] is i for name, i in tr.currents.items()] == [True] * len(net.elements)
+        assert len(calls) == 1
+        # the source currents are views of the solution record, the rest arrays of their own
+        assert [np.shares_memory(tr.currents[name], tr.voltages.base) for name in tr.currents] == [
+            el.name.startswith("V") for el in net.elements]
 
 
 class TestValidation:
@@ -352,6 +425,36 @@ class TestValidation:
         net.add_resistor("R1", "a", "0", 1.0)
         with pytest.raises(NetlistError):
             net.add_resistor("R1", "a", "0", 2.0)
+
+    ADDS = {
+        "resistor": lambda net, name: net.add_resistor(name, "a", "0", 1e3),
+        "capacitor": lambda net, name: net.add_capacitor(name, "a", "0", 1e-9),
+        "source": lambda net, name: net.add_source(name, "a", "0", Dc(1.0)),
+        "diode": lambda net, name: net.add_diode(name, "a", "0"),
+        "ots": lambda net, name: net.add_ots(name, "a", "0", default_params()),
+        "comparator": lambda net, name: net.add_comparator(name, "a", "0", "o"),
+    }
+
+    @pytest.mark.parametrize("first", ADDS)
+    @pytest.mark.parametrize("again", ADDS)
+    def test_every_add_refuses_a_repeated_name_naming_it(self, first, again):
+        net = Netlist()
+        self.ADDS["resistor"](net, "R0")
+        self.ADDS[first](net, "X1")
+        with pytest.raises(NetlistError, match=r"^duplicate element name 'X1'$"):
+            self.ADDS[again](net, "X1")
+        assert [el.name for el in net.elements] == ["R0", "X1"]
+        self.ADDS[again](net, "X2")
+        assert [el.name for el in net.elements] == ["R0", "X1", "X2"]
+
+    def test_a_refused_add_leaves_its_name_free(self):
+        net = Netlist()
+        with pytest.raises(NetlistError, match="bool"):
+            net.add_resistor("R1", True, "0", 1e3)
+        with pytest.raises(NetlistError, match="ohms"):
+            net.add_resistor("R1", "a", "0", -1e3)
+        net.add_resistor("R1", "a", "0", 1e3)
+        assert [el.name for el in net.elements] == ["R1"]
 
 
 def _raised(make):

@@ -1161,6 +1161,54 @@ def test_a_generated_self_check_is_select(data, v_f, v_z, v_hold):
     assert stays is (engine._select(table, xe) == segments)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.floats(1e-3, 50.0), st.floats(1e-3, 50.0), st.floats(1e-3, 2.9))
+def test_a_start_set_after_a_flip_is_select(data, v_f, v_z, v_hold):
+    """Where a generated step's self-check holds, `_after_flip` gives
+    ``_select`` over the table whose flipped positions took other entries,
+    though it selects only those positions again.  The tables, solutions
+    and forms are those of `test_a_generated_self_check_is_select`."""
+    forms = selection_forms(v_f, v_z, v_hold)
+    n = data.draw(st.integers(1, 5))
+    special = (0.0, -0.0, math.inf, -math.inf, math.nan, *(k for hi, lo, _ in forms for k in (hi, lo)))
+    x = [0.0, *data.draw(st.lists(st.sampled_from(special) | st.floats(-100.0, 100.0), min_size=n, max_size=n))]
+    terminal = st.integers(0, n)
+    entry = st.tuples(terminal, terminal, st.sampled_from(forms)).map(lambda e: (e[0], e[1], *e[2]))
+    table = tuple(data.draw(st.lists(entry, min_size=1, max_size=6)))
+    # the segments the solution selects, or those with one entry changed
+    segments = list(engine._select(table, x))
+    k = data.draw(st.none() | st.integers(0, len(table) - 1))
+    if k is not None:
+        segments[k] = data.draw(st.sampled_from([engine._SEG_OFF, engine._SEG_FWD, engine._SEG_REV, engine._SEG_DEAD]))
+    segments = tuple(segments)
+    lu = [[float(i == j) for j in range(n)] for i in range(n)]
+    step = engine._straight_line(lu, list(range(n)), np.zeros(n), tuple(range(1, n + 1)), (), (), table, segments)
+    _, xe, stays = step(x, [0.0] * (n + 1))
+    flips = tuple(data.draw(st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=len(table), unique=True)))
+    flipped = list(table)
+    for pos in flips:
+        flipped[pos] = data.draw(entry)
+    if stays:
+        assert engine._after_flip(flipped, xe, segments, stays, flips) == engine._select(flipped, xe)
+
+
+def test_a_knee_tie_start_set_selects_every_entry():
+    # a set accepted at a knee tie: the diode's entry (position 0) selects
+    # _SEG_OFF though the set holds _SEG_FWD, so the start set after the
+    # OTS's flip (position 1) selects every entry again
+    diode, ots_off, _, ots_on = selection_forms(0.7, 15.0, 0.5)
+    table = [(1, 0, *diode), (1, 2, *ots_off)]
+    xe = [0.0, 0.7 - 1e-13, 0.0]
+    segments = (engine._SEG_FWD, engine._SEG_OFF)
+    assert engine._select(table, xe) != segments
+    assert engine._knee_gap(table, segments, engine._select(table, xe), xe) <= engine._KNEE_TOL
+    table[1] = (1, 2, *ots_on)
+    start = engine._after_flip(table, xe, segments, False, (1,))
+    assert start == engine._select(table, xe) == (engine._SEG_OFF, engine._SEG_FWD)
+    # selecting only the flipped position would keep the tied entry
+    assert engine._after_flip(table, xe, segments, True, (1,)) == (engine._SEG_FWD, engine._SEG_FWD)
+
+
 def test_a_run_leaves_no_reference_cycle(monkeypatch):
     # with the cycle collector off, a run's compiled circuit is freed as
     # soon as the run returns, and its generated solves are held by the
@@ -1189,6 +1237,40 @@ def test_a_run_leaves_no_reference_cycle(monkeypatch):
         assert all(ref() is None for ref in solves)
     finally:
         gc.enable()
+
+
+def test_a_finished_trace_keeps_no_generated_step_alive(monkeypatch):
+    # with the cycle collector off, a trace whose currents are not yet read
+    # holds neither the run's compiled circuit nor a generated step: once
+    # the shared cache lets go of them they are freed, and every current
+    # still reads as it does in a run whose steps stay cached
+    compiled = []
+
+    class Recorded(engine._Compiled):
+        def __init__(self, *args):
+            super().__init__(*args)
+            compiled.append(weakref.ref(self))
+
+    monkeypatch.setattr(engine, "_Compiled", Recorded)
+    cache = {}
+    monkeypatch.setattr(engine, "_solves", cache)
+    straight_line = engine._straight_line
+    solves = []
+    monkeypatch.setattr(engine, "_straight_line",
+                        lambda *args: solves.append(weakref.ref(fn := straight_line(*args))) or fn)
+    circuit = gates.build_gate(GateKind.FULL_ADDER, bits=(1, 0, 1))
+    enc = LogicEncoding()
+    gc.disable()
+    try:
+        tr = transient(circuit.net, enc.settle + enc.bit_width, 50e-9)
+        assert compiled[0]() is None and solves
+        cache.clear()
+        assert all(ref() is None for ref in solves)
+        currents = {name: i.tobytes() for name, i in tr.currents.items()}
+    finally:
+        gc.enable()
+    again = transient(circuit.net, enc.settle + enc.bit_width, 50e-9)
+    assert currents == {name: i.tobytes() for name, i in again.currents.items()}
 
 
 def count_compiles(monkeypatch, cache: dict) -> list:
