@@ -47,28 +47,32 @@ LAPACK library or on the kernel it picks for the host CPU.  The same
 segment sets recur across truth-table rows, stream segments and runs, so
 the generated steps are shared by every run (``_solves``), keyed by the
 segments and a digest, taken once per run, of everything else the code is
-generated from: the rows and capacitors it reads, the selection entries it
-tests, the stamped matrices and the segment stamps, so that ``Dc`` levels
-do not enter it.  A set found there is neither assembled, factorized nor
-compiled again, and gives the same bits.
+generated from: the rows and capacitors it reads, the selection entries and
+switch thresholds it tests, the stamped matrices and the segment stamps, so
+that ``Dc`` levels do not enter it.  A set found there is neither
+assembled, factorized nor compiled again, and gives the same bits.
 
-Most steps of an oscillator's charging phase or of a pulse-driven stream
-only solve: their set selects itself, and every OTS is ``OFF_STATE`` itself
-and stays below its threshold, so it is not stepped.  The same generated
-function therefore also solves such quiet stretches of steps in one call
-(latency exploitation, after Newton and Sangiovanni-Vincentelli's
-relaxation-based simulation, here without skipping any step).  After a
-step that flipped no OTS phase and left every OTS ``OFF_STATE``, from step
-2 on and not on a batch's first step, the loop lets the step's first solve
-go on: while the solution selects its set, differs from the previous one
-and leaves every OTS below its threshold, and the next step lies in the
-same batch, the function accepts it, writes the next step's drive values
-from the batch's columns into the RHS list and solves that step.  The loop
-stores the accepted solutions with one slice assignment and takes the last
-solve as the first solve of the step the stretch stopped at, so no step is
-solved twice and each step gets the bits it would get alone.  The
-fixed-point and period tests, the OTS updates and the residual batches
-stay with the loop.
+Most steps of an oscillator or of a pulse-driven stream only solve: their
+set selects itself, and every OTS stays idle in its phase, off below its
+threshold or on above its holding current, so that ``ots_step`` would
+return its state unchanged.  The same generated function therefore also
+solves such quiet stretches of steps in one call (latency exploitation,
+after Newton and Sangiovanni-Vincentelli's relaxation-based simulation,
+here without skipping any step).  After a step that flipped no OTS phase
+and left no OTS transition pending, from step 2 on and not on a batch's
+first step, the loop lets the step's first solve go on: while the solution
+selects its set, differs from the previous one and leaves every OTS idle in
+the phase the set fixes, and the next step lies in the same batch, the
+function accepts it, writes the next step's drive values from the batch's
+columns into the RHS list and solves that step.  Its idle test holds, for a
+finite voltage, exactly where ``ots_step`` would return ``OFF_STATE`` or
+``ON_STATE`` again, with the switch's thresholds as literals, so it may end
+a stretch early (an on-phase current that overflows) but never late, and
+an OTS idle inside a stretch is not stepped.  The loop stores the accepted
+solutions with one slice assignment and takes the last solve as the first
+solve of the step the stretch stopped at, so no step is solved twice and
+each step gets the bits it would get alone.  The fixed-point and period
+tests, the OTS updates and the residual batches stay with the loop.
 
 A step after an OTS flip starts from the segment set selected at the
 flipped phases.  Where the step's accepted set selected itself, its
@@ -95,17 +99,22 @@ residual ``A x - z``, z its RHS plus the set's dynamic RHS, sums each node
 row's stored nonzeros in a written order, with no BLAS call; z's node rows
 hold only capacitor history, which the gate derives from the previous
 solution (``_Compiled.node_rhs``), so it needs no record of the right-hand
-side.  The loop checks every full batch of ``_CHUNK`` samples as soon as
-it is solved, and the last, partial batch after the loop.  If the loop
-raises, the samples it solved are checked first, so a residual failure at
-an earlier step still wins.  The drives are sampled over the same batches,
-when a batch's first step starts, so no drive is called for times beyond
-the batch being solved.  No element current is computed by the run:
-`Trace.currents` computes an element's array for all samples at once on
-its first read, and keeps it, from the element's own parameters: a source
-current is a view of its column of the solution record, resistor and
-capacitor currents come from the solution, and the others from the solution
-and the segment sets the samples were solved with.
+side.  It sorts a batch's samples by set id, stably, and gathers their
+solutions and node rows node-major, so that each set's rank sums run over
+one contiguous block of whole node rows, with the same operations in the
+same order as sample by sample; the per-sample maxima go back to step
+order, so an error names the first refused step.  The loop checks every
+full batch of ``_CHUNK`` samples as soon as it is solved, and the last,
+partial batch after the loop.  If the loop raises, the samples it solved
+are checked first, so a residual failure at an earlier step still wins.
+The drives are sampled over the same batches, when a batch's first step
+starts, so no drive is called for times beyond the batch being solved.  No
+element current is computed by the run: `Trace.currents` computes an
+element's array for all samples at once on its first read, and keeps it,
+from the element's own parameters: a source current is a view of its
+column of the solution record, resistor and capacitor currents come from
+the solution, and the others from the solution and the segment sets the
+samples were solved with.
 
 When every drive is a ``Dc``, the state a step leaves fixes every later
 step: the bits of its solution (hence the capacitor voltages), the segment
@@ -365,7 +374,7 @@ def _straight_line(lu: list[list[float]], order: list[int], zd: np.ndarray, rows
                    table: tuple[tuple, ...], segments: tuple[int, ...]):
     """One segment set's steps, generated from its `_factor` factors.
 
-    ``step(zl, xp, k=0, stop=1, cols=(), vth=())`` builds the extended RHS
+    ``step(zl, xp, k=0, stop=1, cols=())`` builds the extended RHS
     (entry 0 ground) and solves it.  Row r of the RHS starts from ``zl[r]``
     if r is in `rows`, else from 0.0; each capacitor (a, b, g) of `caps` in
     turn adds ``hist = g * (xp[a] - xp[b])``, xp being the previous step's
@@ -381,10 +390,15 @@ def _straight_line(lu: list[list[float]], order: list[int], zd: np.ndarray, rows
 
     The step is step k of a batch whose drive columns are `cols`, (row,
     values) pairs.  It accepts xe and solves step k + 1 in the same call (a
-    stretch) while xe selects the set, k + 1 < stop, xe != xp and the switch
-    (a, b) of every `switches` entry i has ``abs(xe[a] - xe[b]) < vth[i]``;
-    it then writes each drive's value at k + 1 into its row of zl, in
-    place, and derives the history from xe.  It returns the list of the
+    stretch) while xe selects the set, k + 1 < stop, xe != xp and every OTS
+    (a, b, params p, selection position pos) of `switches` stays idle in
+    the phase the set fixes at v = xe[a] - xe[b]: ``abs(v) < p.v_th`` if
+    ``segments[pos]`` is _SEG_OFF, else ``p.i_hold <= (abs(v) - p.v_hold) /
+    p.r_on < inf``.  For finite v, each holds exactly where ``ots_step``
+    returns the phase's OFF_STATE or ON_STATE again, except that an on-phase
+    current that overflows ends the stretch; for v not finite neither holds.
+    The stretch then writes each drive's value at k + 1 into its row of zl,
+    in place, and derives the history from xe.  It returns the list of the
     solutions it accepted, the solution of the last solve and that
     solution's test.  The source holds only indices and ``repr`` floats."""
     n = len(order)
@@ -458,15 +472,20 @@ def _straight_line(lu: list[list[float]], order: list[int], zd: np.ndarray, rows
     lines.append(f"xe = [{', '.join(xe)}]")
     lines.append(f"stays = {' and '.join(checks) or 'True'}")
     # the stretch goes on only where the loop would do nothing but solve
-    # the next step: the fixed-point test and every switch step stay there
-    quiet = "".join(f" and abs({xe[a] if not b else f'{xe[a]} - {xe[b]}'}) < vth[{i}]"
-                    for i, (a, b) in enumerate(switches))
+    # the next step: the fixed-point test and every switch step stay there.
+    # An on-phase switch stays on while |i| = (|v| - v_hold) / r_on is at
+    # least i_hold (i_hold > 0 makes the dead zone's max(0, .) moot).
+    quiet = ""
+    for a, b, p, pos in switches:
+        v = f"abs({xe[a] if not b else f'{xe[a]} - {xe[b]}'})"
+        quiet += (f" and {v} < {p.v_th!r}" if segments[pos] == _SEG_OFF
+                  else f" and {p.i_hold!r} <= ({v} - {p.v_hold!r}) / {p.r_on!r} < inf")
     lines += [f"if not (stays and k + 1 < stop and xe != xp{quiet}):", "    return rows, xe, stays",
               "rows.append(xe)", "xp = xe", "k += 1", "for r, col in cols:", "    zl[r] = col[k]"]
     # the namespace holds no reference back to the function, so that no
     # reference cycle keeps a run's code alive
     namespace = {"inf": math.inf, "nan": math.nan}
-    source = ("def step(zl, xp, k=0, stop=1, cols=(), vth=()):\n    rows = []\n    while True:\n        "
+    source = ("def step(zl, xp, k=0, stop=1, cols=()):\n    rows = []\n    while True:\n        "
               + "\n        ".join(lines) + "\n")
     exec(compile(source, "<straight-line step>", "exec"), namespace)
     return namespace.pop("step")
@@ -584,13 +603,14 @@ class _Compiled:
         # What a generated step reads, pinned (step 0) and not: the rows of zl
         # that hold drives, and at step 0 the capacitor terminals' pinned
         # history; after step 0 each capacitor's history comes from the
-        # previous solution, and a stretch tests every OTS's terminals (step 0
+        # previous solution, and a stretch tests every OTS's terminals against
+        # the thresholds of its `OtsParams`, which so enter the run key (step 0
         # never starts one).
         source_rows = tuple(range(nn, n + 1))
         pin_rows = tuple(sorted({*source_rows, *(i for a, b, _, _ in self.caps for i in (a, b))} - {0}))
         self.reads = {True: (pin_rows, (), ()),
                       False: (source_rows, tuple((a, b, g) for a, b, g, _ in self.caps),
-                              tuple((a, b) for a, b, *_ in self.ots))}
+                              tuple((a, b, p, pos) for a, b, p, pos, *_ in self.ots))}
         # The run's `_solves` key: a digest of all that a set's code comes from
         # but its segments (dt included, no Dc level).  The repr ends where its
         # brackets close and both matrices have one size, so it is unambiguous.
@@ -673,37 +693,52 @@ class _Compiled:
             later[:, b] -= hist
         return z
 
-    def residual_gate(self, sol: np.ndarray, set_id: np.ndarray, lo: int, hi: int) -> float:
-        """The largest max |A x - z| over the node rows of samples lo..hi-1
-        (at most _CHUNK of them), z the `node_rhs` plus the set's dynamic RHS
-        and A x its terms summed rank by rank, or SimulationError naming the
-        first sample whose residual is not finite, or is above _RESIDUAL_TOL
-        with a componentwise backward error, max_i |r_i| / (|A||x| + |z|)_i
-        (Oettli and Prager, 1964), above _BACKWARD_TOL too: at step 0 a pinned
-        capacitor's companion term can be so large that the rounding of the
-        sum alone exceeds _RESIDUAL_TOL."""
+    def residuals(self, sol: np.ndarray, set_id: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per sample lo..hi-1 (at most _CHUNK of them), in step order, the
+        largest |A x - z| over its node rows, z the `node_rhs` plus the set's
+        dynamic RHS and A x its terms summed rank by rank, and whether the
+        gate refuses it: the residual is not finite, or is above
+        _RESIDUAL_TOL with a componentwise backward error, max_i |r_i| /
+        (|A||x| + |z|)_i (Oettli and Prager, 1964), above _BACKWARD_TOL too.
+        At step 0 a pinned capacitor's companion term can be so large that
+        the rounding of the sum alone exceeds _RESIDUAL_TOL.
+
+        The samples are sorted by set id, stably, and gathered node-major, so
+        that each set's samples form one block whose every rank reads whole
+        node rows; the maxima and refusals go back to step order."""
         worst = np.zeros(hi - lo)
         refused = np.zeros(hi - lo, dtype=bool)
-        if self.nv:
-            z = self.node_rhs(sol, lo, hi)
+        if self.nv and hi > lo:
             ids = set_id[lo:hi]
-            for sid in np.unique(ids):
-                rows = np.flatnonzero(ids == sid)
-                _, (cols, coef), zd = self.sets[sid]
-                x = sol[lo + rows]
-                r = coef[0] * x[:, cols[0]]
+            order = np.argsort(ids, kind="stable")
+            ids = ids[order]
+            xs = np.ascontiguousarray(sol[lo + order].T)                      # (n + 1, samples)
+            zs = np.ascontiguousarray(self.node_rhs(sol, lo, hi)[order, 1:].T)  # (nv, samples)
+            starts = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()]
+            wsort, rsort = np.empty(hi - lo), np.zeros(hi - lo, dtype=bool)
+            for i, j in zip(starts, [*starts[1:], hi - lo]):
+                _, (cols, coef), zd = self.sets[ids[i]]
+                x = xs[:, i:j]
+                r = coef[0, :, None] * x[cols[0]]
                 for k in range(1, len(cols)):
-                    r += coef[k] * x[:, cols[k]]
-                zs = z[rows, 1:] + zd[:self.nv]
-                r = np.abs(r - zs)
-                worst[rows] = np.max(r, axis=1)
-                tall = ~(worst[rows] <= _RESIDUAL_TOL)
+                    r += coef[k, :, None] * x[cols[k]]
+                z = zs[:, i:j] + zd[:self.nv, None]
+                r = np.abs(r - z)
+                w = wsort[i:j] = np.max(r, axis=0)
+                tall = ~(w <= _RESIDUAL_TOL)
                 if tall.any():  # the scale |A| |x| + |z| of each row, from the same terms
-                    xa, scale = np.abs(x[tall]), np.abs(zs[tall])
+                    xa, scale = np.abs(x[:, tall]), np.abs(z[:, tall])
                     for k in range(len(cols)):
-                        scale += np.abs(coef[k]) * xa[:, cols[k]]
-                    refused[rows[tall]] = ~(np.isfinite(worst[rows[tall]])
-                                            & np.all(r[tall] <= _BACKWARD_TOL * scale, axis=1))
+                        scale += np.abs(coef[k, :, None]) * xa[cols[k]]
+                    rsort[i:j][tall] = ~(np.isfinite(w[tall]) & np.all(r[:, tall] <= _BACKWARD_TOL * scale, axis=0))
+            worst[order] = wsort
+            refused[order] = rsort
+        return worst, refused
+
+    def residual_gate(self, sol: np.ndarray, set_id: np.ndarray, lo: int, hi: int) -> float:
+        """The largest of the `residuals` of samples lo..hi-1, or
+        SimulationError naming the first sample the gate refuses."""
+        worst, refused = self.residuals(sol, set_id, lo, hi)
         bad = np.flatnonzero(refused)
         if bad.size:
             k = int(bad[0])
@@ -896,8 +931,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
     batch = []                               # (row, samples) of each varying drive over the current batch
     end = 0                                  # the step after the current batch
     ots = c.ots
-    vth = tuple(p.v_th for _, _, p, *_ in ots)
-    busy = 0                                 # OTS states that are not OFF_STATE itself
+    busy = 0                                 # OTS states with a transition pending
     select = list(c.select)                  # per run: OTS entries follow the phase
     xe = [0.0] * (n + 1)
     segments = _select(select, xe)
@@ -927,16 +961,16 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
             start = segments
             if flips:
                 segments = landing.get(start, start)
-            # After a step that flipped no OTS and left every one OFF_STATE,
-            # from step 2 on and not at a batch's first step, the first
-            # solve may run a stretch up to the batch's end; its rows are
-            # this step and the ones after it, and its last solve is the
-            # first solve of the step it stops at.
+            # After a step that flipped no OTS and left none pending, from
+            # step 2 on and not at a batch's first step, the first solve may
+            # run a stretch up to the batch's end; its rows are this step
+            # and the ones after it, and its last solve is the first solve
+            # of the step it stops at.
             stop = end - checked if not busy and not flips and step > 1 and step != checked else 0
             tried = [segments]                   # the sets solved, then the last one selected
             for attempt in budget:
                 step_set, sid = solves.get(segments) or c.factorized(segments, not step)
-                rows, xe, stays = step_set(zl, xp, step - checked, stop, batch, vth)
+                rows, xe, stays = step_set(zl, xp, step - checked, stop, batch)
                 if rows:
                     m = len(rows)
                     sol[step:step + m] = rows
@@ -978,7 +1012,7 @@ def transient(net: Netlist, t_stop: float, dt: float, *,
                         if st.on != s.on:
                             select[pos] = on_entry if st.on else off_entry
                             flips += (pos,)
-                        busy += (st is not OFF_STATE) - (s is not OFF_STATE)
+                        busy += (st.elapsed > 0.0) - (s.elapsed > 0.0)
                         states[slot] = st
                 if flips:
                     segments = _after_flip(select, xe, segments, stays, flips)

@@ -26,9 +26,9 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 # engine.steps, device.ots_step_calls, waveforms.source_evals
 COUNTS = {
-    "edge_stream": (51200, 4367, 32),
-    "logic_tables": (80000, 29872, 168),
-    "osc_long": (120000, 2115, 4),
+    "edge_stream": (51200, 942, 32),
+    "logic_tables": (80000, 26144, 168),
+    "osc_long": (120000, 363, 4),
 }
 
 

@@ -55,8 +55,8 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 import otsim
-from otsim import (ConvergenceError, Dc, Netlist, PiecewiseLinear, Pulse, SimulationError, Triangle, default_params,
-                   engine, gates, pipeline, rig, transient)
+from otsim import (ConvergenceError, Dc, Netlist, OtsParams, PiecewiseLinear, Pulse, SimulationError, Triangle,
+                   default_params, engine, gates, pipeline, rig, transient)
 from otsim.device import OFF_STATE, ON_STATE, ots_current, ots_step
 from otsim.gates import GateKind, LogicEncoding
 from otsim.netlist import Capacitor, Comparator, Diode, Ots, VoltageSource
@@ -691,7 +691,7 @@ def without_stretches(straight_line):
 
     def generate(*args):
         step = straight_line(*args)
-        return lambda zl, xp, k=0, stop=1, cols=(), vth=(): step(zl, xp, k, min(stop, k + 1), cols, vth)
+        return lambda zl, xp, k=0, stop=1, cols=(): step(zl, xp, k, min(stop, k + 1), cols)
 
     return generate
 
@@ -710,32 +710,63 @@ def test_random_gate_networks_do_not_depend_on_stretches(net, dt):
             assert outcome(lambda: transient(net, GATE_NETWORK_STOP, dt)) == want, chunk
 
 
-def test_no_stretch_starts_on_a_batch_first_step(monkeypatch):
-    # a stretch is offered from a batch's second step on and ends inside
-    # its batch; at its first step the loop samples the batch's drives
+def record_stretches(monkeypatch) -> list:
+    """Puts an empty shared solve cache in place and records each call of a
+    generated step as (k, stop, rows accepted, whether an OTS of the set is
+    in its on phase)."""
     calls = []
     straight_line = engine._straight_line
 
     def recording(*args):
         step = straight_line(*args)
+        *_, switches, _, segments = args
+        on = any(segments[pos] != engine._SEG_OFF for *_, pos in switches)
 
-        def record(zl, xp, k=0, stop=1, cols=(), vth=()):
-            rows, xe, stays = step(zl, xp, k, stop, cols, vth)
-            calls.append((k, stop, len(rows)))
+        def record(zl, xp, k=0, stop=1, cols=()):
+            rows, xe, stays = step(zl, xp, k, stop, cols)
+            calls.append((k, stop, len(rows), on))
             return rows, xe, stays
 
         return record
 
-    monkeypatch.setattr(engine, "_CHUNK", 7)
     monkeypatch.setattr(engine, "_solves", {})
     monkeypatch.setattr(engine, "_straight_line", recording)
+    return calls
+
+
+def test_no_stretch_starts_on_a_batch_first_step(monkeypatch):
+    # a stretch is offered from a batch's second step on and ends inside
+    # its batch; at its first step the loop samples the batch's drives
+    monkeypatch.setattr(engine, "_CHUNK", 7)
+    calls = record_stretches(monkeypatch)
     run, steps, expected = GOLDEN["xor_stream_16_clocks"]
     tr = run()
     assert field_digests(tr) == expected
     assert (tr.solved_steps, tr.period) == steps
-    stretches = [(k, stop, m) for k, stop, m in calls if stop > k + 1]
+    stretches = [(k, stop, m) for k, stop, m, _ in calls if stop > k + 1]
     assert stretches and all(k > 0 and k + m < stop for k, stop, m in stretches)
     assert (1, 7, 5) in stretches  # from a batch's second step to its last
+
+
+@pytest.mark.parametrize("chunk", [None, 331])
+@pytest.mark.parametrize("case", ["oscillator_4v3_40us", "xor_stream_16_clocks"])
+def test_stretches_through_on_phase_switches_move_no_bit(case, chunk, monkeypatch):
+    # the oscillator rig at dt = 10 ns, where a transition stays pending for
+    # 5 steps, and the 16-clock XOR stream: some stretch accepts rows while
+    # an OTS is on, and with stretches or without, the traces, solved steps
+    # and period are the same
+    run, steps, expected = GOLDEN[case]
+    straight_line = engine._straight_line
+    if chunk:  # a prime batch size ends stretches at steps of every phase
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+    calls = record_stretches(monkeypatch)
+    want = outcome(run)
+    assert any(m and on for _, _, m, on in calls)
+    if not chunk:
+        assert want == expected | {"steps": steps}
+    monkeypatch.setattr(engine, "_solves", {})
+    monkeypatch.setattr(engine, "_straight_line", without_stretches(straight_line))
+    assert outcome(run) == want
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -841,19 +872,29 @@ def dgetrf_factor(mat, pinned):
     return lu, piv
 
 
-def stretched(solve, switches):
+def idle(p, phase: int, v: float) -> bool:
+    """Whether `ots_step` leaves an OTS with parameters p in the phase that
+    segment `phase` fixes, with no transition pending, at voltage v: the
+    phase's state s (OFF_STATE if `phase` is _SEG_OFF, else ON_STATE) comes
+    back as s itself.  Whether it does depends on no dt."""
+    s = OFF_STATE if phase == engine._SEG_OFF else ON_STATE
+    return math.isfinite(v) and ots_step(p, s, v, 1.0) is s
+
+
+def stretched(solve, switches, segments):
     """A generated step's stretch contract (`engine._straight_line`) around
     `solve(zl, xp) -> (xe, stays)`, which solves one step: while the
-    solution selects its set, k + 1 < stop, xe != xp and every switch (a, b)
-    is below its threshold, accept xe, write the drives of step k + 1 from
-    `cols` into zl and solve again."""
+    solution selects its set, k + 1 < stop, xe != xp and every OTS (a, b, p,
+    pos) of `switches` stays `idle` in the phase ``segments[pos]`` fixes,
+    accept xe, write the drives of step k + 1 from `cols` into zl and solve
+    again."""
 
-    def step(zl, xp, k=0, stop=1, cols=(), vth=()):
+    def step(zl, xp, k=0, stop=1, cols=()):
         rows = []
         while True:
             xe, stays = solve(zl, xp)
             if not (stays and k + 1 < stop and xe != xp
-                    and all(abs(xe[a] - xe[b]) < t for (a, b), t in zip(switches, vth))):
+                    and all(idle(p, segments[pos], xe[a] - xe[b]) for a, b, p, pos in switches)):
                 return rows, xe, stays
             rows.append(xe)
             xp = xe
@@ -884,7 +925,7 @@ def dgetrs_solve(lu, piv, zd, rows, caps, switches, table, segments):
         xe = [0.0, *x.tolist()]
         return xe, engine._select(table, xe) == segments
 
-    return stretched(solve, switches)
+    return stretched(solve, switches, segments)
 
 
 def one_step(step):
@@ -1008,7 +1049,7 @@ def test_a_perturbed_generated_solve_fails_the_residual_gate(run, monkeypatch):
             xe = [v * (1.0 + 1e-6) for v in solve(zl, xp)[0]]
             return xe, engine._select(table, xe) == segments
 
-        return stretched(off, switches)
+        return stretched(off, switches, segments)
 
     monkeypatch.setattr(engine, "_solves", {})
     monkeypatch.setattr(engine, "_straight_line", perturbed)
@@ -1035,8 +1076,8 @@ def test_the_gate_derives_the_rhs_each_accepted_solve_received(case, monkeypatch
 
     def recording(*args):
         solve = one_step(straight_line(*args))
-        *_, switches, _, _ = args
-        return stretched(lambda zl, xp: received.append((list(zl), xp)) or solve(zl, xp), switches)
+        *_, switches, _, segments = args
+        return stretched(lambda zl, xp: received.append((list(zl), xp)) or solve(zl, xp), switches, segments)
 
     monkeypatch.setattr(engine, "_Compiled", Recorded)
     monkeypatch.setattr(engine, "_solves", {})
@@ -1065,8 +1106,8 @@ def test_the_gate_derives_the_rhs_each_accepted_solve_received(case, monkeypatch
 def record_assembly(monkeypatch) -> tuple[list, dict, list]:
     """Puts an empty shared solve cache in place and records the compiled
     circuit and shared key of each set a run meets, in set id order; the
-    matrix assembled for each key; and the compiled circuit, solution record
-    and set-id record of each residual gate call."""
+    matrix assembled for each key; and the compiled circuit, solution record,
+    set-id record and sample range of each residual gate call."""
     keys, assembled, gated = [], {}, []
 
     class Recorded(engine._Compiled):
@@ -1084,7 +1125,7 @@ def record_assembly(monkeypatch) -> tuple[list, dict, list]:
                 return super().factorized(segments, pinned)
 
         def residual_gate(self, sol, set_id, lo, hi):
-            gated.append((self, sol, set_id))
+            gated.append((self, sol, set_id, lo, hi))
             return super().residual_gate(sol, set_id, lo, hi)
 
     monkeypatch.setattr(engine, "_Compiled", Recorded)
@@ -1101,7 +1142,7 @@ def test_kcl_residual_is_the_written_sum(case, monkeypatch):
     # the largest |r| of all is kcl_residual, bit for bit
     keys, assembled, gated = record_assembly(monkeypatch)
     tr = GOLDEN[case][0]()
-    (c, sol, set_id), *_ = gated
+    (c, sol, set_id, *_), *_ = gated
     n = tr.solved_steps
     terms = []  # per set id: each node row's (column, value) nonzeros, and the dynamic RHS
     for (_, key), (_, _, zd) in zip(keys, c.sets, strict=True):  # the run's sets, in set id order
@@ -1116,6 +1157,74 @@ def test_kcl_residual_is_the_written_sum(case, monkeypatch):
                 r += a * x[j]
             worst = max(worst, abs(r - (z[i + 1] + zd[i])))
     assert worst.hex() == tr.kcl_residual.hex()
+
+
+def per_set_residuals(c, sol, set_id, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """`engine._Compiled.residuals` as the gate computed them before it
+    sorted its samples: set by set in `np.unique` order, each set's samples
+    found with `flatnonzero` and gathered column by column from the
+    row-major record."""
+    worst = np.zeros(hi - lo)
+    refused = np.zeros(hi - lo, dtype=bool)
+    z = c.node_rhs(sol, lo, hi)
+    ids = set_id[lo:hi]
+    for sid in np.unique(ids):
+        rows = np.flatnonzero(ids == sid)
+        _, (cols, coef), zd = c.sets[sid]
+        x = sol[lo + rows]
+        r = coef[0] * x[:, cols[0]]
+        for k in range(1, len(cols)):
+            r += coef[k] * x[:, cols[k]]
+        zs = z[rows, 1:] + zd[:c.nv]
+        r = np.abs(r - zs)
+        worst[rows] = np.max(r, axis=1)
+        tall = ~(worst[rows] <= engine._RESIDUAL_TOL)
+        if tall.any():
+            xa, scale = np.abs(x[tall]), np.abs(zs[tall])
+            for k in range(len(cols)):
+                scale += np.abs(coef[k]) * xa[:, cols[k]]
+            refused[rows[tall]] = ~(np.isfinite(worst[rows[tall]])
+                                    & np.all(r[tall] <= engine._BACKWARD_TOL * scale, axis=1))
+    return worst, refused
+
+
+def assert_residuals_equal_the_per_set_loop(c, sol, set_id, lo, hi) -> None:
+    worst, refused = c.residuals(sol, set_id, lo, hi)
+    want, want_refused = per_set_residuals(c, sol, set_id, lo, hi)
+    assert worst.tobytes() == want.tobytes()
+    assert np.array_equal(refused, want_refused)
+
+
+def test_the_gate_sorted_by_set_equals_the_per_set_loop(monkeypatch):
+    # on every batch of the eight truth tables and of one oscillator run,
+    # the per-sample maxima are those of the per-set loop, bit for bit
+    _, _, gated = record_assembly(monkeypatch)
+    for kind in GateKind:
+        gates.truth_table(kind)
+    rig.run_oscillator(4.3, 300e-6)
+    assert len(gated) > 30
+    for batch in gated:
+        assert_residuals_equal_the_per_set_loop(*batch)
+
+
+def test_the_gate_names_the_earliest_refused_step_of_any_set(monkeypatch):
+    # one batch of 4,001 samples whose sets interleave; of two perturbed
+    # samples in different sets, the earlier one is in the set that sorts
+    # later, and the error names it
+    _, _, gated = record_assembly(monkeypatch)
+    rig.run_oscillator(4.3, 40e-6)
+    ((c, sol, set_id, lo, hi),) = gated
+    ids = set_id[lo:hi].tolist()
+    runs = [sid for k, sid in enumerate(ids) if k == 0 or sid != ids[k - 1]]
+    assert len(set(ids)) >= 3 and len(runs) > len(set(ids))
+    early = ids.index(max(ids[1:]), 1)
+    late = next(k for k in range(early + 2, hi) if ids[k] < ids[early])
+    for perturbed, step in (((early, late), early), ((late,), late)):
+        bad = sol.copy()
+        bad[list(perturbed), 1:] *= 1.0 + 1e-6
+        assert_residuals_equal_the_per_set_loop(c, bad, set_id, lo, hi)
+        with pytest.raises(SimulationError, match=rf" at step {lo + step}$"):
+            c.residual_gate(bad, set_id, lo, hi)
 
 
 def selection_forms(v_f: float, v_z: float, v_hold: float) -> list[tuple]:
@@ -1159,6 +1268,83 @@ def test_a_generated_self_check_is_select(data, v_f, v_z, v_hold):
     assert rows == []
     assert np.array(xe).tobytes() == np.array(x).tobytes()
     assert stays is (engine._select(table, xe) == segments)
+
+
+@st.composite
+def valid_ots_params(draw):
+    """Any valid `OtsParams`, r_on down to 1e-3 Ohm, so that an on-phase
+    current can overflow."""
+    v_hold = draw(st.floats(1e-3, 10.0))
+    r_on = draw(st.floats(1e-3, 1e6))
+    tau = st.sampled_from((0.0, 1e-9, 50e-9))
+    return OtsParams(v_th=v_hold * draw(st.floats(1.001, 10.0)), v_hold=v_hold, r_on=r_on,
+                     g_off=draw(st.floats(0.0, 0.9e-3)) / r_on, i_hold=draw(st.floats(1e-9, 1.0)),
+                     tau_on=draw(tau), tau_off=draw(tau))
+
+
+@st.composite
+def near(draw, centers):
+    """A float within a few ulps of one of +-`centers`."""
+    v = draw(st.sampled_from(centers)) * draw(st.sampled_from((1.0, -1.0)))
+    for _ in range(draw(st.integers(0, 3))):
+        v = math.nextafter(v, draw(st.sampled_from((math.inf, -math.inf))))
+    return v
+
+
+QUIET_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+                 math.inf, -math.inf, math.nan, 1.7e308, -1.7e308)
+
+
+def stretch_rows(p, a: int, b: int, phase: int, x: list[float], dt: float) -> list:
+    """The rows a generated step's stretch accepts past solution x, with
+    stop one step on, for an OTS with parameters p between a and b, in the
+    phase that segment `phase` fixes, of an identity system whose solution
+    is its RHS; x selects the set, and differs from xp (empty), as no
+    capacitor reads xp."""
+    net = Netlist()
+    net.add_ots("S1", "a", "0", p)
+    ((*_, off, on),) = engine._Compiled(net, dt, None).ots
+    table = ((a, b, *(off if phase == engine._SEG_OFF else on)[2:]),)
+    segments = engine._select(table, x)
+    step = engine._straight_line([[1.0, 0.0], [0.0, 1.0]], [0, 1], np.zeros(2), (1, 2), (), ((a, b, p, 0),),
+                                 table, segments)
+    rows, xe, stays = step(x, [], 0, 2)
+    assert stays and np.array(xe).tobytes() == np.array(x).tobytes()
+    return rows
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data(), valid_ots_params(), st.sampled_from(((1, 0), (0, 1), (1, 2))),
+       st.sampled_from((engine._SEG_OFF, engine._SEG_DEAD)), st.sampled_from((1e-9, 10e-9, 1.0)))
+def test_a_generated_stretch_continues_only_while_ots_step_keeps_the_phase(data, p, terminals, phase, dt):
+    """The quiet rule of a generated step, run as generated code: a stretch
+    goes on past a solution only where `ots_step` returns the OTS's phase
+    state s, OFF_STATE or ON_STATE itself, and exactly there for finite v
+    whose on-phase current does not overflow.  The switch lies between node
+    1 and ground, ground and node 1, or nodes 1 and 2, at voltages near
+    +-v_hold, +-(v_hold + i_hold r_on) and +-v_th, signed zeros,
+    subnormals, infinities, NaN and near the largest floats."""
+    a, b = terminals
+    voltage = near((p.v_hold, p.v_hold + p.i_hold * p.r_on, p.v_th)) | st.sampled_from(QUIET_SPECIAL)
+    x = [0.0, data.draw(voltage), data.draw(st.sampled_from((0.0, -0.0, 5e-324)) | voltage)]
+    rows = stretch_rows(p, a, b, phase, x, dt)
+    v = x[a] - x[b]
+    if not math.isfinite(v):
+        assert rows == []
+        return
+    s = OFF_STATE if phase == engine._SEG_OFF else ON_STATE
+    kept = ots_step(p, s, v, dt) is s
+    assert kept or rows == []
+    if phase == engine._SEG_OFF or math.isfinite((abs(v) - p.v_hold) / p.r_on):
+        assert bool(rows) is kept
+
+
+def test_an_overflowing_on_phase_current_ends_a_stretch():
+    # ots_step keeps the switch on at |i| = inf, but the stretch ends there
+    p = OtsParams(r_on=1e-3, g_off=0.0)
+    assert ots_step(p, ON_STATE, 1.7e308, 1e-9) is ON_STATE
+    assert stretch_rows(p, 1, 0, engine._SEG_DEAD, [0.0, 1.7e308, 0.0], 1e-9) == []
+    assert stretch_rows(p, 1, 0, engine._SEG_DEAD, [0.0, 1.7e305, 0.0], 1e-9) != []
 
 
 @settings(max_examples=300, deadline=None)
@@ -1284,7 +1470,7 @@ def count_compiles(monkeypatch, cache: dict) -> list:
 
 
 def stamped_rig(v_in=4.3, ohms=9.1e3, farads=1e-9, dt=10e-9, v_f=0.4, v_z=15.0, r_series=1.0, r_on=100.0,
-                g_off=1e-8, v_hold=1.0, r_out=50.0, v_out_high=5.0, v_out_low=0.0):
+                g_off=1e-8, v_hold=1.0, v_th=3.0, i_hold=0.9e-3, r_out=50.0, v_out_high=5.0, v_out_low=0.0):
     """30 us of the oscillator rig with a diode and a comparator on its
     sense node: the switch flips, the diode conducts and the comparator
     output goes high and low, so every value but `v_z` (and `v_in`, a Dc
@@ -1294,7 +1480,8 @@ def stamped_rig(v_in=4.3, ohms=9.1e3, farads=1e-9, dt=10e-9, v_f=0.4, v_z=15.0, 
     net.add_source("VREF", "ref", "0", Dc(0.25))
     net.add_resistor("RD", "in", "top", ohms)
     net.add_capacitor("CP", "top", "0", farads)
-    net.add_ots("S1", "top", "mid", replace(default_params(), r_on=r_on, g_off=g_off, v_hold=v_hold))
+    net.add_ots("S1", "top", "mid", replace(default_params(), r_on=r_on, g_off=g_off, v_hold=v_hold, v_th=v_th,
+                                            i_hold=i_hold))
     net.add_resistor("RS", "mid", "0", 100.0)
     net.add_diode("D1", "mid", "d", v_f=v_f, v_z=v_z, r_series=r_series)
     net.add_resistor("R3", "d", "0", 1e3)
@@ -1303,9 +1490,11 @@ def stamped_rig(v_in=4.3, ohms=9.1e3, farads=1e-9, dt=10e-9, v_f=0.4, v_z=15.0, 
     return transient(net, 30e-6, dt)
 
 
-# one changed value per field that a matrix, a knee or a constant of the generated code holds
+# one changed value per field that a matrix, a knee or a constant of the generated code holds, the
+# switch thresholds a stretch tests included
 STAMPED_CHANGES = {"ohms": 9.2e3, "farads": 1.1e-9, "dt": 12.5e-9, "v_f": 0.45, "v_z": 14.0, "r_series": 2.0,
-                   "r_on": 110.0, "g_off": 2e-8, "v_hold": 1.1, "r_out": 60.0, "v_out_high": 4.5, "v_out_low": 0.5}
+                   "r_on": 110.0, "g_off": 2e-8, "v_hold": 1.1, "v_th": 3.1, "i_hold": 1e-3, "r_out": 60.0,
+                   "v_out_high": 4.5, "v_out_low": 0.5}
 
 
 class TestSharedSolves:
